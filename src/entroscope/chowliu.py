@@ -4,7 +4,8 @@ The tree is the maximum-weight spanning tree under pairwise mutual
 information, with plug-in tables. All four entropy orders come out of
 message passes over the tree, never from expanding the joint state space:
 sum-product in log2 domain for the power sums, max-product for the modal
-probability, exact big-integer counting for the support.
+probability, exact integer counting for the support. Pairwise counts, the
+only statistics a tree needs, come from one primitive (PairCounts).
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .entropy import (
     profile_joint,
 )
 from .errors import DataError
-from .quantize import BinnedChannel, Pmf, pmf_of
+from .quantize import BinnedChannel, Pmf
 
-# int64 stays exact below this; larger support bounds use Python integers
-_INT64_SAFE = 2 ** 62
+# support counts whose float64 estimate stays within this run in int64
+_INT64_SAFE = 2 ** 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,55 +132,150 @@ def _dense_root(model: ChowLiuModel) -> np.ndarray:
     return dense
 
 
-def _mi_of_codes(ca: np.ndarray, cb: np.ndarray, b_bins: int) -> float:
-    def h(codes):
-        counts = np.bincount(codes)
-        counts = counts[counts > 0]
-        return _shannon_bits(counts / codes.size)
-
-    return max(0.0, h(ca) + h(cb) - h(ca * b_bins + cb))
-
-
 def _edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def _conditional_from_codes(cp: np.ndarray, cc: np.ndarray,
-                            child_bin_count: int) -> ConditionalTable:
-    keys = cp * child_bin_count + cc
-    uniq, counts = np.unique(keys, return_counts=True)
-    pb = uniq // child_bin_count
-    cb = uniq % child_bin_count
-    starts = np.flatnonzero(np.r_[True, pb[1:] != pb[:-1]])
-    indptr = np.r_[starts, uniq.size]
-    totals = np.add.reduceat(counts, starts)
-    probs = counts / np.repeat(totals, np.diff(indptr))
-    return ConditionalTable(pb[starts], indptr, cb, probs)
+class PairCounts:
+    """Occupied cells of the joint count table of two code columns a and b.
+
+    The one count primitive of the package: the pair's mutual information,
+    its conditional table in either direction and either marginal all derive
+    from these integer counts. Side 0 is a, side 1 is b. Counting goes
+    through a dense table when it has no more cells than there are rows, and
+    through a sort of the rows otherwise, so memory stays bounded by the rows
+    even at 2048 x 2048 bins.
+    """
+
+    def __init__(self, ca: np.ndarray, cb: np.ndarray, bins: tuple[int, int]):
+        self.bins = bins
+        self.n = int(ca.size)
+        keys = ca * bins[1] + cb
+        # sorted occupied keys (so grouped by a, then b) and their counts
+        if bins[0] * bins[1] <= keys.size:
+            joint = np.bincount(keys)
+            self.keys = np.flatnonzero(joint)
+            self.counts = joint[self.keys]
+        else:
+            # a dense table would outgrow the rows; sort the rows instead
+            self.keys, self.counts = np.unique(keys, return_counts=True)
+        self._tables: dict[int, ConditionalTable] = {}
+        h_joint = _shannon_bits(self.counts / self.n)
+        h_a, h_b = (_shannon_bits(self.marginal(side).p) for side in (0, 1))
+        # plug-in I(a;b) = H(a) + H(b) - H(a,b) in bits, clamped at 0
+        self.mi = max(0.0, h_a + h_b - h_joint)
+
+    def _codes(self, side: int) -> np.ndarray:
+        return self.keys // self.bins[1] if side == 0 else self.keys % self.bins[1]
+
+    def marginal(self, side: int) -> Pmf:
+        dense = np.bincount(self._codes(side), weights=self.counts)
+        bins = np.flatnonzero(dense)
+        return Pmf(bins, dense[bins] / self.n)
+
+    def conditional(self, parent_side: int) -> ConditionalTable:
+        """p(other side | parent side), built once per direction."""
+        table = self._tables.get(parent_side)
+        if table is not None:
+            return table
+        keys, counts, child_bin_count = self.keys, self.counts, self.bins[1]
+        if parent_side == 1:
+            # re-key as (b, a) so rows group by the parent
+            child_bin_count = self.bins[0]
+            keys = self._codes(1) * child_bin_count + self._codes(0)
+            order = np.argsort(keys)
+            keys, counts = keys[order], counts[order]
+        pb = keys // child_bin_count
+        cb = keys % child_bin_count
+        starts = np.flatnonzero(np.r_[True, pb[1:] != pb[:-1]])
+        indptr = np.r_[starts, keys.size]
+        totals = np.add.reduceat(counts, starts)
+        probs = counts / np.repeat(totals, np.diff(indptr))
+        table = ConditionalTable(pb[starts], indptr, cb, probs)
+        self._tables[parent_side] = table
+        return table
 
 
-def build_tree(channels: list[BinnedChannel]) -> ChowLiuModel:
+class PairStats:
+    """Pair counts of a set of channels on one set of rows, each pair counted
+    at most once however many trees ask for it.
+
+    rows is a boolean row mask, or None for all rows. A sweep makes one over
+    all rows and passes it to every build_tree call, which uses it only for
+    subsets whose channels are all fully observed; every other tree counts
+    its pairs in a throwaway instance over its own complete rows.
+    """
+
+    def __init__(self, channels: list[BinnedChannel], rows: np.ndarray | None = None):
+        self.channels = {ch.name: ch for ch in channels}
+        self._cols = {
+            ch.name: ch.codes if rows is None else ch.codes[rows] for ch in channels
+        }
+        # channels counted here on every one of their rows
+        self._complete = set() if rows is not None else {
+            ch.name for ch in channels if not (ch.codes < 0).any()
+        }
+        self._pairs: dict[tuple[str, str], PairCounts] = {}
+
+    def serves(self, channels: list[BinnedChannel]) -> bool:
+        """True when every channel is ours and fully observed, so a tree over
+        them fits on all rows, which are the rows counted here."""
+        return all(
+            ch.name in self._complete and self.channels[ch.name] is ch
+            for ch in channels
+        )
+
+    def _pair(self, a: str, b: str) -> tuple[PairCounts, int]:
+        """The pair's counts, made on first use, and the side a is on."""
+        if (b, a) in self._pairs:
+            return self._pairs[(b, a)], 1
+        if (a, b) not in self._pairs:
+            bins = (self.channels[a].spec.bin_count, self.channels[b].spec.bin_count)
+            self._pairs[(a, b)] = PairCounts(self._cols[a], self._cols[b], bins)
+        return self._pairs[(a, b)], 0
+
+    def mi(self, a: str, b: str) -> float:
+        return self._pair(a, b)[0].mi
+
+    def conditional(self, parent: str, child: str) -> ConditionalTable:
+        counts, side = self._pair(parent, child)
+        return counts.conditional(side)
+
+    def marginal(self, name: str, other: str) -> Pmf:
+        """Marginal of name, from its pair with other."""
+        counts, side = self._pair(name, other)
+        return counts.marginal(side)
+
+
+def build_tree(channels: list[BinnedChannel],
+               shared: PairStats | None = None) -> ChowLiuModel:
     """Fit the maximum-MI spanning tree on rows complete across the subset.
 
     Weight ties break toward the lexicographically smallest name pair; the
     root is the first channel in input order. Both choices exist purely so
-    repeated runs produce the identical model.
+    repeated runs produce the identical model. Pair counts come from shared
+    when it serves these channels, and are counted afresh otherwise; the
+    model is the same either way.
     """
     if len(channels) < 2:
         raise DataError("tree needs at least 2 channels")
     names = [ch.name for ch in channels]
     if len(set(names)) != len(names):
         raise DataError("duplicate channel names")
-    mask = complete_row_mask(channels)
-    if not mask.any():
-        raise DataError("no complete rows")
-    cols = {ch.name: ch.codes[mask] for ch in channels}
+    if shared is not None and shared.serves(channels):
+        stats = shared
+    else:
+        mask = complete_row_mask(channels)
+        if not mask.any():
+            raise DataError("no complete rows")
+        stats = PairStats(channels, mask)
     bins = {ch.name: ch.spec.bin_count for ch in channels}
 
     weights: dict[tuple[str, str], float] = {}
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             a, b = names[i], names[j]
-            weights[_edge_key(a, b)] = _mi_of_codes(cols[a], cols[b], bins[b])
+            weights[_edge_key(a, b)] = stats.mi(a, b)
 
     # Kruskal over edges sorted by falling MI, ties by name pair
     index = {name: i for i, name in enumerate(names)}
@@ -220,7 +316,7 @@ def build_tree(channels: list[BinnedChannel]) -> ChowLiuModel:
                 frontier.append(nb)
 
     conditionals = {
-        child: _conditional_from_codes(cols[par], cols[child], bins[child])
+        child: stats.conditional(par, child)
         for child, par in parent.items()
     }
     tree_weights = {_edge_key(a, b): weights[_edge_key(a, b)] for a, b in adopted}
@@ -228,7 +324,7 @@ def build_tree(channels: list[BinnedChannel]) -> ChowLiuModel:
         nodes=tuple(names),
         root=root,
         parent=parent,
-        root_marginal=pmf_of(cols[root]),
+        root_marginal=stats.marginal(root, names[1]),
         conditionals=conditionals,
         edge_weights=tree_weights,
         bin_counts=bins,
@@ -306,13 +402,17 @@ def tree_max_prob(model: ChowLiuModel) -> tuple[float, tuple[int, ...]]:
         terms = np.log2(cond.probs)
         for child in kids[node]:
             terms = terms + messages[child][cond.child_bins]
+        starts = cond.indptr[:-1]
+        peak = np.maximum.reduceat(terms, starts)
+        at_peak = terms == np.repeat(peak, np.diff(cond.indptr))
+        # first peak of each row; bins ascend within a row, so ties go to
+        # the smallest bin
+        best = np.minimum.reduceat(
+            np.where(at_peak, np.arange(terms.size), terms.size), starts)
         msg = np.full(model.bin_counts[model.parent[node]], -np.inf)
         pick = np.zeros(model.bin_counts[model.parent[node]], dtype=np.int64)
-        for r in range(cond.parent_bins.size):
-            lo, hi = int(cond.indptr[r]), int(cond.indptr[r + 1])
-            best = lo + int(np.argmax(terms[lo:hi]))  # first max: smallest bin
-            msg[cond.parent_bins[r]] = terms[best]
-            pick[cond.parent_bins[r]] = cond.child_bins[best]
+        msg[cond.parent_bins] = terms[best]
+        pick[cond.parent_bins] = cond.child_bins[best]
         messages[node] = msg
         choices[node] = pick
 
@@ -332,58 +432,40 @@ def tree_max_prob(model: ChowLiuModel) -> tuple[float, tuple[int, ...]]:
     return log2_max, tuple(code[name] for name in model.nodes)
 
 
-def _subtree_state_bound(model: ChowLiuModel) -> int:
-    bound = 1
-    for name in model.nodes:
-        bound *= model.bin_counts[name]
-    return bound
-
-
-def tree_support_count(model: ChowLiuModel) -> int:
-    """Exact number of code tuples with positive tree probability."""
+def _count_pass(model: ChowLiuModel, dtype) -> tuple[list[np.ndarray], object]:
+    """Upward sum-product over the support indicator: (messages, total)."""
     kids = model.children_map()
-    if _subtree_state_bound(model) <= _INT64_SAFE:
-        # counts fit int64, so the pass can stay vectorized
-        messages: dict[str, np.ndarray] = {}
-        for node in _postorder(model):
-            if node == model.root:
-                continue
-            cond = model.conditionals[node]
-            w = np.ones(cond.child_bins.size, dtype=np.int64)
-            for child in kids[node]:
-                w = w * messages[child][cond.child_bins]
-            msg = np.zeros(model.bin_counts[model.parent[node]], dtype=np.int64)
-            msg[cond.parent_bins] = np.add.reduceat(w, cond.indptr[:-1])
-            messages[node] = msg
-        w = np.ones(model.root_marginal.bins.size, dtype=np.int64)
-        for child in kids[model.root]:
-            w = w * messages[child][model.root_marginal.bins]
-        return int(w.sum())
-
-    # big-integer path for state spaces past int64
-    big: dict[str, list[int]] = {}
+    messages: dict[str, np.ndarray] = {}
     for node in _postorder(model):
         if node == model.root:
             continue
         cond = model.conditionals[node]
-        msg = [0] * model.bin_counts[model.parent[node]]
-        for r in range(cond.parent_bins.size):
-            lo, hi = int(cond.indptr[r]), int(cond.indptr[r + 1])
-            total = 0
-            for k in range(lo, hi):
-                prod = 1
-                for child in kids[node]:
-                    prod *= big[child][int(cond.child_bins[k])]
-                total += prod
-            msg[int(cond.parent_bins[r])] = total
-        big[node] = msg
-    total = 0
-    for rb in model.root_marginal.bins:
-        prod = 1
-        for child in kids[model.root]:
-            prod *= big[child][int(rb)]
-        total += prod
-    return total
+        w = np.ones(cond.child_bins.size, dtype=dtype)
+        for child in kids[node]:
+            w = w * messages[child][cond.child_bins]
+        msg = np.zeros(model.bin_counts[model.parent[node]], dtype=dtype)
+        msg[cond.parent_bins] = np.add.reduceat(w, cond.indptr[:-1])
+        messages[node] = msg
+    w = np.ones(model.root_marginal.bins.size, dtype=dtype)
+    for child in kids[model.root]:
+        w = w * messages[child][model.root_marginal.bins]
+    return list(messages.values()), w.sum()
+
+
+def tree_support_count(model: ChowLiuModel) -> int:
+    """Exact number of code tuples with positive tree probability.
+
+    A float64 run of the same pass picks the arithmetic: int64 when every
+    message and the total stay within _INT64_SAFE, Python integers otherwise.
+    All terms are nonnegative, so every product and partial sum is bounded by
+    a message or the total; the float run's relative rounding error, a few
+    ulps per step of the walk, is far below the factor 8 between
+    _INT64_SAFE and 2**63, so an int64 run it admits cannot overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        messages, total = _count_pass(model, np.float64)
+    fits = total <= _INT64_SAFE and all(m.max() <= _INT64_SAFE for m in messages)
+    return int(_count_pass(model, np.int64 if fits else object)[1])
 
 
 def tree_profile(model: ChowLiuModel) -> EntropyProfile:

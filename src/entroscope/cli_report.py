@@ -32,6 +32,7 @@ from .ingest import SampleTable, load_manifest, load_table
 from .quantize import _canonical_rule, bin_channel, pmf_of
 from .sweep import (
     DEFAULT_GRID,
+    MAX_JOINT_BINS,
     run_sweep,
     sensitivity,
     size_means,
@@ -323,7 +324,7 @@ def _cmd_validate(args) -> Report:
     table = _load_input(args)
     names = _parse_names(args.subset)
     chans = [
-        bin_channel(table.column(name), args.bins, name=name, max_bins=2048)
+        bin_channel(table.column(name), args.bins, name=name, max_bins=MAX_JOINT_BINS)
         for name in names
     ]
     rep = validate_subset(chans)
@@ -353,7 +354,7 @@ def _cmd_matrix(args) -> Report:
             try:
                 binned.append(
                     bin_channel(table.column(name), args.bins, name=name,
-                                max_bins=2048)
+                                max_bins=MAX_JOINT_BINS)
                 )
             except EntroscopeError as exc:
                 print(f"warning: {name}: {exc}", file=sys.stderr)

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chowliu import PairCounts
 from .entropy import _shannon_bits
 from .errors import DataError
-from .quantize import BinnedChannel
+from .quantize import BinnedChannel, pmf_of
 
 KIND_PEARSON = "pearson"
 KIND_MI = "mutual_information_bits"
@@ -49,12 +50,6 @@ def pearson(a, b) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def _codes_entropy(codes: np.ndarray) -> float:
-    counts = np.bincount(codes)
-    counts = counts[counts > 0]
-    return _shannon_bits(counts / codes.size)
-
-
 def mutual_information(a: BinnedChannel, b: BinnedChannel) -> float:
     """Plug-in I(a;b) = H(a) + H(b) - H(a,b) in bits, clamped at 0."""
     if a.codes.size != b.codes.size:
@@ -64,9 +59,7 @@ def mutual_information(a: BinnedChannel, b: BinnedChannel) -> float:
     cb = b.codes[keep]
     if ca.size == 0:
         raise DataError("empty overlap")
-    joint = ca * b.spec.bin_count + cb
-    mi = _codes_entropy(ca) + _codes_entropy(cb) - _codes_entropy(joint)
-    return max(0.0, mi)
+    return PairCounts(ca, cb, (a.spec.bin_count, b.spec.bin_count)).mi
 
 
 def _canonical_kind(kind: str) -> str:
@@ -101,7 +94,7 @@ def matrix(table, binned: list[BinnedChannel], kind: str) -> DependenceMatrix:
         else:
             ch = by_name[name]
             codes = ch.codes[ch.codes >= 0]
-            values[i, i] = _codes_entropy(codes) if codes.size else np.nan
+            values[i, i] = _shannon_bits(pmf_of(codes).p) if codes.size else np.nan
 
     for i in range(n):
         for j in range(i + 1, n):

@@ -1,9 +1,10 @@
 """Exhaustive sensor-subset sweeps, min-entropy ranking, bin sensitivity.
 
 Subsets stream in canonical order (size ascending, then lexicographic over
-channel positions), every channel is binned once and shared, and results are
-keyed by subset position so the output is identical no matter how many
-workers ran or in what order they finished.
+channel positions), every channel is binned once and shared, every pair of
+fully observed channels is counted once per process, and results are keyed
+by subset position so the output is identical no matter how many workers
+ran or in what order they finished.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chowliu import build_tree, tree_profile
+from .chowliu import PairStats, build_tree, tree_profile
 from .entropy import EntropyProfile, profile
 from .errors import DataError, EntroscopeError
 from .ingest import SampleTable
@@ -65,18 +66,55 @@ def enumerate_subsets(channels, min_size: int = 2, max_size: int | None = None):
         yield from itertools.combinations(names, size)
 
 
-# shared state for forked workers; set immediately before the pool starts
-_SHARED_CHANNELS: dict[str, BinnedChannel] = {}
+# shared state for forked workers: the sweep's binned channels and their pair
+# counts over all rows; set immediately before the pool starts and cleared
+# when the sweep returns
+_SHARED: PairStats | None = None
 
 
 def _profile_subset(item):
     idx, subset = item
     try:
-        chans = [_SHARED_CHANNELS[name] for name in subset]
-        prof = tree_profile(build_tree(chans))
+        chans = [_SHARED.channels[name] for name in subset]
+        prof = tree_profile(build_tree(chans, _SHARED))
         return idx, "ok", prof
     except EntroscopeError as exc:
         return idx, "err", str(exc)
+
+
+def _run_tasks(tasks, workers: int) -> dict[int, tuple[str, object]]:
+    """Profile every (index, subset) task, serially or in a fork pool."""
+    outcomes: dict[int, tuple[str, object]] = {}
+    started = time.monotonic()
+    done = 0
+    report_every = max(1, len(tasks) // 10)
+
+    def note_progress():
+        if done % report_every == 0 or done == len(tasks):
+            elapsed = time.monotonic() - started
+            eta = elapsed / done * (len(tasks) - done) if done else 0.0
+            print(
+                f"sweep: {done}/{len(tasks)} subsets, {elapsed:.1f}s elapsed, "
+                f"~{eta:.0f}s left",
+                file=sys.stderr,
+            )
+
+    if workers == 1 or len(tasks) <= 1:
+        for item in tasks:
+            idx, status, value = _profile_subset(item)
+            outcomes[idx] = (status, value)
+            done += 1
+            note_progress()
+    else:
+        ctx = multiprocessing.get_context("fork")
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ctx.Pool(processes=workers) as pool:
+            for idx, status, value in pool.imap(_profile_subset, tasks, chunk):
+                outcomes[idx] = (status, value)
+                done += 1
+                note_progress()
+
+    return outcomes
 
 
 def run_sweep(table: SampleTable, rule, min_size: int = 2,
@@ -113,37 +151,12 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
         else:
             tasks.append((idx, subset))
 
-    global _SHARED_CHANNELS
-    _SHARED_CHANNELS = binned
-    outcomes: dict[int, tuple[str, object]] = {}
-    started = time.monotonic()
-    done = 0
-    report_every = max(1, len(tasks) // 10)
-
-    def note_progress():
-        if done % report_every == 0 or done == len(tasks):
-            elapsed = time.monotonic() - started
-            eta = elapsed / done * (len(tasks) - done) if done else 0.0
-            print(
-                f"sweep: {done}/{len(tasks)} subsets, {elapsed:.1f}s elapsed, "
-                f"~{eta:.0f}s left",
-                file=sys.stderr,
-            )
-
-    if workers == 1 or len(tasks) <= 1:
-        for item in tasks:
-            idx, status, value = _profile_subset(item)
-            outcomes[idx] = (status, value)
-            done += 1
-            note_progress()
-    else:
-        ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ctx.Pool(processes=workers) as pool:
-            for idx, status, value in pool.imap(_profile_subset, tasks, chunk):
-                outcomes[idx] = (status, value)
-                done += 1
-                note_progress()
+    global _SHARED
+    _SHARED = PairStats(list(binned.values()))
+    try:
+        outcomes = _run_tasks(tasks, workers)
+    finally:
+        _SHARED = None
 
     results: list[SubsetResult] = []
     for idx, subset in enumerate(subsets):

@@ -8,6 +8,7 @@ from entroscope import synth
 from entroscope.chowliu import (
     ChowLiuModel,
     ConditionalTable,
+    PairCounts,
     build_tree,
     dump,
     tree_max_prob,
@@ -223,6 +224,99 @@ def test_max_prob_hand_joint():
     assert arg == (0, 0)
 
 
+def _point_root_model(root_bin, table, child_bins):
+    """a -> b with all of a's mass on root_bin, so the pass must use that row."""
+    return ChowLiuModel(
+        nodes=("a", "b"),
+        root="a",
+        parent={"b": "a"},
+        root_marginal=Pmf(np.array([root_bin]), np.array([1.0])),
+        conditionals={"b": table},
+        edge_weights={("a", "b"): 0.0},
+        bin_counts={"a": 4, "b": child_bins},
+    )
+
+
+def test_max_prob_ties_pick_smallest_bin_in_every_row():
+    # every row of p(b | a) has its maximum on two or more bins
+    table = ConditionalTable(
+        np.array([0, 1, 3]),
+        np.array([0, 3, 5, 9]),
+        np.array([1, 2, 4, 0, 3, 0, 2, 3, 4]),
+        np.array([0.25, 0.375, 0.375, 0.5, 0.5, 0.125, 0.125, 0.375, 0.375]),
+    )
+    want = {0: (2, 0.375), 1: (0, 0.5), 3: (3, 0.375)}
+    for root_bin, (child, p) in want.items():
+        logp, arg = tree_max_prob(_point_root_model(root_bin, table, 5))
+        assert arg == (root_bin, child)
+        assert logp == math.log2(p)
+
+
+def test_max_prob_tie_through_child_message():
+    # a -> b -> c; every b carries log2 p(b | a) + max log2 p(c | b) = -2,
+    # and the c row under b = 0 ties too
+    model = ChowLiuModel(
+        nodes=("a", "b", "c"),
+        root="a",
+        parent={"b": "a", "c": "b"},
+        root_marginal=Pmf(np.array([0]), np.array([1.0])),
+        conditionals={
+            "b": ConditionalTable(np.array([0]), np.array([0, 3]),
+                                  np.array([0, 1, 2]), np.array([0.5, 0.25, 0.25])),
+            "c": ConditionalTable(np.array([0, 1, 2]), np.array([0, 2, 3, 4]),
+                                  np.array([2, 3, 0, 1]),
+                                  np.array([0.5, 0.5, 1.0, 1.0])),
+        },
+        edge_weights={("a", "b"): 0.0, ("b", "c"): 0.0},
+        bin_counts={"a": 1, "b": 3, "c": 4},
+    )
+    logp, arg = tree_max_prob(model)
+    assert logp == -2.0
+    assert arg == (0, 0, 2)
+
+
+def _max_prob_row_loop(model):
+    """Max-product with one argmax per conditional row, as a reference."""
+    kids = model.children_map()
+    order = [model.root]
+    for node in order:
+        order.extend(kids[node])
+    messages, choices = {}, {}
+    for node in reversed(order[1:]):
+        cond = model.conditionals[node]
+        terms = np.log2(cond.probs)
+        for child in kids[node]:
+            terms = terms + messages[child][cond.child_bins]
+        msg = np.full(model.bin_counts[model.parent[node]], -np.inf)
+        pick = np.zeros(model.bin_counts[model.parent[node]], dtype=np.int64)
+        for r in range(cond.parent_bins.size):
+            lo, hi = int(cond.indptr[r]), int(cond.indptr[r + 1])
+            best = lo + int(np.argmax(terms[lo:hi]))
+            msg[cond.parent_bins[r]] = terms[best]
+            pick[cond.parent_bins[r]] = cond.child_bins[best]
+        messages[node], choices[node] = msg, pick
+    terms = np.log2(model.root_marginal.p)
+    for child in kids[model.root]:
+        terms = terms + messages[child][model.root_marginal.bins]
+    best = int(np.argmax(terms))
+    code = {model.root: int(model.root_marginal.bins[best])}
+    for node in order[1:]:
+        code[node] = int(choices[node][code[model.parent[node]]])
+    return float(terms[best]), tuple(code[name] for name in model.nodes)
+
+
+def test_max_prob_matches_row_loop_on_fitted_models():
+    rng = np.random.default_rng(41)
+    for trial in range(6):
+        k = 3 + trial % 3
+        bins = [int(b) for b in rng.integers(2, 9, size=k)]
+        # few rows over few bins, so equal counts and so exact ties are common
+        rows = np.stack([rng.integers(0, b, size=60) for b in bins], axis=1)
+        rows[:, 1] = (rows[:, 0] + rows[:, 1]) % bins[1]
+        model = build_tree(chans_from(rows, bins))
+        assert tree_max_prob(model) == _max_prob_row_loop(model)
+
+
 def test_support_count_independent_and_duplicated():
     rng = np.random.default_rng(13)
     a = rng.integers(0, 3, size=20_000)
@@ -263,6 +357,68 @@ def test_support_count_big_integer_path():
     assert tree_support_count(model) == bins ** 9  # 5.1e20 > 2^62 bound/200
     prof = tree_profile(model)
     assert prof.h0 == pytest.approx(9 * math.log2(bins), rel=1e-12)
+
+
+def test_support_count_small_support_past_int64_state_bound():
+    # nine 200-bin channels, each a permutation of its parent: 200^9 states
+    # exceed 2^62, yet only 200 tuples have positive probability
+    bins = 200
+    codes = np.arange(bins)
+    marg = Pmf(codes, np.full(bins, 1.0 / bins))
+    names = tuple(f"p{i}" for i in range(9))
+    rng = np.random.default_rng(43)
+    conditionals = {
+        name: ConditionalTable(codes, np.arange(bins + 1),
+                               rng.permutation(bins), np.ones(bins))
+        for name in names[1:]
+    }
+    model = ChowLiuModel(
+        nodes=names,
+        root=names[0],
+        parent={names[i]: names[i - 1] for i in range(1, 9)},
+        root_marginal=marg,
+        conditionals=conditionals,
+        edge_weights={
+            tuple(sorted((names[i - 1], names[i]))): 0.0 for i in range(1, 9)
+        },
+        bin_counts={n: bins for n in names},
+    )
+    assert math.prod(model.bin_counts.values()) > 2 ** 62
+    count = tree_support_count(model)
+    assert count == bins
+    assert type(count) is int
+
+
+@pytest.mark.parametrize("a_bins, b_bins", [(6, 7), (60, 70)])
+def test_pair_counts_match_direct_counting(a_bins, b_bins):
+    # 6 x 7 cells fit under 3000 rows (dense count); 60 x 70 do not (sort)
+    rng = np.random.default_rng(47)
+    ca = rng.integers(0, a_bins, size=3000)
+    cb = (ca * 2 + rng.integers(0, 3, size=3000)) % b_bins
+    ca[ca == 4] = 5  # an empty bin inside the range
+    pair = PairCounts(ca, cb, (a_bins, b_bins))
+    for parent_side, (cp, cc, child_bins) in enumerate(
+            [(ca, cb, b_bins), (cb, ca, a_bins)]):
+        uniq, counts = np.unique(cp * child_bins + cc, return_counts=True)
+        table = pair.conditional(parent_side)
+        assert pair.conditional(parent_side) is table
+        assert np.array_equal(table.child_bins, uniq % child_bins)
+        rows = uniq // child_bins
+        assert np.array_equal(table.parent_bins, np.unique(rows))
+        totals = np.array([counts[rows == r].sum() for r in rows])
+        assert np.array_equal(table.probs, counts / totals)
+    for side, codes in enumerate([ca, cb]):
+        want = pmf_of(codes)
+        got = pair.marginal(side)
+        assert np.array_equal(got.bins, want.bins)
+        assert np.array_equal(got.p, want.p)
+
+    def bits(codes):
+        counts = np.bincount(codes)
+        p = counts[counts > 0] / codes.size
+        return -math.fsum((p * np.log2(p)).tolist())
+
+    assert pair.mi == max(0.0, bits(ca) + bits(cb) - bits(ca * b_bins + cb))
 
 
 def test_profile_matches_expansion_on_fitted_models():

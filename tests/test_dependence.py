@@ -138,6 +138,39 @@ def test_matrix_mi_diag_is_h1():
         assert dm.values[i, i] == pytest.approx(h1, abs=1e-12)
 
 
+def _bits_of_codes(codes):
+    """Plug-in entropy of a code column: bincount, drop empty bins, fsum."""
+    counts = np.bincount(codes)
+    p = counts[counts > 0] / codes.size
+    return -math.fsum((p * np.log2(p)).tolist())
+
+
+def test_matrix_mi_bitwise_equals_per_column_counts_with_nans():
+    # each channel has its own holes and bin count, so every cell has its
+    # own pairwise-complete rows
+    rng = np.random.default_rng(37)
+    n = 4000
+    base = rng.normal(size=n)
+    rows = np.stack([base, base + rng.normal(size=n), rng.normal(size=n),
+                     base ** 2], axis=1)
+    for j, share in enumerate([0.0, 0.03, 0.1, 0.2]):
+        rows[rng.random(n) < share, j] = np.nan
+    table = SampleTable(("a", "b", "c", "d"), rows, "test", "drop-row-for-subset")
+    binned = [bin_channel(table.column(name), "fd", name=name)
+              for name in table.channels]
+    dm = matrix(table, binned, "mi")
+    assert dm.missing == ()
+    for i, a in enumerate(binned):
+        assert dm.values[i, i] == _bits_of_codes(a.codes[a.codes >= 0])
+        for j in range(i + 1, len(binned)):
+            b = binned[j]
+            keep = (a.codes >= 0) & (b.codes >= 0)
+            ca, cb = a.codes[keep], b.codes[keep]
+            want = (_bits_of_codes(ca) + _bits_of_codes(cb)
+                    - _bits_of_codes(ca * b.spec.bin_count + cb))
+            assert dm.values[i, j] == dm.values[j, i] == max(0.0, want)
+
+
 def test_matrix_permutation_equivariance():
     rng = np.random.default_rng(17)
     table = _table(rng, ["a", "b", "c"], n=300)

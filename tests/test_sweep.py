@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from entroscope import synth
+from entroscope import sweep, synth
 from entroscope.chowliu import build_tree, tree_profile
 from entroscope.errors import DataError
 from entroscope.ingest import SampleTable
 from entroscope.quantize import bin_channel
 from entroscope.sweep import (
     DEFAULT_GRID,
+    MAX_JOINT_BINS,
     SubsetResult,
     enumerate_subsets,
     run_sweep,
@@ -91,6 +92,32 @@ def test_run_sweep_matches_direct_tree_call():
     first = results[0]
     want = tree_profile(build_tree([chans[n] for n in first.subset]))
     assert first.profile == want
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_sweep_matches_fresh_trees_with_missing_values(workers):
+    # ch0, ch2 and ch4 are fully observed, so their subsets reuse the sweep's
+    # pair counts; every subset with ch1 or ch3 counts on its own rows
+    rng = np.random.default_rng(3)
+    rows = 3000
+    data = rng.normal(size=(rows, 5))
+    data[:, 1] += data[:, 0]
+    data[:, 3] += data[:, 2]
+    data[rng.random(rows) < 0.05, 1] = np.nan
+    data[rng.random(rows) < 0.1, 3] = np.nan
+    names = tuple(f"ch{i}" for i in range(5))
+    table = SampleTable(names, data, "unit", "drop-row-for-subset")
+    chans = {
+        name: bin_channel(table.column(name), "fd", name=name,
+                          max_bins=MAX_JOINT_BINS)
+        for name in names
+    }
+    results = run_sweep(table, "fd", workers=workers)
+    assert [r.subset for r in results] == list(enumerate_subsets(names))
+    for r in results:
+        want = tree_profile(build_tree([chans[n] for n in r.subset]))
+        assert r.profile == want, r.subset
+    assert sweep._SHARED is None  # the sweep's state does not outlive it
 
 
 def test_run_sweep_error_ledger():
