@@ -25,6 +25,8 @@ from .entropy import (
 from .errors import DataError
 from .quantize import BinnedChannel, Pmf
 
+# support counts whose float64 run stays below this are exact as they are
+_FLOAT64_EXACT = 2 ** 53
 # support counts whose float64 estimate stays within this run in int64
 _INT64_SAFE = 2 ** 60
 
@@ -233,6 +235,14 @@ class PairStats:
             bins = (self.channels[a].spec.bin_count, self.channels[b].spec.bin_count)
             self._pairs[(a, b)] = PairCounts(self._cols[a], self._cols[b], bins)
         return self._pairs[(a, b)], 0
+
+    def count_all(self) -> None:
+        """Count every pair of fully observed channels now, rather than on
+        first use."""
+        names = [name for name in self.channels if name in self._complete]
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                self._pair(a, b)
 
     def mi(self, a: str, b: str) -> float:
         return self._pair(a, b)[0].mi
@@ -455,16 +465,22 @@ def _count_pass(model: ChowLiuModel, dtype) -> tuple[list[np.ndarray], object]:
 def tree_support_count(model: ChowLiuModel) -> int:
     """Exact number of code tuples with positive tree probability.
 
-    A float64 run of the same pass picks the arithmetic: int64 when every
-    message and the total stay within _INT64_SAFE, Python integers otherwise.
-    All terms are nonnegative, so every product and partial sum is bounded by
-    a message or the total; the float run's relative rounding error, a few
-    ulps per step of the walk, is far below the factor 8 between
-    _INT64_SAFE and 2**63, so an int64 run it admits cannot overflow.
+    The pass runs in float64 first. Its values are nonnegative integers, each
+    product or partial sum is at most the message or total it ends up in (or
+    is multiplied by zero and drops out), and rounding is monotone, so when
+    every message and the total stay below _FLOAT64_EXACT every step was exact
+    and the float total is the count. Otherwise the float run picks the
+    arithmetic of a second pass: int64 when every value stays within
+    _INT64_SAFE, Python integers beyond. Its relative rounding error, a few
+    ulps per step of the walk, is far below the factor 8 between _INT64_SAFE
+    and 2**63, so an int64 run it admits cannot overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         messages, total = _count_pass(model, np.float64)
-    fits = total <= _INT64_SAFE and all(m.max() <= _INT64_SAFE for m in messages)
+    values = [total, *(m.max() for m in messages)]
+    if all(v < _FLOAT64_EXACT for v in values):
+        return int(total)
+    fits = all(v <= _INT64_SAFE for v in values)
     return int(_count_pass(model, np.int64 if fits else object)[1])
 
 

@@ -20,23 +20,6 @@ _S_BELOW = 180.0
 _MIN_BELOW = 3600.0
 _H_BELOW = 86400.0
 
-_UNIT_SCALE = {"ms": 1e-3, "s": 1.0, "min": 60.0, "h": 3600.0, "d": 86400.0}
-
-
-@dataclass(frozen=True)
-class GuessworkQuery:
-    hmin: float
-    guesses: int = 1
-    rate: float = 1.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.hmin) or self.hmin < 0:
-            raise DataError("hmin must be finite and non-negative")
-        if self.guesses < 0:
-            raise DataError("guess count cannot be negative")
-        if not self.rate > 0:
-            raise DataError("guess rate must be positive")
-
 
 def success_bound(hmin: float, guesses: float) -> float:
     """Upper bound on success probability of `guesses` optimal guesses."""
@@ -90,18 +73,6 @@ def format_duration(seconds: float) -> str:
     if seconds < _H_BELOW:
         return f"{_sig3(seconds / 3600.0)} h"
     return f"{_sig3(seconds / 86400.0)} d"
-
-
-def parse_duration(text: str) -> float:
-    """Inverse of format_duration up to its 3-figure rounding."""
-    parts = text.strip().rsplit(" ", 1)
-    if len(parts) != 2 or parts[1] not in _UNIT_SCALE:
-        raise DataError(f"cannot parse duration {text!r}")
-    try:
-        value = float(parts[0])
-    except ValueError as exc:
-        raise DataError(f"cannot parse duration {text!r}") from exc
-    return value * _UNIT_SCALE[parts[1]]
 
 
 def format_guess_count(count: float) -> str:

@@ -9,6 +9,7 @@ loader never converts anything.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ import yaml
 
 from .errors import DataError, ManifestError
 
-MISSING_POLICIES = ("drop-row-for-subset", "drop-value")
+MISSING_POLICIES = ("drop-row-for-subset",)
 
 
 @dataclass(frozen=True)
@@ -129,16 +130,55 @@ class SampleTable:
         return self.rows[:, i]
 
 
-def _parse_cell(cell: str, strict: bool, where: str) -> float:
-    cell = cell.strip()
-    if not cell:
-        return math.nan
+def _parse_rows(rows: list[list[str]], positions: list[tuple[int, int]],
+                width: int, strict: bool, fpath: Path) -> np.ndarray:
+    """Per-cell parse of csv records, for files the one-pass parse cannot
+    take exactly; it alone names a bad cell's file:line."""
+    block = np.full((len(rows), width), np.nan)
+    for r, row in enumerate(rows):
+        for src_i, ch_i in positions:
+            if src_i >= len(row):
+                continue
+            cell = row[src_i].strip()
+            value = math.nan
+            if cell:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    if strict:
+                        raise DataError(
+                            f"non-numeric cell {cell!r} at {fpath}:{r + 2}") from None
+            block[r, ch_i] = value
+    return block
+
+
+def _parse_fast(body: str, delimiter: str,
+                usecols: list[int]) -> np.ndarray | None:
+    """Parse the data lines in one C pass, or None where it may not be exact.
+
+    With no quote or carriage return in the text, csv splits each line on the
+    delimiter alone, which is also all np.loadtxt does. Empty cells and blank
+    lines become "nan" (so the delimiter may not be one of its letters).
+    Every cell np.loadtxt then accepts reads to the float that float() gives;
+    it rejects some cells float() takes (1_0, non-ASCII digits), and those,
+    short rows and whitespace-only cells raise ValueError and go to the
+    per-cell path.
+    """
+    d = delimiter
+    if d.isspace() or d in '"an' or '"' in body or "\r" in body:
+        return None
+    text = "\n" + body if body.endswith("\n") else "\n" + body + "\n"
+    blank = d.join(["nan"] * (max(usecols) + 1))
+    # each pass leaves runs of at most two, so two passes fill every run
+    for _ in range(2):
+        text = text.replace(d + d, d + "nan" + d)
+        text = text.replace("\n\n", "\n" + blank + "\n")
+    text = text.replace("\n" + d, "\nnan" + d).replace(d + "\n", d + "nan\n")
     try:
-        return float(cell)
+        return np.loadtxt(io.StringIO(text[1:]), delimiter=d, usecols=usecols,
+                          comments=None, ndmin=2, dtype=float)
     except ValueError:
-        if strict:
-            raise DataError(f"non-numeric cell {cell!r} at {where}") from None
-        return math.nan
+        return None
 
 
 def _load_file(fs: FileSpec, root: Path, channels: tuple[str, ...],
@@ -147,8 +187,7 @@ def _load_file(fs: FileSpec, root: Path, channels: tuple[str, ...],
     if not fpath.is_file():
         raise DataError(f"missing file {fpath}")
     with open(fpath, newline="") as fh:
-        reader = csv.reader(fh, delimiter=fs.delimiter)
-        header = next(reader, None)
+        header = next(csv.reader(fh, delimiter=fs.delimiter), None)
         if header is None:
             raise DataError(f"{fpath} has no header row")
         header = [h.strip() for h in header]
@@ -157,13 +196,16 @@ def _load_file(fs: FileSpec, root: Path, channels: tuple[str, ...],
             if src not in header:
                 raise DataError(f"column {src!r} not found in {fpath}")
             positions.append((header.index(src), channels.index(channel)))
-        raw_rows = list(reader)
+        body = fh.read()
 
-    block = np.full((len(raw_rows), len(channels)), np.nan)
-    for r, row in enumerate(raw_rows):
-        for src_i, ch_i in positions:
-            if src_i < len(row):
-                block[r, ch_i] = _parse_cell(row[src_i], strict, f"{fpath}:{r + 2}")
+    usecols = [src for src, _ in positions]
+    parsed = _parse_fast(body, fs.delimiter, usecols) if body and usecols else None
+    if parsed is None:
+        rows = list(csv.reader(io.StringIO(body, newline=""), delimiter=fs.delimiter))
+        return _parse_rows(rows, positions, len(channels), strict, fpath)
+    block = np.full((parsed.shape[0], len(channels)), np.nan)
+    for k, (_, ch_i) in enumerate(positions):
+        block[:, ch_i] = parsed[:, k]
     return block
 
 

@@ -154,6 +154,10 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
     global _SHARED
     _SHARED = PairStats(list(binned.values()))
     try:
+        # a pair of fully observed channels lies in some subset of every size,
+        # so counting them all up front wastes nothing, and forked workers
+        # inherit the counts instead of each counting the pairs it needs
+        _SHARED.count_all()
         outcomes = _run_tasks(tasks, workers)
     finally:
         _SHARED = None

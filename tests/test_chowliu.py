@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entroscope import synth
+from entroscope import chowliu, synth
 from entroscope.chowliu import (
     ChowLiuModel,
     ConditionalTable,
@@ -386,6 +386,50 @@ def test_support_count_small_support_past_int64_state_bound():
     assert math.prod(model.bin_counts.values()) > 2 ** 62
     count = tree_support_count(model)
     assert count == bins
+    assert type(count) is int
+
+
+def test_support_count_matches_python_int_pass_on_random_trees():
+    # counts below 2**53 come straight from the float64 run
+    rng = np.random.default_rng(53)
+    for trial in range(20):
+        k = int(rng.integers(2, 7))
+        bins = [int(b) for b in rng.integers(2, 12, size=k)]
+        n = int(rng.integers(5, 400))
+        rows = np.stack([rng.integers(0, b, size=n) for b in bins], axis=1)
+        model = build_tree(chans_from(rows, bins))
+        count = tree_support_count(model)
+        assert count == chowliu._count_pass(model, object)[1], trial
+        assert type(count) is int
+
+
+@pytest.mark.parametrize("widths", [[64] * 8 + [32], [64] * 9])
+def test_support_count_exact_between_float64_and_int64_limits(widths):
+    # root bin 0 allows w codes on each leaf, root bin 1 one code: prod(w) + 1
+    # tuples, 2**53 + 1 and 2**54 + 1, which float64 rounds down by one
+    leaves = tuple(f"l{i}" for i in range(len(widths)))
+    conditionals = {
+        leaf: ConditionalTable(
+            np.array([0, 1]),
+            np.array([0, w, w + 1]),
+            np.r_[np.arange(w), 0],
+            np.r_[np.full(w, 1 / w), 1.0],
+        )
+        for leaf, w in zip(leaves, widths)
+    }
+    model = ChowLiuModel(
+        nodes=("r",) + leaves,
+        root="r",
+        parent={leaf: "r" for leaf in leaves},
+        root_marginal=Pmf(np.array([0, 1]), np.array([0.5, 0.5])),
+        conditionals=conditionals,
+        edge_weights={tuple(sorted(("r", leaf))): 0.0 for leaf in leaves},
+        bin_counts={"r": 2, **dict(zip(leaves, widths))},
+    )
+    want = math.prod(widths) + 1
+    assert 2 ** 53 < want <= 2 ** 60 and float(want) != want
+    count = tree_support_count(model)
+    assert count == want
     assert type(count) is int
 
 

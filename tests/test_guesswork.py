@@ -7,12 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from entroscope.errors import DataError
 from entroscope.guesswork import (
-    GuessworkQuery,
     expected_guesses,
     format_duration,
     format_guess_count,
     guesswork_table,
-    parse_duration,
     success_bound,
     time_to_success,
 )
@@ -44,14 +42,6 @@ def test_time_to_success():
     assert time_to_success(24, 1e6) == pytest.approx(8.388608, abs=1e-12)
     with pytest.raises(DataError):
         time_to_success(8, 0)
-
-
-def test_query_validation():
-    GuessworkQuery(hmin=8.0, guesses=10, rate=100.0)
-    with pytest.raises(DataError):
-        GuessworkQuery(hmin=-1.0)
-    with pytest.raises(DataError):
-        GuessworkQuery(hmin=1.0, rate=0.0)
 
 
 @given(st.floats(0, 64), st.integers(0, 2**70))
@@ -126,28 +116,6 @@ def test_format_guess_count():
     assert format_guess_count(1e6) == "1.00e6"
     # mantissa rounding can promote the exponent
     assert format_guess_count(9.999e9) == "1.00e10"
-
-
-def test_parse_duration_round_trip():
-    for seconds in (0.0001, 0.05, 0.2, 5, 128, 2048, 32768, 524288, 1e9):
-        text = format_duration(seconds)
-        back = parse_duration(text)
-        assert back == pytest.approx(seconds, rel=0.01)
-
-
-@given(st.floats(1e-6, 1e12))
-@settings(max_examples=200, deadline=None)
-def test_parse_duration_round_trip_property(seconds):
-    assert parse_duration(format_duration(seconds)) == pytest.approx(
-        seconds, rel=0.01
-    )
-
-
-def test_parse_duration_rejects_garbage():
-    with pytest.raises(DataError):
-        parse_duration("fast")
-    with pytest.raises(DataError):
-        parse_duration("12 parsecs")
 
 
 def test_guesswork_table_golden():

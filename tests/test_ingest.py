@@ -1,8 +1,10 @@
+import csv
 import math
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from entroscope.errors import DataError, ManifestError
 from entroscope.ingest import (
@@ -202,3 +204,98 @@ def test_delimiter_option(tmp_path):
     table = load_table(load_manifest(tmp_path / "m.yaml"), tmp_path)
     assert table.column("A")[0] == 1.0
     assert table.column("B")[0] == 2.0
+
+
+def test_manifest_rejects_drop_value_policy(tmp_path):
+    # accepted once, but nothing ever acted on it
+    write(tmp_path / "m.yaml", """\
+        name: dropper
+        channels: [V]
+        files:
+          - path: one.csv
+            columns: {v: V}
+        missing_policy: drop-value
+    """)
+    with pytest.raises(ManifestError, match="unknown missing policy 'drop-value'"):
+        load_manifest(tmp_path / "m.yaml")
+
+
+def reference_rows(path, columns, channels, delimiter, strict):
+    """The per-cell loader as it was before the np.loadtxt pass."""
+    def parse_cell(cell, where):
+        cell = cell.strip()
+        if not cell:
+            return math.nan
+        try:
+            return float(cell)
+        except ValueError:
+            if strict:
+                raise DataError(f"non-numeric cell {cell!r} at {where}") from None
+            return math.nan
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        header = [h.strip() for h in next(reader)]
+        positions = [(header.index(src), channels.index(ch))
+                     for src, ch in columns.items()]
+        raw_rows = list(reader)
+    block = np.full((len(raw_rows), len(channels)), np.nan)
+    for r, row in enumerate(raw_rows):
+        for src_i, ch_i in positions:
+            if src_i < len(row):
+                block[r, ch_i] = parse_cell(row[src_i], f"{path}:{r + 2}")
+    return block
+
+
+NUMBERS = st.one_of(
+    st.sampled_from(["", "", "0", "1", "-2.5", "1e3", ".5", "5.", "inf", "-inf",
+                     "nan", "NaN", "1e400"]),
+    st.floats(allow_nan=False).map(repr),
+)
+ODD_CELLS = st.sampled_from([
+    " ", "\t", " 3 ", "1_0", "abc", "1 2", "--1", "0x10", "١٢",
+    '"4"', '"5,6"', '""', '"a"', "\r",
+])
+
+
+@st.composite
+def csv_files(draw):
+    """(text, delimiter, source->channel map, channels) of a headed CSV."""
+    delimiter = draw(st.sampled_from([",", ",", ";", "\t"]))
+    width = draw(st.integers(1, 4))
+    cells = st.one_of(NUMBERS, ODD_CELLS) if draw(st.booleans()) else NUMBERS
+    rows = draw(st.lists(
+        st.lists(cells, min_size=0, max_size=width + 2), max_size=8))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    lines = [delimiter.join(f"c{i}" for i in range(width))]
+    lines += [delimiter.join(row) for row in rows]
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    mapped = draw(st.lists(st.integers(0, width - 1), min_size=1, unique=True))
+    columns = {f"c{i}": f"V{k}" for k, i in enumerate(mapped)}
+    channels = tuple(f"V{k}" for k in range(len(mapped) + 1))  # one unmapped
+    return text, delimiter, columns, channels
+
+
+def outcome(load):
+    try:
+        return "rows", load().tobytes()
+    except DataError as exc:
+        return "error", str(exc)
+
+
+@given(csv_files(), st.booleans())
+@example(("x,y\n1,\n,2\n\n3,4", ",", {"x": "V0", "y": "V1"}, ("V0", "V1", "V2")),
+         True)
+@example(("x,y\n1,2\n3,oops\n", ",", {"x": "V0", "y": "V1"}, ("V0", "V1", "V2")),
+         True)
+@settings(max_examples=300, deadline=None)
+def test_load_table_matches_per_cell_reference(tmp_path_factory, case, strict):
+    text, delimiter, columns, channels = case
+    root = tmp_path_factory.mktemp("csv")
+    (root / "d.csv").write_text(text, newline="")
+    manifest = DatasetManifest(
+        "prop", (FileSpec("d.csv", columns, delimiter),), channels)
+    got = outcome(lambda: load_table(manifest, root, strict=strict).rows)
+    want = outcome(lambda: reference_rows(
+        root / "d.csv", columns, channels, delimiter, strict))
+    assert got == want
