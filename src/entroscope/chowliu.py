@@ -55,17 +55,6 @@ class ConditionalTable:
         if np.any(np.abs(sums - 1.0) > 1e-9):
             raise DataError("conditional rows must each sum to 1")
 
-    def row(self, parent_bin: int) -> tuple[np.ndarray, np.ndarray]:
-        i = int(np.searchsorted(self.parent_bins, parent_bin))
-        if i == self.parent_bins.size or self.parent_bins[i] != parent_bin:
-            raise DataError(f"no conditional row for parent bin {parent_bin}")
-        lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
-        return self.child_bins[lo:hi], self.probs[lo:hi]
-
-    def pmf(self, parent_bin: int) -> Pmf:
-        bins, probs = self.row(parent_bin)
-        return Pmf(bins, probs)
-
 
 @dataclass(frozen=True, eq=False)
 class ChowLiuModel:
@@ -146,26 +135,60 @@ class PairCounts:
     from these integer counts. Side 0 is a, side 1 is b. Counting goes
     through a dense table when it has no more cells than there are rows, and
     through a sort of the rows otherwise, so memory stays bounded by the rows
-    even at 2048 x 2048 bins.
+    even at 2048 x 2048 bins. The counts may cover no row at all; then only
+    mi and the marginals, which need a row, raise.
     """
 
     def __init__(self, ca: np.ndarray, cb: np.ndarray, bins: tuple[int, int]):
-        self.bins = bins
-        self.n = int(ca.size)
         keys = ca * bins[1] + cb
         # sorted occupied keys (so grouped by a, then b) and their counts
         if bins[0] * bins[1] <= keys.size:
             joint = np.bincount(keys)
-            self.keys = np.flatnonzero(joint)
-            self.counts = joint[self.keys]
+            occupied = np.flatnonzero(joint)
+            self._init(bins, int(ca.size), occupied, joint[occupied])
         else:
             # a dense table would outgrow the rows; sort the rows instead
-            self.keys, self.counts = np.unique(keys, return_counts=True)
+            self._init(bins, int(ca.size), *np.unique(keys, return_counts=True))
+
+    def _init(self, bins, n, keys, counts):
+        self.bins = bins
+        self.n = n
+        self.keys = keys
+        self.counts = counts
+        self._mi: float | None = None
         self._tables: dict[int, ConditionalTable] = {}
-        h_joint = _shannon_bits(self.counts / self.n)
-        h_a, h_b = (_shannon_bits(self.marginal(side).p) for side in (0, 1))
+
+    def plus(self, ca: np.ndarray, cb: np.ndarray,
+             entropies: tuple[float, float]) -> PairCounts:
+        """These counts and those of the rows ca, cb in one, exactly as if all
+        the rows had been counted together. entropies are the Shannon
+        entropies in bits of a and b on all those rows, which is all mi needs
+        beyond the joint counts."""
+        more = PairCounts(ca, cb, self.bins)
+        at = np.searchsorted(self.keys, more.keys)
+        known = at < self.keys.size
+        known[known] = self.keys[at[known]] == more.keys[known]
+        counts = self.counts.copy()
+        counts[at[known]] += more.counts[known]
+        fresh = ~known
+        out = PairCounts.__new__(PairCounts)
+        out._init(self.bins, self.n + more.n,
+                  np.insert(self.keys, at[fresh], more.keys[fresh]),
+                  np.insert(counts, at[fresh], more.counts[fresh]))
+        out._mi = out._mi_of(*entropies)
+        return out
+
+    def _mi_of(self, h_a: float, h_b: float) -> float:
         # plug-in I(a;b) = H(a) + H(b) - H(a,b) in bits, clamped at 0
-        self.mi = max(0.0, h_a + h_b - h_joint)
+        return max(0.0, h_a + h_b - _shannon_bits(self.counts / self.n))
+
+    @property
+    def mi(self) -> float:
+        """Plug-in mutual information in bits, computed on first use."""
+        if self._mi is None:
+            self._mi = self._mi_of(
+                *(_shannon_bits(self.marginal(side).p) for side in (0, 1)))
+        return self._mi
 
     def _codes(self, side: int) -> np.ndarray:
         return self.keys // self.bins[1] if side == 0 else self.keys % self.bins[1]
@@ -199,36 +222,35 @@ class PairCounts:
 
 
 class PairStats:
-    """Pair counts of a set of channels on one set of rows, each pair counted
-    at most once however many trees ask for it.
+    """Pair counts of a set of channels, each pair counted at most once.
 
-    rows is a boolean row mask, or None for all rows. A sweep makes one over
-    all rows and passes it to every build_tree call, which uses it only for
-    subsets whose channels are all fully observed; every other tree counts
-    its pairs in a throwaway instance over its own complete rows.
+    Rows split in two. Clean rows are complete in every channel; each pair
+    is counted on them once, however many trees ask for it. Extra rows are
+    the others: a subset of the channels (see SubsetPairs) adds to the clean
+    counts only those of its extra rows, the ones complete across it. Over
+    the channels of a single tree the clean rows are exactly its complete
+    rows and there are no extra rows.
     """
 
-    def __init__(self, channels: list[BinnedChannel], rows: np.ndarray | None = None):
+    def __init__(self, channels: list[BinnedChannel]):
         self.channels = {ch.name: ch for ch in channels}
-        self._cols = {
-            ch.name: ch.codes if rows is None else ch.codes[rows] for ch in channels
-        }
-        # channels counted here on every one of their rows
-        self._complete = set() if rows is not None else {
-            ch.name for ch in channels if not (ch.codes < 0).any()
-        }
+        clean = complete_row_mask(channels) if channels else np.ones(0, bool)
+        if clean.all():
+            # nothing to split, so no copy of the columns either
+            self._cols = {ch.name: ch.codes for ch in channels}
+            extra = np.zeros(0, dtype=np.intp)
+        else:
+            self._cols = {ch.name: ch.codes[clean] for ch in channels}
+            extra = np.flatnonzero(~clean)
+        self.n = clean.size - extra.size  # clean rows
+        self._extra_rows = extra.size
+        # each channel's codes on the extra rows, missing ones included
+        self._extra = {ch.name: ch.codes[extra] for ch in channels}
         self._pairs: dict[tuple[str, str], PairCounts] = {}
-
-    def serves(self, channels: list[BinnedChannel]) -> bool:
-        """True when every channel is ours and fully observed, so a tree over
-        them fits on all rows, which are the rows counted here."""
-        return all(
-            ch.name in self._complete and self.channels[ch.name] is ch
-            for ch in channels
-        )
+        self._code_counts: dict[str, np.ndarray] = {}
 
     def _pair(self, a: str, b: str) -> tuple[PairCounts, int]:
-        """The pair's counts, made on first use, and the side a is on."""
+        """The pair's clean-row counts, made on first use, and a's side."""
         if (b, a) in self._pairs:
             return self._pairs[(b, a)], 1
         if (a, b) not in self._pairs:
@@ -236,25 +258,87 @@ class PairStats:
             self._pairs[(a, b)] = PairCounts(self._cols[a], self._cols[b], bins)
         return self._pairs[(a, b)], 0
 
+    def _clean_counts(self, name: str) -> np.ndarray:
+        """Per-bin code counts of one channel on the clean rows."""
+        counts = self._code_counts.get(name)
+        if counts is None:
+            counts = np.bincount(self._cols[name],
+                                 minlength=self.channels[name].spec.bin_count)
+            self._code_counts[name] = counts
+        return counts
+
     def count_all(self) -> None:
-        """Count every pair of fully observed channels now, rather than on
-        first use."""
-        names = [name for name in self.channels if name in self._complete]
+        """Count every pair and every channel on the clean rows now, rather
+        than on first use, so forked workers inherit the counts.
+
+        When every row is clean, every subset uses these counts as they are,
+        so the pairs' MI is worked out now as well.
+        """
+        names = list(self.channels)
         for i, a in enumerate(names):
+            self._clean_counts(a)
             for b in names[i + 1:]:
-                self._pair(a, b)
+                counts, _ = self._pair(a, b)
+                if self.n and not self._extra_rows:
+                    counts.mi  # computed once here, cached for every subset
+
+
+class SubsetPairs:
+    """Pair statistics of a subset of a PairStats' channels on the rows
+    complete across the subset: the shared clean-row counts, plus the counts
+    of the subset's own extra rows merged in. Without such rows the shared
+    counts, and the conditional tables cached on them, serve as they are."""
+
+    def __init__(self, stats: PairStats, channels: list[BinnedChannel]):
+        self._stats = stats
+        names = [ch.name for ch in channels]
+        keep = np.ones(stats._extra_rows, dtype=bool)
+        for name in names:
+            keep &= stats._extra[name] >= 0
+        self.n = stats.n + int(keep.sum())
+        if self.n == 0:
+            raise DataError("no complete rows")
+        self._extra = (
+            {name: stats._extra[name][keep] for name in names}
+            if self.n > stats.n else None
+        )
+        self._pairs: dict[tuple[str, str], PairCounts] = {}
+        self._entropies: dict[str, float] = {}
+
+    def pair(self, a: str, b: str) -> tuple[PairCounts, int]:
+        """The pair's counts on the subset's rows, and the side a is on."""
+        shared, side = self._stats._pair(a, b)
+        if self._extra is None:
+            return shared, side
+        first, second = (a, b) if side == 0 else (b, a)
+        counts = self._pairs.get((first, second))
+        if counts is None:
+            counts = shared.plus(
+                self._extra[first], self._extra[second],
+                (self._entropy(first), self._entropy(second)))
+            self._pairs[(first, second)] = counts
+        return counts, side
+
+    def marginal(self, name: str) -> Pmf:
+        counts = self._stats._clean_counts(name)
+        if self._extra is not None:
+            counts = counts + np.bincount(self._extra[name], minlength=counts.size)
+        bins = np.flatnonzero(counts)
+        return Pmf(bins, counts[bins] / self.n)
+
+    def _entropy(self, name: str) -> float:
+        """Shannon entropy of one channel on the subset's rows, in bits."""
+        h = self._entropies.get(name)
+        if h is None:
+            h = self._entropies[name] = _shannon_bits(self.marginal(name).p)
+        return h
 
     def mi(self, a: str, b: str) -> float:
-        return self._pair(a, b)[0].mi
+        return self.pair(a, b)[0].mi
 
     def conditional(self, parent: str, child: str) -> ConditionalTable:
-        counts, side = self._pair(parent, child)
+        counts, side = self.pair(parent, child)
         return counts.conditional(side)
-
-    def marginal(self, name: str, other: str) -> Pmf:
-        """Marginal of name, from its pair with other."""
-        counts, side = self._pair(name, other)
-        return counts.marginal(side)
 
 
 def build_tree(channels: list[BinnedChannel],
@@ -263,22 +347,16 @@ def build_tree(channels: list[BinnedChannel],
 
     Weight ties break toward the lexicographically smallest name pair; the
     root is the first channel in input order. Both choices exist purely so
-    repeated runs produce the identical model. Pair counts come from shared
-    when it serves these channels, and are counted afresh otherwise; the
-    model is the same either way.
+    repeated runs produce the identical model. Pair counts come from shared,
+    a PairStats over these channels and possibly more, or from one over just
+    these channels; the model is the same either way.
     """
     if len(channels) < 2:
         raise DataError("tree needs at least 2 channels")
     names = [ch.name for ch in channels]
     if len(set(names)) != len(names):
         raise DataError("duplicate channel names")
-    if shared is not None and shared.serves(channels):
-        stats = shared
-    else:
-        mask = complete_row_mask(channels)
-        if not mask.any():
-            raise DataError("no complete rows")
-        stats = PairStats(channels, mask)
+    stats = SubsetPairs(PairStats(channels) if shared is None else shared, channels)
     bins = {ch.name: ch.spec.bin_count for ch in channels}
 
     weights: dict[tuple[str, str], float] = {}
@@ -334,7 +412,7 @@ def build_tree(channels: list[BinnedChannel],
         nodes=tuple(names),
         root=root,
         parent=parent,
-        root_marginal=stats.marginal(root, names[1]),
+        root_marginal=stats.marginal(root),
         conditionals=conditionals,
         edge_weights=tree_weights,
         bin_counts=bins,

@@ -75,16 +75,6 @@ class Pmf:
         if abs(total - 1.0) > 1e-9:
             raise DataError(f"pmf total is {total!r}, not 1")
 
-    @property
-    def probs(self) -> dict[int, float]:
-        """Bin index to probability map."""
-        return {int(b): float(q) for b, q in zip(self.bins, self.p)}
-
-    @classmethod
-    def from_probs(cls, probs: dict[int, float]) -> "Pmf":
-        items = sorted(probs.items())
-        return cls(np.array([b for b, _ in items]), np.array([q for _, q in items]))
-
 
 def _finite_values(values) -> np.ndarray:
     v = np.asarray(values, dtype=float).ravel()

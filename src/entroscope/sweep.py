@@ -1,10 +1,11 @@
 """Exhaustive sensor-subset sweeps, min-entropy ranking, bin sensitivity.
 
 Subsets stream in canonical order (size ascending, then lexicographic over
-channel positions), every channel is binned once and shared, every pair of
-fully observed channels is counted once per process, and results are keyed
-by subset position so the output is identical no matter how many workers
-ran or in what order they finished.
+channel positions), every channel is binned once and shared, every pair is
+counted once on the rows complete in every channel, each subset counts only
+the other rows it keeps and merges them in, and results are keyed by subset
+position so the output is identical no matter how many workers ran or in
+what order they finished.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ def enumerate_subsets(channels, min_size: int = 2, max_size: int | None = None):
 
 
 # shared state for forked workers: the sweep's binned channels and their pair
-# counts over all rows; set immediately before the pool starts and cleared
-# when the sweep returns
+# counts on the rows complete in all of them; set immediately before the pool
+# starts and cleared when the sweep returns
 _SHARED: PairStats | None = None
 
 
@@ -154,9 +155,9 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
     global _SHARED
     _SHARED = PairStats(list(binned.values()))
     try:
-        # a pair of fully observed channels lies in some subset of every size,
-        # so counting them all up front wastes nothing, and forked workers
-        # inherit the counts instead of each counting the pairs it needs
+        # every pair lies in some subset of every size, so counting them all up
+        # front wastes nothing, and forked workers inherit the counts instead
+        # of each counting the pairs it needs
         _SHARED.count_all()
         outcomes = _run_tasks(tasks, workers)
     finally:

@@ -6,6 +6,10 @@ bug with the package's vectorized implementations.
 
 import math
 
+import numpy as np
+
+from entroscope.quantize import Pmf
+
 
 def expand_model_dict(parents, arities, root_table, cond_tables):
     """Full joint of an ancestral tree model as {code tuple: probability}.
@@ -64,3 +68,9 @@ def dict_mi(pairs):
         )
 
     return h(cx) + h(cy) - h(cxy)
+
+
+def from_probs(probs):
+    """Pmf from a {bin: probability} map, bins in ascending order."""
+    items = sorted(probs.items())
+    return Pmf(np.array([b for b, _ in items]), np.array([q for _, q in items]))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from entroscope.chowliu import (
     ChowLiuModel,
     ConditionalTable,
     PairCounts,
+    PairStats,
+    SubsetPairs,
     build_tree,
     dump,
     tree_max_prob,
@@ -19,7 +22,12 @@ from entroscope.chowliu import (
     validate,
 )
 from entroscope.dependence import mutual_information
-from entroscope.entropy import joint_direct, profile, profile_joint
+from entroscope.entropy import (
+    complete_row_mask,
+    joint_direct,
+    profile,
+    profile_joint,
+)
 from entroscope.errors import DataError
 from entroscope.quantize import Pmf, pmf_of, prebinned
 from helpers import profile_of_dict
@@ -41,10 +49,13 @@ def expand_chowliu_dict(model):
             return
         name = order[idx]
         if name == model.root:
-            items = model.root_marginal.probs.items()
+            items = zip(model.root_marginal.bins.tolist(),
+                        model.root_marginal.p.tolist())
         else:
-            parent_bin = assign[model.parent[name]]
-            items = model.conditionals[name].pmf(parent_bin).probs.items()
+            cond = model.conditionals[name]
+            row = cond.parent_bins.tolist().index(assign[model.parent[name]])
+            lo, hi = int(cond.indptr[row]), int(cond.indptr[row + 1])
+            items = zip(cond.child_bins[lo:hi].tolist(), cond.probs[lo:hi].tolist())
         for code, p in items:
             assign[name] = code
             extend(assign, prob * p, idx + 1)
@@ -463,6 +474,116 @@ def test_pair_counts_match_direct_counting(a_bins, b_bins):
         return -math.fsum((p * np.log2(p)).tolist())
 
     assert pair.mi == max(0.0, bits(ca) + bits(cb) - bits(ca * b_bins + cb))
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_pair_counted_directly(view, chans, a, b):
+    """view's statistics of (a, b) equal a direct count on the subset's rows."""
+    by_name = {ch.name: ch for ch in chans}
+    mask = complete_row_mask(chans)
+    got, side = view.pair(a, b)
+    # the direct count in the orientation the view keeps the pair in
+    first, second = (a, b) if side == 0 else (b, a)
+    want = PairCounts(by_name[first].codes[mask], by_name[second].codes[mask],
+                      (by_name[first].spec.bin_count, by_name[second].spec.bin_count))
+    assert got.n == want.n == view.n
+    assert got.bins == want.bins
+    _same_bits(got.keys, want.keys)
+    _same_bits(got.counts, want.counts)
+    assert view.mi(a, b).hex() == got.mi.hex() == want.mi.hex()
+    tables = [(got.conditional(s), want.conditional(s)) for s in (0, 1)]
+    tables.append((view.conditional(a, b), want.conditional(side)))
+    for g, w in tables:
+        for field in ("parent_bins", "indptr", "child_bins", "probs"):
+            _same_bits(getattr(g, field), getattr(w, field))
+    marginals = [(got.marginal(s), want.marginal(s)) for s in (0, 1)]
+    marginals += [(view.marginal(name), pmf_of(by_name[name].codes[mask]))
+                  for name in (a, b)]
+    for g, w in marginals:
+        _same_bits(g.bins, w.bins)
+        _same_bits(g.p, w.p)
+
+
+@pytest.mark.parametrize("seed, rows, bin_range, holes", [
+    (61, 3000, (2, 7), (0.0, 0.02, 0.1, 0.0, 0.3)),  # dense counts
+    (62, 300, (2048, 2049), (0.05, 0.0, 0.2, 0.1)),  # sorted counts
+    (63, 400, (2, 40), (0.0, 0.5, 0.5, 0.9, 0.0)),  # both, few clean rows
+    (64, 500, (3, 9), (0.0, 0.0, 0.0)),  # every row clean
+])
+def test_subset_pairs_match_direct_counting(seed, rows, bin_range, holes):
+    rng = np.random.default_rng(seed)
+    chans = []
+    for i, share in enumerate(holes):
+        bins = int(rng.integers(*bin_range))
+        codes = rng.integers(0, bins, size=rows)
+        if i:  # tie to the first channel, so pairs carry information
+            codes = np.where(rng.random(rows) < 0.5, chans[0].codes % bins, codes)
+        codes[rng.random(rows) < share] = -1
+        chans.append(prebinned(f"c{i}", codes, bins))
+    shared = PairStats(chans)
+    if seed % 2:
+        shared.count_all()  # keeps each pair in channel order
+    # otherwise the first ask fixes the orientation: reversed, for even seeds
+    flips = (False, True) if seed % 2 else (True, False)
+    # the whole set never has extra rows: they each miss some channel
+    whole = SubsetPairs(shared, chans)
+    extra_subsets = 0
+    for size in range(2, len(chans) + 1):
+        for subset in itertools.combinations(chans, size):
+            subset = list(subset)
+            # a fresh view per flip, so each orientation is asked first once
+            for flip in flips:
+                view = SubsetPairs(shared, subset)
+                for x, y in itertools.combinations(subset, 2):
+                    asks = [(x.name, y.name), (y.name, x.name)]
+                    for a, b in asks[::-1] if flip else asks:
+                        _assert_pair_counted_directly(view, subset, a, b)
+            extra_subsets += view.n > shared.n
+            # a subset without extra rows serves the shared counts as they are
+            if view.n == shared.n:
+                pair = (subset[0].name, subset[1].name)
+                assert view.pair(*pair)[0] is whole.pair(*pair)[0]
+    assert extra_subsets > 0 or not any(holes)
+
+
+def test_subset_pairs_with_one_extra_row():
+    rng = np.random.default_rng(66)
+    a, b, c = (rng.integers(0, 3, size=50) for _ in range(3))
+    a[7] = -1
+    chans = [prebinned("a", a, 3), prebinned("b", b, 3), prebinned("c", c, 3)]
+    view = SubsetPairs(PairStats(chans), chans[1:])
+    assert view.n == 50
+    _assert_pair_counted_directly(view, chans[1:], "c", "b")
+
+
+def test_pair_stats_without_clean_rows():
+    # a and b are never observed together, so no row is clean
+    n = 200
+    rng = np.random.default_rng(65)
+    a, b, c = (rng.integers(0, 4, size=n) for _ in range(3))
+    a[:n // 2] = -1
+    b[n // 2:] = -1
+    chans = [prebinned("a", a, 4), prebinned("b", b, 4), prebinned("c", c, 4)]
+    shared = PairStats(chans)
+    shared.count_all()
+    assert shared.n == 0
+    for x, y in (("a", "c"), ("c", "b")):
+        subset = [ch for ch in chans if ch.name in (x, y)]
+        _assert_pair_counted_directly(SubsetPairs(shared, subset), subset, x, y)
+    with pytest.raises(DataError, match="no complete rows"):
+        SubsetPairs(shared, chans[:2])
+    with pytest.raises(DataError, match="no complete rows"):
+        build_tree(chans, shared)
+
+
+def test_pair_stats_of_no_channels():
+    shared = PairStats([])
+    shared.count_all()
+    assert shared.n == 0
 
 
 def test_profile_matches_expansion_on_fitted_models():

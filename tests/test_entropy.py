@@ -13,13 +13,14 @@ from entroscope.entropy import (
     renyi,
 )
 from entroscope.errors import BudgetError, DataError
-from entroscope.quantize import Pmf, pmf_of, prebinned
+from entroscope.quantize import pmf_of, prebinned
+from helpers import from_probs
 
 ALPHAS = (0.0, 0.5, 1.0, 2.0, 5.0, math.inf)
 
 
 def uniform_pmf(n):
-    return Pmf.from_probs({i: 1.0 / n for i in range(n)})
+    return from_probs({i: 1.0 / n for i in range(n)})
 
 
 def test_uniform_all_orders():
@@ -29,7 +30,7 @@ def test_uniform_all_orders():
 
 
 def test_renyi_hand_values():
-    pmf = Pmf.from_probs({0: 0.5, 1: 0.25, 2: 0.25})
+    pmf = from_probs({0: 0.5, 1: 0.25, 2: 0.25})
     assert renyi(pmf, 2) == pytest.approx(-math.log2(0.375), abs=1e-12)
     assert renyi(pmf, math.inf) == pytest.approx(1.0, abs=1e-12)
     assert renyi(pmf, 0) == pytest.approx(math.log2(3), abs=1e-12)
@@ -42,14 +43,14 @@ def test_renyi_negative_alpha():
 
 
 def test_near_one_routes_to_shannon():
-    pmf = Pmf.from_probs({0: 0.7, 1: 0.3})
+    pmf = from_probs({0: 0.7, 1: 0.3})
     h1 = renyi(pmf, 1.0)
     assert renyi(pmf, 1.0 + 1e-7) == h1
     assert renyi(pmf, 1.0 - 1e-7) == h1
 
 
 def test_profile_hand_case():
-    prof = profile(Pmf.from_probs({0: 0.5, 1: 0.25, 2: 0.25}))
+    prof = profile(from_probs({0: 0.5, 1: 0.25, 2: 0.25}))
     assert prof.h0 == pytest.approx(math.log2(3), abs=1e-12)
     assert prof.h1 == pytest.approx(1.5, abs=1e-12)
     assert prof.h2 == pytest.approx(-math.log2(0.375), abs=1e-12)
@@ -57,12 +58,12 @@ def test_profile_hand_case():
 
 
 def test_profile_point_mass():
-    prof = profile(Pmf.from_probs({3: 1.0}))
+    prof = profile(from_probs({3: 1.0}))
     assert prof == EntropyProfile(0.0, 0.0, 0.0, 0.0)
 
 
 def test_profile_two_point():
-    prof = profile(Pmf.from_probs({0: 0.75, 1: 0.25}))
+    prof = profile(from_probs({0: 0.75, 1: 0.25}))
     assert prof.h0 == pytest.approx(1.0, abs=1e-12)
     assert prof.h1 == pytest.approx(0.8112781244591328, abs=1e-12)
     assert prof.h2 == pytest.approx(-math.log2(0.625), abs=1e-12)
@@ -77,7 +78,7 @@ def test_ordering_enforced_on_construction():
 def random_pmf(rng, size):
     w = rng.random(size) + 1e-12
     p = w / w.sum()
-    return Pmf.from_probs({i: float(v) for i, v in enumerate(p)})
+    return from_probs({i: float(v) for i, v in enumerate(p)})
 
 
 def test_monotone_in_alpha_seeded():
@@ -103,8 +104,8 @@ def test_permutation_invariance(size, seed):
     w = rng.random(size) + 1e-12
     p = w / w.sum()
     perm = rng.permutation(size)
-    a = Pmf.from_probs({i: float(v) for i, v in enumerate(p)})
-    b = Pmf.from_probs({i: float(p[perm[i]]) for i in range(size)})
+    a = from_probs({i: float(v) for i, v in enumerate(p)})
+    b = from_probs({i: float(p[perm[i]]) for i in range(size)})
     for alpha in ALPHAS:
         assert renyi(a, alpha) == pytest.approx(renyi(b, alpha), abs=1e-9)
 

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from entroscope.errors import DataError, DegenerateSpreadError
 from entroscope.quantize import (
     MISSING,
-    Pmf,
     bin_channel,
     fd_width,
     pmf_of,
     prebinned,
     scott_width,
 )
+from helpers import from_probs
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -116,15 +116,19 @@ def test_equal_width_interior_bins():
     assert widths.min() > 0
 
 
+def as_dict(pmf):
+    return dict(zip(pmf.bins.tolist(), pmf.p.tolist()))
+
+
 def test_pmf_of_hand_cases():
-    assert pmf_of(np.array([1, 1, 2, 2])).probs == {1: 0.5, 2: 0.5}
-    assert pmf_of(np.array([7])).probs == {7: 1.0}
-    assert pmf_of(np.array([0, 0, 0, 1])).probs == {0: 0.75, 1: 0.25}
+    assert as_dict(pmf_of(np.array([1, 1, 2, 2]))) == {1: 0.5, 2: 0.5}
+    assert as_dict(pmf_of(np.array([7]))) == {7: 1.0}
+    assert as_dict(pmf_of(np.array([0, 0, 0, 1]))) == {0: 0.75, 1: 0.25}
 
 
 def test_pmf_of_drops_missing():
     pmf = pmf_of(np.array([0, MISSING, 0, 1]))
-    assert pmf.probs == {0: 2 / 3, 1: 1 / 3}
+    assert as_dict(pmf) == {0: 2 / 3, 1: 1 / 3}
 
 
 def test_pmf_of_empty():
@@ -136,9 +140,9 @@ def test_pmf_of_empty():
 
 def test_pmf_validation():
     with pytest.raises(DataError):
-        Pmf.from_probs({0: 0.5, 1: 0.4})
+        from_probs({0: 0.5, 1: 0.4})
     with pytest.raises(DataError):
-        Pmf.from_probs({0: 1.5, 1: -0.5})
+        from_probs({0: 1.5, 1: -0.5})
 
 
 def test_prebinned_range_check():

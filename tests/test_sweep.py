@@ -5,7 +5,7 @@ import pytest
 
 from entroscope import sweep, synth
 from entroscope.chowliu import build_tree, tree_profile
-from entroscope.errors import DataError
+from entroscope.errors import DataError, EntroscopeError
 from entroscope.ingest import SampleTable
 from entroscope.quantize import bin_channel
 from entroscope.sweep import (
@@ -237,3 +237,58 @@ def test_sweep_on_synthetic_table_small():
     assert len(results) == 28  # C(8,2)
     for r in results:
         assert r.profile.h0 > 0
+
+
+def _binned(table, rule):
+    return {
+        name: bin_channel(table.column(name), rule, name=name,
+                          max_bins=MAX_JOINT_BINS)
+        for name in table.channels
+    }
+
+
+def test_sweep_without_clean_rows():
+    # a is missing in the first half and b in the second, so no row is
+    # complete in every channel; subsets holding both have no rows at all
+    rng = np.random.default_rng(71)
+    data = rng.normal(size=(2000, 4))
+    data[:, 2] += data[:, 0]
+    data[:1000, 0] = np.nan
+    data[1000:, 1] = np.nan
+    table = SampleTable(("a", "b", "c", "d"), data, "unit", "drop-row-for-subset")
+    errors = []
+    results = run_sweep(table, "fd", errors=errors)
+    assert errors == [
+        (("a", "b"), "no complete rows"),
+        (("a", "b", "c"), "no complete rows"),
+        (("a", "b", "d"), "no complete rows"),
+        (("a", "b", "c", "d"), "no complete rows"),
+    ]
+    assert [r.subset for r in results] == [
+        ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d"),
+        ("a", "c", "d"), ("b", "c", "d"),
+    ]
+    chans = _binned(table, "fd")
+    for r in results:
+        # each subset fitted alone counts its pairs directly on its own rows
+        assert r.profile == tree_profile(build_tree([chans[n] for n in r.subset]))
+    assert results == run_sweep(table, "fd", workers=2)
+
+
+def test_sweep_when_no_channel_bins():
+    table = SampleTable(("a", "b", "c"), np.ones((100, 3)), "unit",
+                        "drop-row-for-subset")
+    errors = []
+    assert run_sweep(table, "fd", errors=errors) == []
+    reason = {}
+    for name in table.channels:
+        with pytest.raises(EntroscopeError) as exc:
+            bin_channel(table.column(name), "fd", name=name,
+                        max_bins=MAX_JOINT_BINS)
+        reason[name] = f"channel {name!r} not binned: {exc.value}"
+    assert errors == [
+        (("a", "b"), reason["a"]),
+        (("a", "c"), reason["a"]),
+        (("b", "c"), reason["b"]),
+        (("a", "b", "c"), reason["a"]),
+    ]
