@@ -4,14 +4,17 @@ The tree is the maximum-weight spanning tree under pairwise mutual
 information, with plug-in tables. All four entropy orders come out of
 message passes over the tree, never from expanding the joint state space:
 sum-product in log2 domain for the power sums, max-product for the modal
-probability, exact integer counting for the support. Pairwise counts, the
-only statistics a tree needs, come from one primitive (PairCounts).
+probability, sum-product over the support indicator for the support count
+(float64, int64 or Python integers, whichever keeps the count exact). The
+three upward passes share one walk (_upward), each with its own semiring;
+the Shannon chain rule walks the other way. Pairwise counts, the only
+statistics a tree needs, come from one primitive (PairCounts).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +68,10 @@ class ChowLiuModel:
     conditionals: dict[str, ConditionalTable]  # keyed by child
     edge_weights: dict[tuple[str, str], float]  # sorted name pair -> MI bits
     bin_counts: dict[str, int]
+    # derived from parent: each node's children in nodes order, and every
+    # node in a top-down order (root first, each parent before its children)
+    children: dict[str, tuple[str, ...]] = field(init=False, repr=False)
+    order: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.root not in self.nodes:
@@ -72,27 +79,21 @@ class ChowLiuModel:
         non_root = set(self.nodes) - {self.root}
         if set(self.parent) != non_root or set(self.conditionals) != non_root:
             raise DataError("every non-root node needs a parent and a table")
-        # reachability from the root proves the parent map is one tree
-        seen = {self.root}
-        frontier = [self.root]
-        kids = self.children_map()
-        while frontier:
-            node = frontier.pop()
-            for child in kids[node]:
-                if child in seen:
-                    raise DataError("parent map has a cycle")
-                seen.add(child)
-                frontier.append(child)
-        if seen != set(self.nodes):
-            raise DataError("parent map is not connected")
-
-    def children_map(self) -> dict[str, list[str]]:
         kids: dict[str, list[str]] = {name: [] for name in self.nodes}
         for child in self.nodes:
-            p = self.parent.get(child)
-            if p is not None:
-                kids[p].append(child)
-        return kids
+            if child in self.parent:
+                kids.get(self.parent[child], []).append(child)
+        # each non-root node is listed under one parent, so the walk from the
+        # root visits every node at most once; it reaches them all only if the
+        # parent map is one tree (a cycle or an unknown parent is cut off)
+        order = [self.root]
+        for node in order:
+            order.extend(kids[node])
+        if len(order) != len(self.nodes):
+            raise DataError("parent map is not connected")
+        object.__setattr__(self, "children",
+                           {name: tuple(c) for name, c in kids.items()})
+        object.__setattr__(self, "order", tuple(order))
 
 
 @dataclass(frozen=True)
@@ -103,18 +104,6 @@ class ValidationReport:
     chowliu: EntropyProfile
     mae: float
     rel_error_pct: float
-
-
-def _postorder(model: ChowLiuModel) -> list[str]:
-    kids = model.children_map()
-    order: list[str] = []
-    stack = [model.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(kids[node])
-    order.reverse()  # children now precede their parents
-    return order
 
 
 def _dense_root(model: ChowLiuModel) -> np.ndarray:
@@ -421,26 +410,47 @@ def build_tree(channels: list[BinnedChannel],
 
 def tree_shannon(model: ChowLiuModel) -> float:
     """Chain-rule Shannon entropy H(root) + sum of H(child | parent)."""
-    kids = model.children_map()
     marginals: dict[str, np.ndarray] = {model.root: _dense_root(model)}
     terms = [_shannon_bits(model.root_marginal.p)]
-
-    frontier = [model.root]
-    while frontier:
-        node = frontier.pop(0)
-        for child in kids[node]:
-            cond = model.conditionals[child]
-            pm = marginals[node][cond.parent_bins]
-            # per-row plug-in entropies, weighted by the parent marginal
-            contrib = -(cond.probs * np.log2(cond.probs))
-            row_h = np.add.reduceat(contrib, cond.indptr[:-1])
-            terms.append(math.fsum((pm * row_h).tolist()))
-            dense = np.zeros(model.bin_counts[child])
-            np.add.at(dense, cond.child_bins,
-                      cond.probs * np.repeat(pm, np.diff(cond.indptr)))
-            marginals[child] = dense
-            frontier.append(child)
+    for child in model.order[1:]:
+        cond = model.conditionals[child]
+        pm = marginals[model.parent[child]][cond.parent_bins]
+        # per-row plug-in entropies, weighted by the parent marginal
+        contrib = -(cond.probs * np.log2(cond.probs))
+        row_h = np.add.reduceat(contrib, cond.indptr[:-1])
+        terms.append(math.fsum((pm * row_h).tolist()))
+        dense = np.zeros(model.bin_counts[child])
+        np.add.at(dense, cond.child_bins,
+                  cond.probs * np.repeat(pm, np.diff(cond.indptr)))
+        marginals[child] = dense
     return math.fsum(terms)
+
+
+def _upward(model: ChowLiuModel, weights, combine, reduce, zero):
+    """One upward pass over the tree in the semiring the arguments define.
+
+    Children come before their parents. A node's terms start as
+    weights(probs) of its table; each child's message, read at the table's
+    child bins, is folded in with combine, in child order; reduce(node, terms)
+    collapses each parent row to one value, and the message to the parent
+    holds those values at the row's parent bins and zero elsewhere. Returns
+    the root's terms (weights of the root marginal, children folded in) and
+    the messages by node; the root's own reduction is left to the caller.
+    """
+    messages: dict[str, np.ndarray] = {}
+    for node in reversed(model.order[1:]):
+        cond = model.conditionals[node]
+        terms = weights(cond.probs)
+        for child in model.children[node]:
+            terms = combine(terms, messages[child][cond.child_bins])
+        rows = reduce(node, terms)
+        msg = np.full(model.bin_counts[model.parent[node]], zero, dtype=rows.dtype)
+        msg[cond.parent_bins] = rows
+        messages[node] = msg
+    terms = weights(model.root_marginal.p)
+    for child in model.children[model.root]:
+        terms = combine(terms, messages[child][model.root_marginal.bins])
+    return terms, messages
 
 
 def tree_power_sum(model: ChowLiuModel, alpha: float) -> float:
@@ -452,44 +462,26 @@ def tree_power_sum(model: ChowLiuModel, alpha: float) -> float:
     alpha = float(alpha)
     if alpha <= 0 or abs(alpha - 1.0) < 1e-6:
         raise DataError("power sums need alpha > 0 and away from 1")
-    kids = model.children_map()
-    messages: dict[str, np.ndarray] = {}
 
-    for node in _postorder(model):
-        if node == model.root:
-            continue
+    def log_sum_rows(node: str, terms: np.ndarray) -> np.ndarray:
         cond = model.conditionals[node]
-        terms = alpha * np.log2(cond.probs)
-        for child in kids[node]:
-            terms = terms + messages[child][cond.child_bins]
         starts = cond.indptr[:-1]
         peak = np.maximum.reduceat(terms, starts)
         spread = np.exp2(terms - np.repeat(peak, np.diff(cond.indptr)))
-        row_log = peak + np.log2(np.add.reduceat(spread, starts))
-        msg = np.full(model.bin_counts[model.parent[node]], -np.inf)
-        msg[cond.parent_bins] = row_log
-        messages[node] = msg
+        return peak + np.log2(np.add.reduceat(spread, starts))
 
-    terms = alpha * np.log2(model.root_marginal.p)
-    for child in kids[model.root]:
-        terms = terms + messages[child][model.root_marginal.bins]
+    terms, _ = _upward(model, lambda p: alpha * np.log2(p), np.add,
+                       log_sum_rows, -np.inf)
     peak = float(terms.max())
     return peak + math.log2(float(np.sum(np.exp2(terms - peak))))
 
 
 def tree_max_prob(model: ChowLiuModel) -> tuple[float, tuple[int, ...]]:
     """Max-product pass: (log2 of the modal probability, argmax code tuple)."""
-    kids = model.children_map()
-    messages: dict[str, np.ndarray] = {}
-    choices: dict[str, np.ndarray] = {}
+    choices: dict[str, np.ndarray] = {}  # node -> its code, by parent code
 
-    for node in _postorder(model):
-        if node == model.root:
-            continue
+    def first_max(node: str, terms: np.ndarray) -> np.ndarray:
         cond = model.conditionals[node]
-        terms = np.log2(cond.probs)
-        for child in kids[node]:
-            terms = terms + messages[child][cond.child_bins]
         starts = cond.indptr[:-1]
         peak = np.maximum.reduceat(terms, starts)
         at_peak = terms == np.repeat(peak, np.diff(cond.indptr))
@@ -497,47 +489,26 @@ def tree_max_prob(model: ChowLiuModel) -> tuple[float, tuple[int, ...]]:
         # the smallest bin
         best = np.minimum.reduceat(
             np.where(at_peak, np.arange(terms.size), terms.size), starts)
-        msg = np.full(model.bin_counts[model.parent[node]], -np.inf)
         pick = np.zeros(model.bin_counts[model.parent[node]], dtype=np.int64)
-        msg[cond.parent_bins] = terms[best]
         pick[cond.parent_bins] = cond.child_bins[best]
-        messages[node] = msg
         choices[node] = pick
+        return terms[best]
 
-    terms = np.log2(model.root_marginal.p)
-    for child in kids[model.root]:
-        terms = terms + messages[child][model.root_marginal.bins]
+    terms, _ = _upward(model, np.log2, np.add, first_max, -np.inf)
     best = int(np.argmax(terms))
-    log2_max = float(terms[best])
-
-    code: dict[str, int] = {model.root: int(model.root_marginal.bins[best])}
-    frontier = [model.root]
-    while frontier:
-        node = frontier.pop(0)
-        for child in kids[node]:
-            code[child] = int(choices[child][code[node]])
-            frontier.append(child)
-    return log2_max, tuple(code[name] for name in model.nodes)
+    code = {model.root: int(model.root_marginal.bins[best])}
+    for node in model.order[1:]:
+        code[node] = int(choices[node][code[model.parent[node]]])
+    return float(terms[best]), tuple(code[name] for name in model.nodes)
 
 
-def _count_pass(model: ChowLiuModel, dtype) -> tuple[list[np.ndarray], object]:
-    """Upward sum-product over the support indicator: (messages, total)."""
-    kids = model.children_map()
-    messages: dict[str, np.ndarray] = {}
-    for node in _postorder(model):
-        if node == model.root:
-            continue
-        cond = model.conditionals[node]
-        w = np.ones(cond.child_bins.size, dtype=dtype)
-        for child in kids[node]:
-            w = w * messages[child][cond.child_bins]
-        msg = np.zeros(model.bin_counts[model.parent[node]], dtype=dtype)
-        msg[cond.parent_bins] = np.add.reduceat(w, cond.indptr[:-1])
-        messages[node] = msg
-    w = np.ones(model.root_marginal.bins.size, dtype=dtype)
-    for child in kids[model.root]:
-        w = w * messages[child][model.root_marginal.bins]
-    return list(messages.values()), w.sum()
+def _count_pass(model: ChowLiuModel, dtype) -> tuple[object, dict[str, np.ndarray]]:
+    """Upward sum-product over the support indicator: (total, messages)."""
+    terms, messages = _upward(
+        model, lambda p: np.ones(p.size, dtype=dtype), np.multiply,
+        lambda node, w: np.add.reduceat(w, model.conditionals[node].indptr[:-1]),
+        0)
+    return terms.sum(), messages
 
 
 def tree_support_count(model: ChowLiuModel) -> int:
@@ -554,12 +525,12 @@ def tree_support_count(model: ChowLiuModel) -> int:
     and 2**63, so an int64 run it admits cannot overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        messages, total = _count_pass(model, np.float64)
-    values = [total, *(m.max() for m in messages)]
+        total, messages = _count_pass(model, np.float64)
+    values = [total, *(m.max() for m in messages.values())]
     if all(v < _FLOAT64_EXACT for v in values):
         return int(total)
     fits = all(v <= _INT64_SAFE for v in values)
-    return int(_count_pass(model, np.int64 if fits else object)[1])
+    return int(_count_pass(model, np.int64 if fits else object)[0])
 
 
 def tree_profile(model: ChowLiuModel) -> EntropyProfile:
@@ -582,7 +553,7 @@ def validate(channels: list[BinnedChannel]) -> ValidationReport:
         raise DataError("validation requires n >= 2")
     if len(channels) > 3:
         raise DataError("validation compares against direct enumeration; use n <= 3")
-    direct = profile_joint(joint_direct(channels))
+    direct = profile_joint(joint_direct(channels)[1])
     approx = tree_profile(build_tree(channels))
     pairs = list(zip(
         (direct.h0, direct.h1, direct.h2, direct.hmin),

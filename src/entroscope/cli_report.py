@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 from . import __version__, synth
 from .chowliu import validate as validate_subset
@@ -92,7 +91,6 @@ def _metadata(dataset: str, binning: str) -> dict:
     return {
         "dataset": dataset,
         "binning": str(binning),
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "version": __version__,
     }
 

@@ -1,5 +1,5 @@
-"""Renyi entropy profiles (orders 0, 1, 2, inf) in bits, plus direct sparse
-joint estimation for small channel subsets.
+"""Renyi entropy profiles (orders 0, 1, 2, inf) in bits, plus direct joint
+counting for small channel subsets, held as arrays of occupied states.
 
 Everything is plug-in estimation on empirical frequencies: no smoothing, no
 bias correction. All logarithms are base 2.
@@ -39,26 +39,6 @@ class EntropyProfile:
 
     def as_dict(self) -> dict[str, float]:
         return {"h0": self.h0, "h1": self.h1, "h2": self.h2, "hmin": self.hmin}
-
-
-@dataclass(frozen=True, eq=False)
-class SparseJointPmf:
-    """Joint pmf stored as occupied code tuples only."""
-
-    arity: int
-    entries: dict[tuple[int, ...], float]
-    sample_count: int
-
-    def __post_init__(self):
-        if self.arity < 1:
-            raise DataError("arity must be positive")
-        if not self.entries:
-            raise DataError("joint pmf has no entries")
-        total = math.fsum(self.entries.values())
-        if abs(total - 1.0) > 1e-9:
-            raise DataError(f"joint pmf total is {total!r}, not 1")
-        if min(self.entries.values()) <= 0:
-            raise DataError("joint pmf entries must be strictly positive")
 
 
 def _shannon_bits(p: np.ndarray) -> float:
@@ -117,12 +97,16 @@ def complete_row_mask(channels: list[BinnedChannel]) -> np.ndarray:
 
 
 def joint_direct(channels: list[BinnedChannel], rows=None,
-                 budget: float = DEFAULT_JOINT_BUDGET) -> SparseJointPmf:
-    """Exact sparse joint pmf over rows complete across all channels.
+                 budget: float = DEFAULT_JOINT_BUDGET
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied code tuples over rows complete across all channels.
 
-    rows, when given, preselects row indices (or a boolean mask); incomplete
-    rows are still dropped. Raises BudgetError before counting if the
-    occupied-state bound min(rows, product of bin counts) exceeds budget.
+    Returns (codes, counts): an (m, k) int64 array of the m distinct code
+    tuples in ascending order, first channel most significant, and how many
+    rows hold each. rows, when given, preselects row indices (or a boolean
+    mask); incomplete rows are still dropped. Raises BudgetError before
+    counting if the occupied-state bound min(rows, product of bin counts)
+    exceeds budget.
     """
     if not channels:
         raise DataError("no channels")
@@ -144,29 +128,21 @@ def joint_direct(channels: list[BinnedChannel], rows=None,
         )
 
     cols = [ch.codes[mask] for ch in channels]
-    if states <= 2 ** 62:
-        # fuse each row's codes into one integer key
-        keys = cols[0].astype(np.int64)
-        for col, b in zip(cols[1:], bin_counts[1:]):
-            keys = keys * b + col
-        uniq, counts = np.unique(keys, return_counts=True)
-        decoded = np.empty((uniq.size, len(cols)), dtype=np.int64)
-        rem = uniq.copy()
-        for j in range(len(cols) - 1, -1, -1):
-            decoded[:, j] = rem % bin_counts[j]
-            rem //= bin_counts[j]
-    else:
-        stacked = np.stack(cols, axis=1)
-        decoded, counts = np.unique(stacked, axis=0, return_counts=True)
-
-    entries = {
-        tuple(int(c) for c in row): int(cnt) / n
-        for row, cnt in zip(decoded, counts)
-    }
-    return SparseJointPmf(len(channels), entries, n)
+    if states > 2 ** 62:
+        return np.unique(np.stack(cols, axis=1), axis=0, return_counts=True)
+    # fuse each row's codes into one integer key
+    keys = cols[0].astype(np.int64)
+    for col, b in zip(cols[1:], bin_counts[1:]):
+        keys = keys * b + col
+    uniq, counts = np.unique(keys, return_counts=True)
+    decoded = np.empty((uniq.size, len(cols)), dtype=np.int64)
+    for j in range(len(cols) - 1, -1, -1):
+        decoded[:, j] = uniq % bin_counts[j]
+        uniq = uniq // bin_counts[j]
+    return decoded, counts
 
 
-def profile_joint(joint: SparseJointPmf) -> EntropyProfile:
-    """Entropy profile of a joint pmf treated as one flat distribution."""
-    p = np.fromiter(joint.entries.values(), dtype=float, count=len(joint.entries))
-    return _profile_of_probs(p)
+def profile_joint(counts: np.ndarray) -> EntropyProfile:
+    """Entropy profile of the joint whose occupied states have these counts,
+    treated as one flat distribution."""
+    return _profile_of_probs(counts / int(counts.sum()))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entroscope import chowliu, synth
+from entroscope import synth
 from entroscope.chowliu import (
     ChowLiuModel,
     ConditionalTable,
@@ -33,14 +33,23 @@ from entroscope.quantize import Pmf, pmf_of, prebinned
 from helpers import profile_of_dict
 
 
-def expand_chowliu_dict(model):
-    """Flat {code tuple: prob} joint of a ChowLiuModel, pure Python."""
+def _top_down(model):
+    """(children by node, a root-first order), from the parent map alone."""
+    kids = {name: [] for name in model.nodes}
+    for child in model.nodes:
+        if child != model.root:
+            kids[model.parent[child]].append(child)
     order = [model.root]
-    kids = model.children_map()
     i = 0
     while i < len(order):
         order.extend(kids[order[i]])
         i += 1
+    return kids, order
+
+
+def expand_chowliu_dict(model):
+    """Flat {code tuple: prob} joint of a ChowLiuModel, pure Python."""
+    _, order = _top_down(model)
     joint = {}
 
     def extend(assign, prob, idx):
@@ -288,10 +297,7 @@ def test_max_prob_tie_through_child_message():
 
 def _max_prob_row_loop(model):
     """Max-product with one argmax per conditional row, as a reference."""
-    kids = model.children_map()
-    order = [model.root]
-    for node in order:
-        order.extend(kids[node])
+    kids, order = _top_down(model)
     messages, choices = {}, {}
     for node in reversed(order[1:]):
         cond = model.conditionals[node]
@@ -400,6 +406,31 @@ def test_support_count_small_support_past_int64_state_bound():
     assert type(count) is int
 
 
+def _support_count_row_loop(model):
+    """Support count in Python integers, one conditional row at a time."""
+    kids, order = _top_down(model)
+    messages = {}
+
+    def ways(node, codes):
+        # completions of the subtree below node, summed over node's codes
+        total = 0
+        for code in codes:
+            count = 1
+            for child in kids[node]:
+                count *= messages[child].get(code, 0)
+            total += count
+        return total
+
+    for node in reversed(order[1:]):
+        cond = model.conditionals[node]
+        messages[node] = {
+            parent_bin: ways(node, cond.child_bins[
+                int(cond.indptr[r]):int(cond.indptr[r + 1])].tolist())
+            for r, parent_bin in enumerate(cond.parent_bins.tolist())
+        }
+    return ways(model.root, model.root_marginal.bins.tolist())
+
+
 def test_support_count_matches_python_int_pass_on_random_trees():
     # counts below 2**53 come straight from the float64 run
     rng = np.random.default_rng(53)
@@ -410,8 +441,66 @@ def test_support_count_matches_python_int_pass_on_random_trees():
         rows = np.stack([rng.integers(0, b, size=n) for b in bins], axis=1)
         model = build_tree(chans_from(rows, bins))
         count = tree_support_count(model)
-        assert count == chowliu._count_pass(model, object)[1], trial
+        assert count == _support_count_row_loop(model), trial
         assert type(count) is int
+
+
+def _scrambled_model():
+    """A 5-node tree whose root is not nodes[0] and in which two children
+    are listed before their parents: root c; c -> a, c -> e, a -> d, a -> b."""
+    def table(parent_bins, rows):
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        bins = np.array([b for r in rows for b, _ in r])
+        probs = np.array([q for r in rows for _, q in r])
+        return ConditionalTable(np.array(parent_bins), indptr, bins, probs)
+
+    return ChowLiuModel(
+        nodes=("d", "a", "b", "c", "e"),
+        root="c",
+        parent={"a": "c", "e": "c", "d": "a", "b": "a"},
+        root_marginal=Pmf(np.array([0, 2]), np.array([0.375, 0.625])),
+        conditionals={
+            "a": table([0, 2], [[(0, 0.5), (1, 0.5)], [(1, 0.25), (2, 0.75)]]),
+            "e": table([0, 2], [[(1, 1.0)], [(0, 0.5), (1, 0.5)]]),
+            "d": table([0, 1, 2], [[(0, 0.125), (3, 0.875)], [(2, 1.0)],
+                                   [(0, 0.5), (1, 0.25), (3, 0.25)]]),
+            "b": table([0, 1, 2], [[(1, 1.0)], [(0, 0.625), (1, 0.375)],
+                                   [(0, 1.0)]]),
+        },
+        edge_weights={("a", "c"): 0.0, ("c", "e"): 0.0, ("a", "d"): 0.0,
+                      ("a", "b"): 0.0},
+        bin_counts={"a": 3, "b": 2, "c": 3, "d": 4, "e": 2},
+    )
+
+
+def test_passes_on_model_with_children_listed_before_parents():
+    model = _scrambled_model()
+    assert model.nodes.index("d") < model.nodes.index("a")  # child first
+    joint = expand_chowliu_dict(model)
+    got = tree_profile(model)
+    assert tree_support_count(model) == len(joint) == 14
+    assert (got.h0, got.h1, got.h2, got.hmin) == pytest.approx(
+        profile_of_dict(joint), abs=1e-12)
+    assert tree_max_prob(model) == _max_prob_row_loop(model)
+    assert tree_max_prob(model)[1] == max(joint, key=joint.get)
+
+
+def test_tree_shape_errors():
+    model = _scrambled_model()
+    fields = dict(root_marginal=model.root_marginal,
+                  conditionals=model.conditionals,
+                  edge_weights=model.edge_weights, bin_counts=model.bin_counts)
+    # a and d parent each other: a cycle the root never reaches
+    with pytest.raises(DataError, match="not connected"):
+        ChowLiuModel(nodes=model.nodes, root="c",
+                     parent={"a": "d", "e": "c", "d": "a", "b": "a"}, **fields)
+    # a's parent is not a node, which cuts a, d and b off from the root
+    with pytest.raises(DataError, match="not connected"):
+        ChowLiuModel(nodes=model.nodes, root="c",
+                     parent={"a": "x", "e": "c", "d": "a", "b": "a"}, **fields)
+    with pytest.raises(DataError, match="needs a parent"):
+        ChowLiuModel(nodes=model.nodes, root="c",
+                     parent={"a": "c", "e": "c", "d": "a"}, **fields)
 
 
 @pytest.mark.parametrize("widths", [[64] * 8 + [32], [64] * 9])
@@ -650,7 +739,7 @@ def test_tree_shannon_dominates_direct():
     b = (a + rng.integers(0, 2, size=n)) % 4
     c = (a * b + rng.integers(0, 3, size=n)) % 4  # not tree-factored
     chans = chans_from(np.stack([a, b, c], axis=1), [4, 4, 4])
-    direct_h1 = profile_joint(joint_direct(chans)).h1
+    direct_h1 = profile_joint(joint_direct(chans)[1]).h1
     assert tree_shannon(build_tree(chans)) >= direct_h1 - 1e-9
 
 

@@ -161,6 +161,22 @@ def test_out_file_and_structured(tmp_path, capsys):
     assert report.metadata["version"] == __version__
 
 
+def test_structured_sweep_is_byte_stable(tmp_path, capsys):
+    # nothing in a report depends on when it was made
+    outputs = []
+    for i in range(2):
+        path = tmp_path / f"sweep{i}.json"
+        code = run([
+            "sweep", "--synthetic", "--rows", "2000",
+            "--format", "structured", "--out", str(path),
+        ])
+        assert code == 0
+        outputs.append(path.read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+    assert set(json.loads(outputs[0])["metadata"]) == {"dataset", "binning", "version"}
+
+
 def test_validate_two_channels_is_exact(tmp_path, capsys):
     path = tmp_path / "val.json"
     code = run([

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from entroscope.entropy import (
     EntropyProfile,
-    SparseJointPmf,
     joint_direct,
     profile,
     profile_joint,
@@ -113,22 +112,22 @@ def test_permutation_invariance(size, seed):
 def test_joint_direct_independent_bits():
     codes_a = np.array([0, 0, 1, 1], dtype=np.int64)
     codes_b = np.array([0, 1, 0, 1], dtype=np.int64)
-    joint = joint_direct([prebinned("a", codes_a, 2), prebinned("b", codes_b, 2)])
-    assert joint.arity == 2
-    assert joint.entries == {
-        (0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25,
-    }
-    assert profile_joint(joint) == EntropyProfile(2.0, 2.0, 2.0, 2.0)
+    codes, counts = joint_direct(
+        [prebinned("a", codes_a, 2), prebinned("b", codes_b, 2)])
+    assert codes.dtype == np.int64
+    assert codes.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert counts.tolist() == [1, 1, 1, 1]
+    assert profile_joint(counts) == EntropyProfile(2.0, 2.0, 2.0, 2.0)
 
 
 def test_joint_direct_duplicated_channel():
     rng = np.random.default_rng(9)
     codes = rng.integers(0, 8, size=2000)
     ch = prebinned("x", codes, 8)
-    joint = joint_direct([ch, ch])
-    assert all(a == b for a, b in joint.entries)
+    tuples, counts = joint_direct([ch, ch])
+    assert np.array_equal(tuples[:, 0], tuples[:, 1])
     single = profile(pmf_of(codes))
-    dup = profile_joint(joint)
+    dup = profile_joint(counts)
     assert dup.h1 == pytest.approx(single.h1, abs=1e-9)
     assert dup.hmin == pytest.approx(single.hmin, abs=1e-9)
 
@@ -136,9 +135,22 @@ def test_joint_direct_duplicated_channel():
 def test_joint_direct_skips_incomplete_rows():
     a = prebinned("a", np.array([0, -1, 1, 0]), 2)
     b = prebinned("b", np.array([1, 1, -1, 0]), 2)
-    joint = joint_direct([a, b])
-    assert joint.sample_count == 2
-    assert joint.entries == {(0, 1): 0.5, (0, 0): 0.5}
+    codes, counts = joint_direct([a, b])
+    assert codes.tolist() == [[0, 0], [0, 1]]
+    assert counts.tolist() == [1, 1]
+
+
+def test_joint_direct_orders_alike_past_fused_keys():
+    # 2**21 bins on three channels: 2**63 states, too many for one int64 key
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 3, size=(500, 3)) * 2 ** 19
+    wide = [prebinned(f"w{i}", rows[:, i], 2 ** 21) for i in range(3)]
+    narrow = [prebinned(f"n{i}", rows[:, i] // 2 ** 19, 3) for i in range(3)]
+    wide_codes, wide_counts = joint_direct(wide)
+    codes, counts = joint_direct(narrow)
+    assert np.array_equal(wide_codes, codes * 2 ** 19)
+    assert np.array_equal(wide_counts, counts)
+    assert counts.sum() == 500
 
 
 def test_joint_direct_no_complete_rows():
@@ -163,7 +175,7 @@ def test_joint_direct_h1_adds_for_independent():
     rng = np.random.default_rng(12)
     a = prebinned("a", rng.integers(0, 4, size=200_000), 4)
     b = prebinned("b", rng.integers(0, 8, size=200_000), 8)
-    jp = profile_joint(joint_direct([a, b]))
+    jp = profile_joint(joint_direct([a, b])[1])
     ha = profile(pmf_of(a.codes)).h1
     hb = profile(pmf_of(b.codes)).h1
     assert jp.h1 == pytest.approx(ha + hb, abs=0.01)
@@ -171,25 +183,12 @@ def test_joint_direct_h1_adds_for_independent():
 
 def test_profile_joint_product_of_uniforms():
     # 3 independent uniform channels over 4 bins: every order is 3*2
-    entries = {}
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                entries[(i, j, k)] = 1.0 / 64
-    prof = profile_joint(SparseJointPmf(3, entries, 64))
+    prof = profile_joint(np.ones(64, dtype=np.int64))
     for v in (prof.h0, prof.h1, prof.h2, prof.hmin):
         assert v == pytest.approx(6.0, abs=1e-12)
 
 
 def test_profile_joint_hand_case():
-    joint = SparseJointPmf(2, {(0, 0): 0.5, (0, 1): 0.25, (1, 0): 0.25}, 4)
-    prof = profile_joint(joint)
+    prof = profile_joint(np.array([2, 1, 1]))
     assert prof.h1 == pytest.approx(1.5, abs=1e-12)
     assert prof.hmin == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sparse_joint_validation():
-    with pytest.raises(DataError):
-        SparseJointPmf(2, {(0, 0): 0.5, (0, 1): 0.4}, 10)
-    with pytest.raises(DataError):
-        SparseJointPmf(1, {}, 0)
