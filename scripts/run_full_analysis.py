@@ -42,7 +42,8 @@ def main() -> None:
                         help="synthetic rows when no manifest is given")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--bins", default="fd", help="binning rule (default fd)")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers",
+                        help="sweep workers (default: $ENTROSCOPE_WORKERS or 1)")
     args = parser.parse_args()
 
     os.makedirs(args.outdir, exist_ok=True)
@@ -53,7 +54,8 @@ def main() -> None:
     else:
         data = ["--synthetic", "--seed", str(args.seed), "--rows", str(args.rows)]
     data += ["--bins", args.bins]
-    sweepish = ["--workers", str(args.workers)]
+    # forwarded only when given, so the CLI's own default applies otherwise
+    sweepish = [] if args.workers is None else ["--workers", args.workers]
 
     def out(name: str, format: str = "markdown") -> list[str]:
         ext = {"markdown": "md", "structured": "json", "delimited": "csv"}[format]

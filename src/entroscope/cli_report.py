@@ -191,6 +191,16 @@ def _parse_rule(text: str) -> str:
     return text
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise UsageError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_names(text: str) -> list[str]:
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
@@ -245,11 +255,6 @@ def _channel_table(table: SampleTable, rule: str) -> Report:
 
 def _cmd_single(args) -> Report:
     return _channel_table(_load_input(args), args.bins)
-
-
-def _cmd_synth_check(args) -> Report:
-    table = synth.sensor_table(seed=args.seed, rows=args.rows)
-    return _channel_table(table, args.bins)
 
 
 def _sweep_results(args, table: SampleTable):
@@ -431,7 +436,6 @@ _COMMANDS = {
     "sensitivity": _cmd_sensitivity,
     "means": _cmd_means,
     "guesswork": _cmd_guesswork,
-    "synth-check": _cmd_synth_check,
 }
 
 
@@ -443,17 +447,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
 
 
 def build_parser() -> _Parser:
@@ -483,7 +476,10 @@ def build_parser() -> _Parser:
     sweepish = _Parser(add_help=False)
     sweepish.add_argument("--min-size", type=int, default=2)
     sweepish.add_argument("--max-size", type=int, default=None)
-    sweepish.add_argument("--workers", type=int, default=_default_workers(),
+    # argparse runs a string default through type, and only for the
+    # subcommand being parsed
+    sweepish.add_argument("--workers", type=_positive_int,
+                          default=os.environ.get(WORKERS_ENV) or "1",
                           help=f"parallel workers (default ${WORKERS_ENV} or 1)")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -494,7 +490,7 @@ def build_parser() -> _Parser:
                    help="joint profiles for every channel subset")
     p = sub.add_parser("topk", parents=[data, sweepish, out],
                        help="best subsets by min-entropy")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_positive_int, default=10)
     p = sub.add_parser("validate", parents=[data, out],
                        help="direct vs tree profile on one 2-3 channel subset")
     p.add_argument("--subset", required=True, metavar="A,B[,C]")
@@ -516,8 +512,6 @@ def build_parser() -> _Parser:
                    help="guess rates per second (default 1,10,1e3,1e6)")
     p.add_argument("--from-report", metavar="PATH",
                    help="take hmin values from a structured subset_ranking report")
-    sub.add_parser("synth-check", parents=[data, out],
-                   help="profile the built-in synthetic table")
     return parser
 
 

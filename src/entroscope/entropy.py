@@ -96,25 +96,18 @@ def complete_row_mask(channels: list[BinnedChannel]) -> np.ndarray:
     return mask
 
 
-def joint_direct(channels: list[BinnedChannel], rows=None,
+def joint_direct(channels: list[BinnedChannel],
                  budget: float = DEFAULT_JOINT_BUDGET
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied code tuples over rows complete across all channels.
+    """Occupied code tuples over the rows complete in every channel.
 
     Returns (codes, counts): an (m, k) int64 array of the m distinct code
     tuples in ascending order, first channel most significant, and how many
-    rows hold each. rows, when given, preselects row indices (or a boolean
-    mask); incomplete rows are still dropped. Raises BudgetError before
-    counting if the occupied-state bound min(rows, product of bin counts)
-    exceeds budget.
+    rows hold each. Raises DataError when no row is complete, and
+    BudgetError before counting if the occupied-state bound min(complete
+    rows, product of bin counts) exceeds budget.
     """
-    if not channels:
-        raise DataError("no channels")
     mask = complete_row_mask(channels)
-    if rows is not None:
-        sel = np.zeros(mask.size, dtype=bool)
-        sel[np.asarray(rows)] = True
-        mask = mask & sel
     n = int(mask.sum())
     if n == 0:
         raise DataError("no complete rows")

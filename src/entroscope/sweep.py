@@ -2,14 +2,16 @@
 
 Subsets stream in canonical order (size ascending, then lexicographic over
 channel positions), every channel is binned once and shared, every pair is
-counted once on the rows complete in every channel, each subset counts only
-the other rows it keeps and merges them in, and results are keyed by subset
-position so the output is identical no matter how many workers ran or in
-what order they finished.
+counted once on the rows complete in every channel, and each subset counts
+only the other rows it keeps and merges them in. One loop consumes the
+subset outcomes in canonical order, whether they come from a plain map or
+from a fork pool's in-order imap, so the output is identical no matter how
+many workers ran or in what order they finished.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import multiprocessing
@@ -33,17 +35,19 @@ DEFAULT_GRID = (5, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
 
 @dataclass(frozen=True)
 class SubsetResult:
-    subset: tuple[str, ...]
-    size: int
-    profile: EntropyProfile
-    gap: float  # h1 - hmin
-    method: str  # "chowliu" (direct lives in chowliu.validate)
+    """Chow-Liu joint profile of one channel subset."""
 
-    def __post_init__(self):
-        if self.size != len(self.subset) or self.size < 2:
-            raise DataError("subset result needs size == len(subset) >= 2")
-        if self.gap < -1e-9:
-            raise DataError("gap cannot be negative")
+    subset: tuple[str, ...]
+    profile: EntropyProfile
+
+    @property
+    def size(self) -> int:
+        return len(self.subset)
+
+    @property
+    def gap(self) -> float:
+        """h1 - hmin: how far Shannon entropy overstates the worst case."""
+        return self.profile.h1 - self.profile.hmin
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,55 +71,24 @@ def enumerate_subsets(channels, min_size: int = 2, max_size: int | None = None):
         yield from itertools.combinations(names, size)
 
 
-# shared state for forked workers: the sweep's binned channels and their pair
-# counts on the rows complete in all of them; set immediately before the pool
-# starts and cleared when the sweep returns
+# shared state for forked workers: the sweep's binned channels with their pair
+# counts on the rows complete in all of them, and why each other channel could
+# not be binned; set immediately before the pool starts and cleared when the
+# sweep returns
 _SHARED: PairStats | None = None
+_UNBINNED: dict[str, str] = {}
 
 
-def _profile_subset(item):
-    idx, subset = item
+def _profile_subset(subset):
+    """(profile, None) for one subset, or (None, reason) when it fails."""
+    for name in subset:
+        if name in _UNBINNED:
+            return None, f"channel {name!r} not binned: {_UNBINNED[name]}"
     try:
         chans = [_SHARED.channels[name] for name in subset]
-        prof = tree_profile(build_tree(chans, _SHARED))
-        return idx, "ok", prof
+        return tree_profile(build_tree(chans, _SHARED)), None
     except EntroscopeError as exc:
-        return idx, "err", str(exc)
-
-
-def _run_tasks(tasks, workers: int) -> dict[int, tuple[str, object]]:
-    """Profile every (index, subset) task, serially or in a fork pool."""
-    outcomes: dict[int, tuple[str, object]] = {}
-    started = time.monotonic()
-    done = 0
-    report_every = max(1, len(tasks) // 10)
-
-    def note_progress():
-        if done % report_every == 0 or done == len(tasks):
-            elapsed = time.monotonic() - started
-            eta = elapsed / done * (len(tasks) - done) if done else 0.0
-            print(
-                f"sweep: {done}/{len(tasks)} subsets, {elapsed:.1f}s elapsed, "
-                f"~{eta:.0f}s left",
-                file=sys.stderr,
-            )
-
-    if workers == 1 or len(tasks) <= 1:
-        for item in tasks:
-            idx, status, value = _profile_subset(item)
-            outcomes[idx] = (status, value)
-            done += 1
-            note_progress()
-    else:
-        ctx = multiprocessing.get_context("fork")
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ctx.Pool(processes=workers) as pool:
-            for idx, status, value in pool.imap(_profile_subset, tasks, chunk):
-                outcomes[idx] = (status, value)
-                done += 1
-                note_progress()
-
-    return outcomes
+        return None, str(exc)
 
 
 def run_sweep(table: SampleTable, rule, min_size: int = 2,
@@ -128,60 +101,52 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
     """
     if workers < 1:
         raise DataError("workers must be positive")
-    names = list(table.channels)
-    if max_size is None:
-        max_size = len(names)
-
-    binned: dict[str, BinnedChannel] = {}
-    bin_failures: dict[str, str] = {}
-    for name in names:
+    binned: list[BinnedChannel] = []
+    unbinned: dict[str, str] = {}
+    for name in table.channels:
         try:
-            binned[name] = bin_channel(
+            binned.append(bin_channel(
                 table.column(name), rule, name=name, max_bins=MAX_JOINT_BINS
-            )
+            ))
         except EntroscopeError as exc:
-            bin_failures[name] = str(exc)
+            unbinned[name] = str(exc)
+    subsets = list(enumerate_subsets(table.channels, min_size, max_size))
+    total = len(subsets)
+    report_every = max(1, total // 10)
+    results: list[SubsetResult] = []
 
-    subsets = list(enumerate_subsets(names, min_size, max_size))
-    tasks: list[tuple[int, tuple[str, ...]]] = []
-    failed: dict[int, str] = {}
-    for idx, subset in enumerate(subsets):
-        bad = [c for c in subset if c in bin_failures]
-        if bad:
-            failed[idx] = f"channel {bad[0]!r} not binned: {bin_failures[bad[0]]}"
-        else:
-            tasks.append((idx, subset))
-
-    global _SHARED
-    _SHARED = PairStats(list(binned.values()))
+    global _SHARED, _UNBINNED
+    _SHARED, _UNBINNED = PairStats(binned), unbinned
     try:
         # every pair lies in some subset of every size, so counting them all up
         # front wastes nothing, and forked workers inherit the counts instead
         # of each counting the pairs it needs
         _SHARED.count_all()
-        outcomes = _run_tasks(tasks, workers)
+        started = time.monotonic()
+        with contextlib.ExitStack() as stack:
+            if workers == 1 or total <= 1:
+                outcomes = map(_profile_subset, subsets)
+            else:
+                ctx = multiprocessing.get_context("fork")
+                pool = stack.enter_context(ctx.Pool(processes=workers))
+                # imap yields in input order, whatever order workers finish in
+                outcomes = pool.imap(_profile_subset, subsets,
+                                     max(1, total // (workers * 4)))
+            for done, (subset, (prof, reason)) in enumerate(zip(subsets, outcomes), 1):
+                if reason is None:
+                    results.append(SubsetResult(subset, prof))
+                elif errors is not None:
+                    errors.append((subset, reason))
+                if done % report_every == 0 or done == total:
+                    elapsed = time.monotonic() - started
+                    eta = elapsed / done * (total - done)
+                    print(
+                        f"sweep: {done}/{total} subsets, {elapsed:.1f}s "
+                        f"elapsed, ~{eta:.0f}s left",
+                        file=sys.stderr,
+                    )
     finally:
-        _SHARED = None
-
-    results: list[SubsetResult] = []
-    for idx, subset in enumerate(subsets):
-        if idx in failed:
-            if errors is not None:
-                errors.append((subset, failed[idx]))
-            continue
-        status, value = outcomes[idx]
-        if status == "err":
-            if errors is not None:
-                errors.append((subset, value))
-            continue
-        prof = value
-        results.append(SubsetResult(
-            subset=subset,
-            size=len(subset),
-            profile=prof,
-            gap=prof.h1 - prof.hmin,
-            method="chowliu",
-        ))
+        _SHARED, _UNBINNED = None, {}
     return results
 
 

@@ -4,12 +4,11 @@ import textwrap
 
 import pytest
 
-from entroscope import __version__
+from entroscope import __version__, cli_report
 from entroscope.cli_report import (
     FORMATS,
     WORKERS_ENV,
     Report,
-    _default_workers,
     emit,
     parse_report,
     run,
@@ -103,15 +102,39 @@ def test_parse_report_rejects_garbage():
         parse_report(json.dumps({"kind": "subset_ranking"}))
 
 
-def test_default_workers_env(monkeypatch):
+def test_default_workers_env(monkeypatch, tmp_path, capsys):
+    seen = []
+
+    def fake_sweep(table, rule, workers, **kwargs):
+        seen.append(workers)
+        return []
+
+    monkeypatch.setattr(cli_report, "run_sweep", fake_sweep)
+    sweep = ["sweep", "--synthetic", "--rows", "200"]
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert _default_workers() == 1
+    assert run(sweep) == 0
+    monkeypatch.setenv(WORKERS_ENV, "")
+    assert run(sweep) == 0
     monkeypatch.setenv(WORKERS_ENV, "3")
-    assert _default_workers() == 3
-    monkeypatch.setenv(WORKERS_ENV, "0")
-    assert _default_workers() == 1
-    monkeypatch.setenv(WORKERS_ENV, "many")
-    assert _default_workers() == 1
+    assert run(sweep) == 0
+    assert run([*sweep, "--workers", "2"]) == 0
+    assert seen == [1, 1, 3, 2]
+
+    # bad values are refused at parse time, before the manifest is read
+    # (a missing manifest would exit 2)
+    absent = ["--manifest", str(tmp_path / "absent.yaml")]
+    for bad in ("0", "-4", "many"):
+        monkeypatch.setenv(WORKERS_ENV, bad)
+        assert run(["sweep", *absent]) == 1
+        assert f"got {bad!r}" in capsys.readouterr().err
+        # a subcommand without --workers never reads the variable
+        assert run(["guesswork", "--hmin", "17"]) == 0
+    monkeypatch.delenv(WORKERS_ENV)
+    assert run(["means", *absent, "--workers", "0"]) == 1
+    assert run(["topk", *absent, "--k", "0"]) == 1
+    assert run(["topk", *absent, "--k", "ten"]) == 1
+    assert seen == [1, 1, 3, 2]
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +330,3 @@ def test_guesswork_rejects_wrong_report_kind(tmp_path, capsys):
     path.write_bytes(emit(wrong, "structured"))
     assert run(["guesswork", "--from-report", str(path)]) == 2
     assert "subset_ranking" in capsys.readouterr().err
-
-
-def test_synth_check(capsys):
-    assert run(["synth-check", "--rows", "1500", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("\n") >= 10  # header + separator + 8 channels + notes

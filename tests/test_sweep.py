@@ -59,7 +59,6 @@ def test_run_sweep_pair_count():
     results = run_sweep(table, 16, min_size=2, max_size=2)
     assert len(results) == 6
     assert all(r.size == 2 for r in results)
-    assert all(r.method == "chowliu" for r in results)
 
 
 def test_run_sweep_canonical_order_and_gap():
@@ -120,7 +119,8 @@ def test_run_sweep_matches_fresh_trees_with_missing_values(workers):
     assert sweep._SHARED is None  # the sweep's state does not outlive it
 
 
-def test_run_sweep_error_ledger():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_sweep_error_ledger(workers):
     rng = np.random.default_rng(5)
     data = np.column_stack([
         rng.normal(size=1000),
@@ -129,11 +129,31 @@ def test_run_sweep_error_ledger():
     ])
     table = SampleTable(("a", "bad", "c"), data, "unit", "drop-row-for-subset")
     errors = []
-    results = run_sweep(table, "fd", errors=errors)
+    results = run_sweep(table, "fd", workers=workers, errors=errors)
     assert {r.subset for r in results} == {("a", "c")}
     assert len(errors) == 3  # every subset touching the constant channel
     assert all("bad" in subset for subset, _ in errors)
     assert all("not binned" in msg for _, msg in errors)
+    assert sweep._SHARED is None and sweep._UNBINNED == {}
+
+
+def test_progress_counts_every_subset_alike_serial_and_pooled(capsys):
+    # the constant channel fails to bin, and its subsets still count
+    rng = np.random.default_rng(6)
+    data = rng.normal(size=(1000, 4))
+    data[:, 2] = 3.0
+    table = SampleTable(("a", "b", "bad", "d"), data, "unit",
+                        "drop-row-for-subset")
+    counts = []
+    for workers in (1, 2):
+        capsys.readouterr()
+        run_sweep(table, "fd", workers=workers)
+        counts.append([
+            line.split()[1] for line in capsys.readouterr().err.splitlines()
+            if line.startswith("sweep: ")
+        ])
+    assert counts[0] == counts[1]
+    assert counts[0][-1] == "11/11"
 
 
 def test_run_sweep_monotone_h0():
@@ -164,8 +184,8 @@ def test_top_k_tie_break_is_stable():
             bin_channel((np.arange(100.0) * 3) % 5, 5, name="b"),
         ])
     )
-    r1 = SubsetResult(("a", "b"), 2, prof_hi, prof_hi.h1 - prof_hi.hmin, "chowliu")
-    r2 = SubsetResult(("a", "c"), 2, prof_hi, prof_hi.h1 - prof_hi.hmin, "chowliu")
+    r1 = SubsetResult(("a", "b"), prof_hi)
+    r2 = SubsetResult(("a", "c"), prof_hi)
     assert top_k([r1, r2], 2) == [r1, r2]
     assert top_k([r2, r1], 2) == [r2, r1]
 
@@ -275,11 +295,12 @@ def test_sweep_without_clean_rows():
     assert results == run_sweep(table, "fd", workers=2)
 
 
-def test_sweep_when_no_channel_bins():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_when_no_channel_bins(workers):
     table = SampleTable(("a", "b", "c"), np.ones((100, 3)), "unit",
                         "drop-row-for-subset")
     errors = []
-    assert run_sweep(table, "fd", errors=errors) == []
+    assert run_sweep(table, "fd", workers=workers, errors=errors) == []
     reason = {}
     for name in table.channels:
         with pytest.raises(EntroscopeError) as exc:
