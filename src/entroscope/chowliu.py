@@ -8,7 +8,9 @@ probability, sum-product over the support indicator for the support count
 (float64, int64 or Python integers, whichever keeps the count exact). The
 three upward passes share one walk (_upward), each with its own semiring;
 the Shannon chain rule walks the other way. Pairwise counts, the only
-statistics a tree needs, come from one primitive (PairCounts).
+statistics a tree needs, come from one primitive (PairCounts); a subset's
+own rows merge into the shared counts through a dense table whenever the pair
+has no more cells than rows, and entropies come from the integer counts.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .entropy import (
     EntropyProfile,
     _shannon_bits,
+    _shannon_bits_of_counts,
     complete_row_mask,
     joint_direct,
     profile_joint,
@@ -153,37 +156,53 @@ class PairCounts:
         the rows had been counted together. entropies are the Shannon
         entropies in bits of a and b on all those rows, which is all mi needs
         beyond the joint counts."""
-        more = PairCounts(ca, cb, self.bins)
-        at = np.searchsorted(self.keys, more.keys)
-        known = at < self.keys.size
-        known[known] = self.keys[at[known]] == more.keys[known]
-        counts = self.counts.copy()
-        counts[at[known]] += more.counts[known]
-        fresh = ~known
+        keys = ca * self.bins[1] + cb
+        n = self.n + keys.size
+        cells = self.bins[0] * self.bins[1]
+        if cells <= n:
+            # scatter both into one dense table, as __init__ counts
+            joint = np.bincount(keys, minlength=cells)
+            joint[self.keys] += self.counts
+            merged = np.flatnonzero(joint)
+            counts = joint[merged]
+        else:
+            more_keys, more_counts = np.unique(keys, return_counts=True)
+            at = np.searchsorted(self.keys, more_keys)
+            known = at < self.keys.size
+            known[known] = self.keys[at[known]] == more_keys[known]
+            counts = self.counts.copy()
+            counts[at[known]] += more_counts[known]
+            fresh = ~known
+            merged = np.insert(self.keys, at[fresh], more_keys[fresh])
+            counts = np.insert(counts, at[fresh], more_counts[fresh])
         out = PairCounts.__new__(PairCounts)
-        out._init(self.bins, self.n + more.n,
-                  np.insert(self.keys, at[fresh], more.keys[fresh]),
-                  np.insert(counts, at[fresh], more.counts[fresh]))
+        out._init(self.bins, n, merged, counts)
         out._mi = out._mi_of(*entropies)
         return out
 
     def _mi_of(self, h_a: float, h_b: float) -> float:
         # plug-in I(a;b) = H(a) + H(b) - H(a,b) in bits, clamped at 0
-        return max(0.0, h_a + h_b - _shannon_bits(self.counts / self.n))
+        return max(0.0, h_a + h_b - _shannon_bits_of_counts(self.counts, self.n))
 
     @property
     def mi(self) -> float:
         """Plug-in mutual information in bits, computed on first use."""
         if self._mi is None:
-            self._mi = self._mi_of(
-                *(_shannon_bits(self.marginal(side).p) for side in (0, 1)))
+            self._mi = self._mi_of(*(
+                _shannon_bits_of_counts(self._marginal_counts(side), self.n)
+                for side in (0, 1)))
         return self._mi
 
     def _codes(self, side: int) -> np.ndarray:
         return self.keys // self.bins[1] if side == 0 else self.keys % self.bins[1]
 
-    def marginal(self, side: int) -> Pmf:
+    def _marginal_counts(self, side: int) -> np.ndarray:
+        """Per-bin row counts of one side, zeros included."""
         dense = np.bincount(self._codes(side), weights=self.counts)
+        return dense.astype(np.int64)
+
+    def marginal(self, side: int) -> Pmf:
+        dense = self._marginal_counts(side)
         bins = np.flatnonzero(dense)
         return Pmf(bins, dense[bins] / self.n)
 
@@ -308,10 +327,15 @@ class SubsetPairs:
             self._pairs[(first, second)] = counts
         return counts, side
 
-    def marginal(self, name: str) -> Pmf:
+    def _counts(self, name: str) -> np.ndarray:
+        """Per-bin row counts of one channel on the subset's rows."""
         counts = self._stats._clean_counts(name)
         if self._extra is not None:
             counts = counts + np.bincount(self._extra[name], minlength=counts.size)
+        return counts
+
+    def marginal(self, name: str) -> Pmf:
+        counts = self._counts(name)
         bins = np.flatnonzero(counts)
         return Pmf(bins, counts[bins] / self.n)
 
@@ -319,7 +343,8 @@ class SubsetPairs:
         """Shannon entropy of one channel on the subset's rows, in bits."""
         h = self._entropies.get(name)
         if h is None:
-            h = self._entropies[name] = _shannon_bits(self.marginal(name).p)
+            h = _shannon_bits_of_counts(self._counts(name), self.n)
+            self._entropies[name] = h
         return h
 
     def mi(self, a: str, b: str) -> float:

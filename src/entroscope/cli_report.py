@@ -182,23 +182,32 @@ def _none_if_nan(value: float):
 # ---------------------------------------------------------------------------
 # subcommand pipelines
 
+# option types raise ArgumentTypeError, so argparse reports the failure
+# through the parser of the subcommand, with that subcommand's usage
+
 def _parse_rule(text: str) -> str:
     text = str(text).strip()
     try:
         _canonical_rule(text)
     except DataError as exc:
-        raise UsageError(str(exc)) from exc
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return text
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise UsageError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_subset_size = _int_at_least(2, "a subset size of at least 2")
 
 
 def _parse_names(text: str) -> list[str]:
@@ -257,7 +266,13 @@ def _cmd_single(args) -> Report:
     return _channel_table(_load_input(args), args.bins)
 
 
-def _sweep_results(args, table: SampleTable):
+def _sweep_results(args):
+    """Load the input and sweep it: (table, results, errors). The size range
+    is checked first; only its upper bound depends on the table."""
+    if args.max_size is not None and args.min_size > args.max_size:
+        raise UsageError(
+            f"--min-size {args.min_size} is above --max-size {args.max_size}")
+    table = _load_input(args)
     errors: list = []
     results = run_sweep(
         table,
@@ -269,7 +284,7 @@ def _sweep_results(args, table: SampleTable):
     )
     for subset, message in errors:
         print(f"warning: {'+'.join(subset)}: {message}", file=sys.stderr)
-    return results, errors
+    return table, results, errors
 
 
 def _ranking_payload(results, errors) -> dict:
@@ -290,8 +305,7 @@ def _ranking_payload(results, errors) -> dict:
 
 
 def _cmd_sweep(args) -> Report:
-    table = _load_input(args)
-    results, errors = _sweep_results(args, table)
+    table, results, errors = _sweep_results(args)
     return Report(
         "subset_ranking", _ranking_payload(results, errors),
         _metadata(table.source, args.bins),
@@ -299,8 +313,7 @@ def _cmd_sweep(args) -> Report:
 
 
 def _cmd_topk(args) -> Report:
-    table = _load_input(args)
-    results, errors = _sweep_results(args, table)
+    table, results, errors = _sweep_results(args)
     ranked = top_k(results, args.k)
     return Report(
         "subset_ranking", _ranking_payload(ranked, errors),
@@ -309,8 +322,7 @@ def _cmd_topk(args) -> Report:
 
 
 def _cmd_means(args) -> Report:
-    table = _load_input(args)
-    results, _ = _sweep_results(args, table)
+    table, results, _ = _sweep_results(args)
     rows = [
         [size, count, *_prof_cells(prof)]
         for size, count, prof in size_means(results)
@@ -443,10 +455,14 @@ _COMMANDS = {
 # argument plumbing
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting, so run() owns exit codes."""
+    """argparse that raises instead of exiting, so run() owns exit codes.
+    The error carries the failing parser's usage: a subcommand's, for its
+    options."""
 
     def error(self, message):
-        raise UsageError(message)
+        exc = UsageError(message)
+        exc.usage = self.format_usage()
+        raise exc
 
 
 def build_parser() -> _Parser:
@@ -474,8 +490,8 @@ def build_parser() -> _Parser:
                       help="binning rule: fd, scott, or a fixed count")
 
     sweepish = _Parser(add_help=False)
-    sweepish.add_argument("--min-size", type=int, default=2)
-    sweepish.add_argument("--max-size", type=int, default=None)
+    sweepish.add_argument("--min-size", type=_subset_size, default=2)
+    sweepish.add_argument("--max-size", type=_subset_size, default=None)
     # argparse runs a string default through type, and only for the
     # subcommand being parsed
     sweepish.add_argument("--workers", type=_positive_int,
@@ -483,6 +499,7 @@ def build_parser() -> _Parser:
                           help=f"parallel workers (default ${WORKERS_ENV} or 1)")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     sub.add_parser("single", parents=[data, out],
                    help="per-channel entropy profile table")
@@ -518,10 +535,12 @@ def build_parser() -> _Parser:
 def run(argv) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     parser = build_parser()
+    usage = parser.format_usage()
     try:
         args = parser.parse_args(list(argv))
         if not getattr(args, "command", None):
             raise UsageError("a subcommand is required")
+        usage = parser.commands[args.command].format_usage()
         report = _COMMANDS[args.command](args)
         data = emit(report, args.format)
         if args.out:
@@ -532,7 +551,7 @@ def run(argv) -> int:
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        sys.stderr.write(getattr(exc, "usage", usage))
         return 1
     except EntroscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)

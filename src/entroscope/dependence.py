@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chowliu import PairCounts
-from .entropy import _shannon_bits
+from .entropy import _shannon_bits_of_counts
 from .errors import DataError
-from .quantize import BinnedChannel, pmf_of
+from .quantize import BinnedChannel
 
 KIND_PEARSON = "pearson"
 KIND_MI = "mutual_information_bits"
@@ -94,7 +94,8 @@ def matrix(table, binned: list[BinnedChannel], kind: str) -> DependenceMatrix:
         else:
             ch = by_name[name]
             codes = ch.codes[ch.codes >= 0]
-            values[i, i] = _shannon_bits(pmf_of(codes).p) if codes.size else np.nan
+            values[i, i] = (_shannon_bits_of_counts(np.bincount(codes), codes.size)
+                            if codes.size else np.nan)
 
     for i in range(n):
         for j in range(i + 1, n):

@@ -2,7 +2,9 @@
 counting for small channel subsets, held as arrays of occupied states.
 
 Everything is plug-in estimation on empirical frequencies: no smoothing, no
-bias correction. All logarithms are base 2.
+bias correction. All logarithms are base 2. Shannon entropy is the correctly
+rounded sum of its per-cell terms; from integer counts it is summed once per
+distinct count, to the same bits.
 """
 
 from __future__ import annotations
@@ -42,8 +44,48 @@ class EntropyProfile:
 
 
 def _shannon_bits(p: np.ndarray) -> float:
-    # compensated sum keeps Shannon terms order-independent
+    # fsum rounds the exact sum once, so the order of the terms is irrelevant
     return -math.fsum((p * np.log2(p)).tolist())
+
+
+def _shannon_bits_grouped(values: np.ndarray, mult: np.ndarray, n: int) -> float:
+    """Shannon entropy in bits of mult[i] cells of count values[i] each, with
+    p = count / n; _shannon_bits of the cells' probabilities, bit for bit.
+
+    The mult[i] equal terms t = p log2 p sum exactly to mult[i] * t. Veltkamp's
+    split cuts t into two halves of at most 26 significant bits, and the
+    multiplicity (below 2**53) into a multiple of 2**27 with at most 26 and a
+    remainder below 2**27, so each of the four partial products fits in 53 bits
+    and is exact. fsum of those products is then the correctly rounded exact
+    sum, the same number fsum of the per-cell terms gives.
+    """
+    p = values / n
+    t = p * np.log2(p)
+    scaled = t * (2.0 ** 27 + 1)  # Veltkamp's splitter for float64
+    hi = scaled - (scaled - t)
+    lo = t - hi
+    m_lo = mult & (2 ** 27 - 1)
+    m_hi = (mult - m_lo).astype(float)
+    m_lo = m_lo.astype(float)
+    parts = np.concatenate((hi * m_hi, hi * m_lo, lo * m_hi, lo * m_lo))
+    return -math.fsum(parts.tolist())
+
+
+def _shannon_bits_of_counts(counts: np.ndarray, n: int) -> float:
+    """Shannon entropy in bits of cells with these integer counts (zeros are
+    skipped), p = count / n; equals _shannon_bits(counts / n) bit for bit.
+
+    Counts summing to n take at most sqrt(2n) distinct values, so many cells
+    are summed once per value, through a table with one slot per value up to
+    the largest count; where that count is not below the number of cells,
+    summing the cells one term each is no dearer.
+    """
+    if counts.size and int(counts.max()) < counts.size:
+        mult = np.bincount(counts)
+        values = np.flatnonzero(mult[1:]) + 1
+        return _shannon_bits_grouped(values, mult[values], n)
+    # joint counts hold no zeros, and are not copied to drop them
+    return _shannon_bits((counts if counts.all() else counts[counts > 0]) / n)
 
 
 def _power_sum_log2(p: np.ndarray, alpha: float) -> float:

@@ -169,11 +169,17 @@ def _parse_fast(body: str, delimiter: str,
         return None
     text = "\n" + body if body.endswith("\n") else "\n" + body + "\n"
     blank = d.join(["nan"] * (max(usecols) + 1))
-    # each pass leaves runs of at most two, so two passes fill every run
-    for _ in range(2):
-        text = text.replace(d + d, d + "nan" + d)
-        text = text.replace("\n\n", "\n" + blank + "\n")
-    text = text.replace("\n" + d, "\nnan" + d).replace(d + "\n", d + "nan\n")
+    # a pattern that is absent costs one scan and no copy; a first pass over
+    # a run of delimiters or blank lines leaves a pair only where the run was
+    # three or longer, and a second pass fills those; no fill makes another's
+    # pattern, so their order does not matter
+    fills = ((d + d, d + "nan" + d, 2), ("\n\n", "\n" + blank + "\n", 2),
+             ("\n" + d, "\nnan" + d, 1), (d + "\n", d + "nan\n", 1))
+    for old, new, passes in fills:
+        for _ in range(passes):
+            if old not in text:
+                break
+            text = text.replace(old, new)
     try:
         return np.loadtxt(io.StringIO(text[1:]), delimiter=d, usecols=usecols,
                           comments=None, ndmin=2, dtype=float)

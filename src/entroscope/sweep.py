@@ -57,17 +57,21 @@ class SensitivityCurve:
     markers: tuple[float, float]  # mean FD and Scott bin counts over the subset
 
 
-def enumerate_subsets(channels, min_size: int = 2, max_size: int | None = None):
-    """Stream channel-name tuples, size ascending then lexicographic."""
-    names = list(channels)
-    n = len(names)
+def _size_range(n: int, min_size: int, max_size: int | None) -> range:
+    """The subset sizes min_size..max_size (default n) of n channels."""
     if max_size is None:
         max_size = n
     if not (2 <= min_size <= max_size <= n):
         raise DataError(
             f"need 2 <= min_size <= max_size <= {n}, got {min_size}..{max_size}"
         )
-    for size in range(min_size, max_size + 1):
+    return range(min_size, max_size + 1)
+
+
+def enumerate_subsets(channels, min_size: int = 2, max_size: int | None = None):
+    """Stream channel-name tuples, size ascending then lexicographic."""
+    names = list(channels)
+    for size in _size_range(len(names), min_size, max_size):
         yield from itertools.combinations(names, size)
 
 
@@ -101,6 +105,7 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
     """
     if workers < 1:
         raise DataError("workers must be positive")
+    _size_range(len(table.channels), min_size, max_size)  # before any binning
     binned: list[BinnedChannel] = []
     unbinned: dict[str, str] = {}
     for name in table.channels:

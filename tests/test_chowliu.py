@@ -639,6 +639,24 @@ def test_subset_pairs_match_direct_counting(seed, rows, bin_range, holes):
     assert extra_subsets > 0 or not any(holes)
 
 
+def test_subset_pairs_merge_sorted_counts_densely():
+    # 20 x 20 cells: more than the 250 clean rows, so the shared counts are
+    # sorted, but no more than the 250 + 300 rows of the subset {a, b}, so
+    # the merge with its extra rows counts through the dense table
+    rng = np.random.default_rng(67)
+    rows = 550
+    a = rng.integers(0, 20, size=rows)
+    b = np.where(rng.random(rows) < 0.6, (a * 3) % 20, rng.integers(0, 20, size=rows))
+    c = rng.integers(0, 4, size=rows)
+    c[250:] = -1
+    chans = [prebinned("a", a, 20), prebinned("b", b, 20), prebinned("c", c, 4)]
+    shared = PairStats(chans)
+    view = SubsetPairs(shared, chans[:2])
+    assert shared.n < 20 * 20 <= view.n == rows
+    for x, y in (("a", "b"), ("b", "a")):
+        _assert_pair_counted_directly(view, chans[:2], x, y)
+
+
 def test_subset_pairs_with_one_extra_row():
     rng = np.random.default_rng(66)
     a, b, c = (rng.integers(0, 3, size=50) for _ in range(3))

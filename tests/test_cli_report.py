@@ -150,6 +150,29 @@ def test_exit_codes_for_usage_errors(capsys):
     assert "usage" in err
 
 
+def test_usage_names_the_failing_subcommand(capsys):
+    assert run(["sweep", "--synthetic", "--workers", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "usage: entroscope sweep " in err and "--workers WORKERS" in err
+    assert run(["guesswork"]) == 1  # raised after parsing, by the command
+    assert "usage: entroscope guesswork " in capsys.readouterr().err
+    assert run(["no-such-command"]) == 1
+    assert "usage: entroscope [-h] COMMAND" in capsys.readouterr().err
+
+
+def test_size_range_is_a_usage_error(tmp_path, capsys):
+    # refused before the manifest is read (a missing manifest would exit 2)
+    absent = ["--manifest", str(tmp_path / "absent.yaml")]
+    for cmd in ("sweep", "topk", "means"):
+        assert run([cmd, *absent, "--min-size", "1"]) == 1
+        assert run([cmd, *absent, "--max-size", "1"]) == 1
+        assert run([cmd, *absent, "--min-size", "4", "--max-size", "3"]) == 1
+        assert f"usage: entroscope {cmd} " in capsys.readouterr().err
+    # the upper bound depends on the channels, so it stays a data error
+    assert run(["sweep", "--synthetic", "--rows", "300", "--max-size", "9"]) == 2
+    capsys.readouterr()
+
+
 def test_exit_code_for_data_errors(tmp_path, capsys):
     assert run(["single", "--manifest", str(tmp_path / "absent.yaml")]) == 2
     bad = tmp_path / "bad.yaml"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from entroscope.entropy import (
     EntropyProfile,
+    _shannon_bits_grouped,
+    _shannon_bits_of_counts,
     joint_direct,
     profile,
     profile_joint,
@@ -192,3 +195,59 @@ def test_profile_joint_hand_case():
     prof = profile_joint(np.array([2, 1, 1]))
     assert prof.h1 == pytest.approx(1.5, abs=1e-12)
     assert prof.hmin == pytest.approx(1.0, abs=1e-12)
+
+
+def _per_cell_bits(counts, n):
+    """The per-cell Shannon sum the counts-based helpers must reproduce."""
+    p = counts[counts > 0] / n
+    return -math.fsum((p * np.log2(p)).tolist())
+
+
+@pytest.mark.parametrize("case", [
+    "distinct", "equal", "equal_few", "single", "small", "zeros", "wide", "n_above_sum"])
+def test_shannon_of_counts_matches_per_cell_sum(case):
+    rng = np.random.default_rng(list(map(ord, case)))
+    for _ in range(200):
+        cells = int(rng.integers(1, 3000))
+        counts = {
+            "distinct": rng.permutation(cells) + 1,
+            "equal": np.full(cells, int(rng.integers(1, 10 ** 6))),
+            "equal_few": np.full(cells, int(rng.integers(1, cells + 1))),
+            "single": np.array([int(rng.integers(1, 10 ** 9))]),
+            "small": rng.integers(1, 6, size=cells),
+            "zeros": rng.integers(0, 40, size=cells),
+            "wide": rng.integers(1, 10 ** 7, size=cells),
+            "n_above_sum": rng.geometric(0.05, size=cells),
+        }[case]
+        n = int(counts.sum())
+        if case == "n_above_sum" or n == 0:
+            n += int(rng.integers(1, 1000))
+        want = _per_cell_bits(counts, n).hex()
+        # the multiplicity form directly, and the counts form by either route
+        values, mult = np.unique(counts[counts > 0], return_counts=True)
+        assert _shannon_bits_grouped(values, mult, n).hex() == want
+        assert _shannon_bits_of_counts(counts, n).hex() == want
+
+
+def test_shannon_grouped_exact_past_split_multiplicities():
+    # mult[i] cells of count values[i], without making the cells: the oracle
+    # is the exact rational sum of the per-cell terms, rounded once
+    rng = np.random.default_rng(29)
+    for trial in range(300):
+        k = int(rng.integers(1, 40))
+        values = np.sort(rng.choice(10 ** 6, size=k, replace=False)) + 1
+        top = [2 ** 27 - 1, 2 ** 27 + 1, 2 ** 40, 2 ** 53 - 1][trial % 4]
+        mult = rng.integers(1, top, size=k, endpoint=True)
+        n = int(values @ mult.astype(object)) + int(rng.integers(0, 5))
+        p = values / n
+        terms = p * np.log2(p)
+        exact = sum(Fraction(int(m)) * Fraction(float(t))
+                    for m, t in zip(mult, terms))
+        got = _shannon_bits_grouped(values, mult, n)
+        assert got.hex() == (-float(exact)).hex()
+    # small multiplicities against the per-cell sum itself
+    values = np.array([1, 2, 3, 977])
+    mult = np.array([5, 1, 1000, 3])
+    n = int(values @ mult)
+    got = _shannon_bits_grouped(values, mult, n)
+    assert got.hex() == _per_cell_bits(np.repeat(values, mult), n).hex()

@@ -46,6 +46,17 @@ def test_enumerate_bounds_validation():
         list(enumerate_subsets("abc", 3, 2))
 
 
+def test_run_sweep_checks_sizes_before_binning(monkeypatch):
+    def no_binning(*args, **kwargs):
+        raise AssertionError("binned a channel")
+
+    monkeypatch.setattr(sweep, "bin_channel", no_binning)
+    table = small_table(rows=50)
+    for low, high in ((1, 3), (3, 2), (2, 5)):
+        with pytest.raises(DataError, match="min_size"):
+            run_sweep(table, 8, min_size=low, max_size=high)
+
+
 def small_table(rows=4000, channels=4, seed=0):
     rng = np.random.default_rng(seed)
     data = rng.normal(size=(rows, channels))
