@@ -1,16 +1,16 @@
 """Chow-Liu tree models over binned channels.
 
 The tree is the maximum-weight spanning tree under pairwise mutual
-information, with plug-in tables. All four entropy orders come out of
-message passes over the tree, never from expanding the joint state space:
-sum-product in log2 domain for the power sums, max-product for the modal
-probability, sum-product over the support indicator for the support count
-(float64, int64 or Python integers, whichever keeps the count exact). The
-three upward passes share one walk (_upward), each with its own semiring;
-the Shannon chain rule walks the other way. Pairwise counts, the only
-statistics a tree needs, come from one primitive (PairCounts); a subset's
-own rows merge into the shared counts through a dense table whenever the pair
-has no more cells than rows, and entropies come from the integer counts.
+information, grown by Prim from the first channel, with plug-in tables. All
+four entropy orders come out of message passes over the tree, never from
+expanding the joint state space: sum-product in log2 domain for the power
+sums, max-product for the modal probability, sum-product over the support
+indicator for the support count (float64, int64 or Python integers,
+whichever keeps the count exact). The three upward passes share one walk
+(_upward), each with its own semiring; the Shannon chain rule walks the
+other way. Pairwise counts, the only statistics a tree needs, come from one
+counting routine (PairCounts) that merges rows into an empty table or into
+shared counts, and MI from one formula (_mutual_information).
 """
 
 from __future__ import annotations
@@ -122,89 +122,46 @@ def _edge_key(a: str, b: str) -> tuple[str, str]:
 class PairCounts:
     """Occupied cells of the joint count table of two code columns a and b.
 
-    The one count primitive of the package: the pair's mutual information,
-    its conditional table in either direction and either marginal all derive
-    from these integer counts. Side 0 is a, side 1 is b. Counting goes
-    through a dense table when it has no more cells than there are rows, and
-    through a sort of the rows otherwise, so memory stays bounded by the rows
-    even at 2048 x 2048 bins. The counts may cover no row at all; then only
-    mi and the marginals, which need a row, raise.
+    The one count primitive of the package: the pair's conditional tables,
+    and with the channel entropies its MI, derive from these integer counts.
+    Side 0 is a, side 1 is b. The rows ca, cb merge into base (the same pair
+    on other rows) or into an empty table, exactly as if all were counted at
+    once: through a dense table when it has no more cells than there are
+    rows, through a sort of the new rows otherwise, so memory stays bounded
+    by the rows even at 2048 x 2048 bins. The counts may cover no row at all.
     """
 
-    def __init__(self, ca: np.ndarray, cb: np.ndarray, bins: tuple[int, int]):
+    def __init__(self, ca: np.ndarray, cb: np.ndarray, bins: tuple[int, int],
+                 base: PairCounts | None = None):
         keys = ca * bins[1] + cb
-        # sorted occupied keys (so grouped by a, then b) and their counts
-        if bins[0] * bins[1] <= keys.size:
-            joint = np.bincount(keys)
-            occupied = np.flatnonzero(joint)
-            self._init(bins, int(ca.size), occupied, joint[occupied])
-        else:
-            # a dense table would outgrow the rows; sort the rows instead
-            self._init(bins, int(ca.size), *np.unique(keys, return_counts=True))
-
-    def _init(self, bins, n, keys, counts):
+        old_keys = keys[:0] if base is None else base.keys
+        old_counts = np.zeros(0, dtype=np.intp) if base is None else base.counts
         self.bins = bins
-        self.n = n
-        self.keys = keys
-        self.counts = counts
-        self._mi: float | None = None
-        self._tables: dict[int, ConditionalTable] = {}
-
-    def plus(self, ca: np.ndarray, cb: np.ndarray,
-             entropies: tuple[float, float]) -> PairCounts:
-        """These counts and those of the rows ca, cb in one, exactly as if all
-        the rows had been counted together. entropies are the Shannon
-        entropies in bits of a and b on all those rows, which is all mi needs
-        beyond the joint counts."""
-        keys = ca * self.bins[1] + cb
-        n = self.n + keys.size
-        cells = self.bins[0] * self.bins[1]
-        if cells <= n:
-            # scatter both into one dense table, as __init__ counts
-            joint = np.bincount(keys, minlength=cells)
-            joint[self.keys] += self.counts
-            merged = np.flatnonzero(joint)
-            counts = joint[merged]
+        self.n = keys.size + (0 if base is None else base.n)
+        # sorted occupied keys (so grouped by a, then b) and their counts
+        if bins[0] * bins[1] <= self.n:
+            joint = np.bincount(keys, minlength=bins[0] * bins[1])
+            joint[old_keys] += old_counts
+            self.keys = np.flatnonzero(joint)
+            self.counts = joint[self.keys]
         else:
+            # a dense table would outgrow the rows; sort the new rows instead
+            # and insert the keys not counted yet
             more_keys, more_counts = np.unique(keys, return_counts=True)
-            at = np.searchsorted(self.keys, more_keys)
-            known = at < self.keys.size
-            known[known] = self.keys[at[known]] == more_keys[known]
-            counts = self.counts.copy()
+            at = np.searchsorted(old_keys, more_keys)
+            known = at < old_keys.size
+            known[known] = old_keys[at[known]] == more_keys[known]
+            counts = old_counts.copy()
             counts[at[known]] += more_counts[known]
             fresh = ~known
-            merged = np.insert(self.keys, at[fresh], more_keys[fresh])
-            counts = np.insert(counts, at[fresh], more_counts[fresh])
-        out = PairCounts.__new__(PairCounts)
-        out._init(self.bins, n, merged, counts)
-        out._mi = out._mi_of(*entropies)
-        return out
-
-    def _mi_of(self, h_a: float, h_b: float) -> float:
-        # plug-in I(a;b) = H(a) + H(b) - H(a,b) in bits, clamped at 0
-        return max(0.0, h_a + h_b - _shannon_bits_of_counts(self.counts, self.n))
-
-    @property
-    def mi(self) -> float:
-        """Plug-in mutual information in bits, computed on first use."""
-        if self._mi is None:
-            self._mi = self._mi_of(*(
-                _shannon_bits_of_counts(self._marginal_counts(side), self.n)
-                for side in (0, 1)))
-        return self._mi
+            self.keys = np.insert(old_keys, at[fresh], more_keys[fresh])
+            self.counts = np.insert(counts, at[fresh], more_counts[fresh])
+        # plug-in MI in bits, kept here once a caller has worked it out
+        self.mi: float | None = None
+        self._tables: dict[int, ConditionalTable] = {}
 
     def _codes(self, side: int) -> np.ndarray:
         return self.keys // self.bins[1] if side == 0 else self.keys % self.bins[1]
-
-    def _marginal_counts(self, side: int) -> np.ndarray:
-        """Per-bin row counts of one side, zeros included."""
-        dense = np.bincount(self._codes(side), weights=self.counts)
-        return dense.astype(np.int64)
-
-    def marginal(self, side: int) -> Pmf:
-        dense = self._marginal_counts(side)
-        bins = np.flatnonzero(dense)
-        return Pmf(bins, dense[bins] / self.n)
 
     def conditional(self, parent_side: int) -> ConditionalTable:
         """p(other side | parent side), built once per direction."""
@@ -227,6 +184,12 @@ class PairCounts:
         table = ConditionalTable(pb[starts], indptr, cb, probs)
         self._tables[parent_side] = table
         return table
+
+
+def _mutual_information(h_a: float, h_b: float, joint: PairCounts) -> float:
+    """Plug-in I(a;b) = H(a) + H(b) - H(a,b) in bits, clamped at 0, from the
+    Shannon entropies of a and b and their joint counts on the same rows."""
+    return max(0.0, h_a + h_b - _shannon_bits_of_counts(joint.counts, joint.n))
 
 
 class PairStats:
@@ -283,12 +246,15 @@ class PairStats:
         so the pairs' MI is worked out now as well.
         """
         names = list(self.channels)
+        for name in names:
+            self._clean_counts(name)
+        whole = (SubsetPairs(self, list(self.channels.values()))
+                 if self.n and not self._extra_rows else None)
         for i, a in enumerate(names):
-            self._clean_counts(a)
             for b in names[i + 1:]:
-                counts, _ = self._pair(a, b)
-                if self.n and not self._extra_rows:
-                    counts.mi  # computed once here, cached for every subset
+                self._pair(a, b)
+                if whole is not None:
+                    whole.mi(a, b)  # kept on the shared counts for every subset
 
 
 class SubsetPairs:
@@ -321,9 +287,8 @@ class SubsetPairs:
         first, second = (a, b) if side == 0 else (b, a)
         counts = self._pairs.get((first, second))
         if counts is None:
-            counts = shared.plus(
-                self._extra[first], self._extra[second],
-                (self._entropy(first), self._entropy(second)))
+            counts = PairCounts(self._extra[first], self._extra[second],
+                                shared.bins, shared)
             self._pairs[(first, second)] = counts
         return counts, side
 
@@ -348,7 +313,13 @@ class SubsetPairs:
         return h
 
     def mi(self, a: str, b: str) -> float:
-        return self.pair(a, b)[0].mi
+        """Plug-in MI of a and b on the subset's rows, in bits; worked out
+        once per count table, so subsets sharing a table share it."""
+        counts, _ = self.pair(a, b)
+        if counts.mi is None:
+            counts.mi = _mutual_information(self._entropy(a), self._entropy(b),
+                                            counts)
+        return counts.mi
 
     def conditional(self, parent: str, child: str) -> ConditionalTable:
         counts, side = self.pair(parent, child)
@@ -379,49 +350,30 @@ def build_tree(channels: list[BinnedChannel],
             a, b = names[i], names[j]
             weights[_edge_key(a, b)] = stats.mi(a, b)
 
-    # Kruskal over edges sorted by falling MI, ties by name pair
-    index = {name: i for i, name in enumerate(names)}
-    uf = list(range(len(names)))
-
-    def find(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    adopted: list[tuple[str, str]] = []
-    for (a, b), _w in sorted(weights.items(), key=lambda kv: (-kv[1], kv[0])):
-        ra, rb = find(index[a]), find(index[b])
-        if ra != rb:
-            uf[ra] = rb
-            adopted.append((a, b))
-            if len(adopted) == len(names) - 1:
-                break
-
-    neighbors: dict[str, list[str]] = {name: [] for name in names}
-    for a, b in adopted:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    for name in names:
-        neighbors[name].sort(key=index.__getitem__)
+    # Prim from the root: each step adopts the cheapest edge from the tree to
+    # a node outside it under the strict key (-MI, name pair). A strict total
+    # order has one minimum spanning tree, so these are the edges Kruskal
+    # takes, and the edge that adopts a node names its parent.
+    def key(a: str, b: str) -> tuple[float, tuple[str, str]]:
+        edge = _edge_key(a, b)
+        return -weights[edge], edge
 
     root = names[0]
     parent: dict[str, str] = {}
-    frontier = [root]
-    seen = {root}
-    while frontier:
-        node = frontier.pop(0)
-        for nb in neighbors[node]:
-            if nb not in seen:
-                parent[nb] = node
-                seen.add(nb)
-                frontier.append(nb)
+    tree_weights: dict[tuple[str, str], float] = {}
+    best = {name: key(root, name) for name in names[1:]}
+    while best:
+        node = min(best, key=best.__getitem__)
+        _, edge = best.pop(node)
+        parent[node] = edge[0] if edge[1] == node else edge[1]
+        tree_weights[edge] = weights[edge]
+        for other in best:
+            best[other] = min(best[other], key(node, other))
 
     conditionals = {
         child: stats.conditional(par, child)
         for child, par in parent.items()
     }
-    tree_weights = {_edge_key(a, b): weights[_edge_key(a, b)] for a, b in adopted}
     return ChowLiuModel(
         nodes=tuple(names),
         root=root,

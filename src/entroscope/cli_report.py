@@ -232,16 +232,10 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _load_input(args) -> SampleTable:
-    manifest_path = getattr(args, "manifest", None)
-    if manifest_path:
-        manifest = load_manifest(manifest_path)
-        root = getattr(args, "data_root", None)
-        if not root:
-            root = os.path.dirname(os.path.abspath(manifest_path))
-        return load_table(manifest, root)
-    if getattr(args, "synthetic", False):
+    if args.synthetic:
         return synth.sensor_table(seed=args.seed, rows=args.rows)
-    raise UsageError("provide --manifest PATH or --synthetic")
+    root = args.data_root or os.path.dirname(os.path.abspath(args.manifest))
+    return load_table(load_manifest(args.manifest), root)
 
 
 def _channel_table(table: SampleTable, rule: str) -> Report:
@@ -418,11 +412,9 @@ def _cmd_guesswork(args) -> Report:
         idx = source.payload["columns"].index("hmin")
         hmins = [float(row[idx]) for row in source.payload["rows"]]
         dataset = source.metadata.get("dataset", args.from_report)
-    elif args.hmin:
+    else:
         hmins = _parse_floats(args.hmin)
         dataset = "manual"
-    else:
-        raise UsageError("provide --hmin values or --from-report PATH")
     rates = _parse_floats(args.rates)
     gt = guesswork_table(hmins, rates)
     rate_cols = [f"q{r:g}" for r in gt.rates]
@@ -475,16 +467,18 @@ def build_parser() -> _Parser:
                      help="write the report here instead of stdout")
 
     data = _Parser(add_help=False)
-    data.add_argument("--manifest", metavar="PATH",
-                      help="dataset manifest file")
+    source = data.add_mutually_exclusive_group(required=True)
+    source.add_argument("--manifest", metavar="PATH",
+                        help="dataset manifest file")
+    source.add_argument("--synthetic", action="store_true",
+                        help="use the built-in synthetic sensor table")
     data.add_argument("--data-root", metavar="DIR",
                       help="base directory for manifest paths "
                            "(default: manifest directory)")
-    data.add_argument("--synthetic", action="store_true",
-                      help="use the built-in synthetic sensor table")
     data.add_argument("--seed", type=int, default=7,
                       help="seed for synthetic data (default 7)")
-    data.add_argument("--rows", type=int, default=100_000,
+    data.add_argument("--rows", type=_int_at_least(2, "at least 2 rows"),
+                      default=100_000,
                       help="rows of synthetic data (default 100000)")
     data.add_argument("--bins", type=_parse_rule, default="fd",
                       help="binning rule: fd, scott, or a fixed count")
@@ -523,12 +517,13 @@ def build_parser() -> _Parser:
                    help="mean joint profile per subset size")
     p = sub.add_parser("guesswork", parents=[out],
                        help="attacker cost table from min-entropy values")
-    p.add_argument("--hmin", metavar="H1,H2,...",
-                   help="min-entropy values in bits")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--hmin", metavar="H1,H2,...",
+                        help="min-entropy values in bits")
+    source.add_argument("--from-report", metavar="PATH",
+                        help="take hmin values from a structured subset_ranking report")
     p.add_argument("--rates", default="1,10,1e3,1e6", metavar="R1,R2,...",
                    help="guess rates per second (default 1,10,1e3,1e6)")
-    p.add_argument("--from-report", metavar="PATH",
-                   help="take hmin values from a structured subset_ranking report")
     return parser
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chowliu import PairCounts
+from .chowliu import PairCounts, _mutual_information
 from .entropy import _shannon_bits_of_counts
 from .errors import DataError
 from .quantize import BinnedChannel
@@ -59,7 +59,9 @@ def mutual_information(a: BinnedChannel, b: BinnedChannel) -> float:
     cb = b.codes[keep]
     if ca.size == 0:
         raise DataError("empty overlap")
-    return PairCounts(ca, cb, (a.spec.bin_count, b.spec.bin_count)).mi
+    joint = PairCounts(ca, cb, (a.spec.bin_count, b.spec.bin_count))
+    h_a, h_b = (_shannon_bits_of_counts(np.bincount(c), c.size) for c in (ca, cb))
+    return _mutual_information(h_a, h_b, joint)
 
 
 def _canonical_kind(kind: str) -> str:

@@ -39,9 +39,6 @@ class EntropyProfile:
             if lo > hi + _ORDER_TOL:
                 raise DataError(f"entropy ordering violated: {seq}")
 
-    def as_dict(self) -> dict[str, float]:
-        return {"h0": self.h0, "h1": self.h1, "h2": self.h2, "hmin": self.hmin}
-
 
 def _shannon_bits(p: np.ndarray) -> float:
     # fsum rounds the exact sum once, so the order of the terms is irrelevant

@@ -106,7 +106,7 @@ class SampleTable:
     """Pooled, channel-aligned samples. NaN marks a missing slot."""
 
     channels: tuple[str, ...]
-    rows: np.ndarray  # (row_count, len(channels)) float64
+    rows: np.ndarray  # (rows, len(channels)) float64
     source: str
     missing_policy: str = "drop-row-for-subset"
 
@@ -116,10 +116,6 @@ class SampleTable:
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[1] != len(self.channels):
             raise DataError("rows must be a matrix with one column per channel")
-
-    @property
-    def row_count(self) -> int:
-        return int(self.rows.shape[0])
 
     def column(self, name: str) -> np.ndarray:
         """Full aligned column for one channel, missing slots as NaN."""

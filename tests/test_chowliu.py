@@ -118,6 +118,56 @@ def test_build_tree_independent_deterministic():
     assert m1.root == "x0"
 
 
+def _kruskal_parent(names, weights):
+    """Reference parent map: Kruskal over edges sorted by falling MI, ties by
+    name pair, with a union-find, then a breadth-first walk from names[0] to
+    orient the adopted edges."""
+    index = {name: i for i, name in enumerate(names)}
+    uf = list(range(len(names)))
+
+    def find(x):
+        while uf[x] != x:
+            x = uf[x]
+        return x
+
+    neighbors = {name: [] for name in names}
+    for (a, b), _w in sorted(weights.items(), key=lambda kv: (-kv[1], kv[0])):
+        ra, rb = find(index[a]), find(index[b])
+        if ra != rb:
+            uf[ra] = rb
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+    parent, frontier = {}, [names[0]]
+    while frontier:
+        node = frontier.pop(0)
+        for nb in sorted(neighbors[node], key=index.__getitem__):
+            if nb != names[0] and nb not in parent:
+                parent[nb] = node
+                frontier.append(nb)
+    return parent
+
+
+def test_build_tree_matches_kruskal_on_tied_weights():
+    # few rows and few bins make many pairs share one MI, often 0, so most
+    # edges are chosen by the name-pair tie-break
+    rng = np.random.default_rng(71)
+    for _ in range(600):
+        k, rows = int(rng.integers(2, 8)), int(rng.integers(2, 12))
+        bins = [int(rng.integers(2, 4)) for _ in range(k)]
+        chans = chans_from(np.stack([rng.integers(0, b, size=rows) for b in bins],
+                                    axis=1), bins)
+        chans = [chans[i] for i in rng.permutation(k)]
+        names = [ch.name for ch in chans]
+        view = SubsetPairs(PairStats(chans), chans)
+        weights = {tuple(sorted(e)): view.mi(*e)
+                   for e in itertools.combinations(names, 2)}
+        model = build_tree(chans)
+        parent = _kruskal_parent(names, weights)
+        assert model.parent == parent
+        assert model.edge_weights == {
+            tuple(sorted(e)): weights[tuple(sorted(e))] for e in parent.items()}
+
+
 def test_build_tree_errors():
     ch = prebinned("a", np.array([0, 1]), 2)
     with pytest.raises(DataError):
@@ -533,6 +583,17 @@ def test_support_count_exact_between_float64_and_int64_limits(widths):
     assert type(count) is int
 
 
+def _bits(codes):
+    """Plug-in Shannon entropy of codes, summed one term per occupied cell."""
+    counts = np.bincount(codes)
+    p = counts[counts > 0] / codes.size
+    return -math.fsum((p * np.log2(p)).tolist())
+
+
+def _mi_bits(ca, cb, b_bins):
+    return max(0.0, _bits(ca) + _bits(cb) - _bits(ca * b_bins + cb))
+
+
 @pytest.mark.parametrize("a_bins, b_bins", [(6, 7), (60, 70)])
 def test_pair_counts_match_direct_counting(a_bins, b_bins):
     # 6 x 7 cells fit under 3000 rows (dense count); 60 x 70 do not (sort)
@@ -541,6 +602,10 @@ def test_pair_counts_match_direct_counting(a_bins, b_bins):
     cb = (ca * 2 + rng.integers(0, 3, size=3000)) % b_bins
     ca[ca == 4] = 5  # an empty bin inside the range
     pair = PairCounts(ca, cb, (a_bins, b_bins))
+    keys, counts = np.unique(ca * b_bins + cb, return_counts=True)
+    assert pair.n == ca.size
+    assert np.array_equal(pair.keys, keys)
+    assert np.array_equal(pair.counts, counts)
     for parent_side, (cp, cc, child_bins) in enumerate(
             [(ca, cb, b_bins), (cb, ca, a_bins)]):
         uniq, counts = np.unique(cp * child_bins + cc, return_counts=True)
@@ -551,18 +616,10 @@ def test_pair_counts_match_direct_counting(a_bins, b_bins):
         assert np.array_equal(table.parent_bins, np.unique(rows))
         totals = np.array([counts[rows == r].sum() for r in rows])
         assert np.array_equal(table.probs, counts / totals)
-    for side, codes in enumerate([ca, cb]):
-        want = pmf_of(codes)
-        got = pair.marginal(side)
-        assert np.array_equal(got.bins, want.bins)
-        assert np.array_equal(got.p, want.p)
-
-    def bits(codes):
-        counts = np.bincount(codes)
-        p = counts[counts > 0] / codes.size
-        return -math.fsum((p * np.log2(p)).tolist())
-
-    assert pair.mi == max(0.0, bits(ca) + bits(cb) - bits(ca * b_bins + cb))
+    a, b = prebinned("a", ca, a_bins), prebinned("b", cb, b_bins)
+    want = _mi_bits(ca, cb, b_bins).hex()
+    assert mutual_information(a, b).hex() == want
+    assert SubsetPairs(PairStats([a, b]), [a, b]).mi("a", "b").hex() == want
 
 
 def _same_bits(got, want):
@@ -583,16 +640,16 @@ def _assert_pair_counted_directly(view, chans, a, b):
     assert got.bins == want.bins
     _same_bits(got.keys, want.keys)
     _same_bits(got.counts, want.counts)
-    assert view.mi(a, b).hex() == got.mi.hex() == want.mi.hex()
+    ca, cb = by_name[a].codes[mask], by_name[b].codes[mask]
+    mi = _mi_bits(ca, cb, by_name[b].spec.bin_count).hex()
+    assert view.mi(a, b).hex() == got.mi.hex() == mi  # kept on the counts
     tables = [(got.conditional(s), want.conditional(s)) for s in (0, 1)]
     tables.append((view.conditional(a, b), want.conditional(side)))
     for g, w in tables:
         for field in ("parent_bins", "indptr", "child_bins", "probs"):
             _same_bits(getattr(g, field), getattr(w, field))
-    marginals = [(got.marginal(s), want.marginal(s)) for s in (0, 1)]
-    marginals += [(view.marginal(name), pmf_of(by_name[name].codes[mask]))
-                  for name in (a, b)]
-    for g, w in marginals:
+    for g, w in [(view.marginal(name), pmf_of(by_name[name].codes[mask]))
+                 for name in (a, b)]:
         _same_bits(g.bins, w.bins)
         _same_bits(g.p, w.p)
 

@@ -154,10 +154,40 @@ def test_usage_names_the_failing_subcommand(capsys):
     assert run(["sweep", "--synthetic", "--workers", "0"]) == 1
     err = capsys.readouterr().err
     assert "usage: entroscope sweep " in err and "--workers WORKERS" in err
-    assert run(["guesswork"]) == 1  # raised after parsing, by the command
-    assert "usage: entroscope guesswork " in capsys.readouterr().err
+    # raised after parsing, by the command
+    assert run(["validate", "--synthetic", "--rows", "200", "--subset", ","]) == 1
+    assert "usage: entroscope validate " in capsys.readouterr().err
     assert run(["no-such-command"]) == 1
     assert "usage: entroscope [-h] COMMAND" in capsys.readouterr().err
+
+
+def test_input_source_is_given_exactly_once(tmp_path, capsys):
+    # refused at parse time, before a manifest or report is read (a missing
+    # one would exit 2)
+    absent = str(tmp_path / "absent")
+    for cmd, both, group in [
+        ("single", ["--synthetic", "--manifest", absent],
+         "(--manifest PATH | --synthetic)"),
+        ("sweep", ["--manifest", absent, "--synthetic"],
+         "(--manifest PATH | --synthetic)"),
+        ("guesswork", ["--hmin", "17", "--from-report", absent],
+         "(--hmin H1,H2,... | --from-report PATH)"),
+    ]:
+        assert run([cmd, *both]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert run([cmd]) == 1
+        err = capsys.readouterr().err
+        assert "is required" in err
+        assert f"usage: entroscope {cmd} " in err and group in err
+
+
+def test_rows_is_a_usage_error(capsys):
+    for rows in ("0", "-5", "1"):
+        assert run(["single", "--synthetic", "--rows", rows]) == 1
+        err = capsys.readouterr().err
+        assert f"got {rows!r}" in err and "usage: entroscope single " in err
+    assert run(["single", "--synthetic", "--rows", "2"]) == 0
+    capsys.readouterr()
 
 
 def test_size_range_is_a_usage_error(tmp_path, capsys):

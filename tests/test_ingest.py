@@ -61,7 +61,7 @@ def test_load_table_lenient(simple_dataset):
     m = load_manifest(simple_dataset / "m.yaml")
     table = load_table(m, simple_dataset, strict=False)
     assert table.channels == ("Acc.X", "Acc.Y", "Acc.Z", "Acc.Mag")
-    assert table.row_count == 3
+    assert table.rows.shape[0] == 3
     assert table.column("Acc.Mag")[0] == pytest.approx(5.0)  # 3-4-0 triangle
     # missing component or unparseable cell poisons the magnitude
     assert math.isnan(table.column("Acc.Y")[1])

@@ -143,7 +143,7 @@ def test_sensor_table_shape_and_determinism():
     t1 = synth.sensor_table(seed=7, rows=5000)
     t2 = synth.sensor_table(seed=7, rows=5000)
     assert t1.channels == synth.SENSOR_CHANNELS
-    assert t1.row_count == 5000
+    assert t1.rows.shape[0] == 5000
     assert np.array_equal(t1.rows, t2.rows)
     assert not np.array_equal(
         t1.rows, synth.sensor_table(seed=8, rows=5000).rows
