@@ -11,12 +11,22 @@ whichever keeps the count exact). The three upward passes share one walk
 other way. Pairwise counts, the only statistics a tree needs, come from one
 counting routine (PairCounts) that merges rows into an empty table or into
 shared counts, and MI from one formula (_mutual_information).
+
+Each message a pass sends, and each chain-rule term, is a pure function of
+one conditional table and of what reaches it from the rest of the tree, so
+it is cached on that table, keyed by the identity of those inputs. In a
+sweep the tables of subsets without extra rows are the shared ones cached
+on PairStats, so a message is computed once for all the trees that send it.
+The caches live and die with their tables, and each keeps at most
+_CACHE_CAP entries, dropping the oldest first, so memory stays bounded
+however many subsets a sweep visits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +45,10 @@ from .quantize import BinnedChannel, Pmf
 _FLOAT64_EXACT = 2 ** 53
 # support counts whose float64 estimate stays within this run in int64
 _INT64_SAFE = 2 ** 60
+# most entries a conditional table's cache holds, over all passes; past it
+# the oldest goes. Tables of the bench sweeps take at most 158 (wide12) and
+# 76 (synth8) entries, so they lose no reuse to it
+_CACHE_CAP = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,13 +56,16 @@ class ConditionalTable:
     """p(child | parent) in a CSR-like layout.
 
     Rows exist only for parent bins seen with nonzero count; probabilities
-    within a row are strictly positive and sum to 1.
+    within a row are strictly positive and sum to 1. The cache holds what the
+    tree passes computed from the table (see _upward and tree_shannon), at
+    most _CACHE_CAP entries.
     """
 
     parent_bins: np.ndarray  # (P,) strictly increasing parent codes
     indptr: np.ndarray  # (P + 1,) row boundaries into the flat arrays
     child_bins: np.ndarray  # (nnz,) ascending within each row
     probs: np.ndarray  # (nnz,)
+    cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.parent_bins.size + 1 != self.indptr.size:
@@ -219,6 +236,7 @@ class PairStats:
         self._extra = {ch.name: ch.codes[extra] for ch in channels}
         self._pairs: dict[tuple[str, str], PairCounts] = {}
         self._code_counts: dict[str, np.ndarray] = {}
+        self._marginals: dict[str, Pmf] = {}  # on the clean rows
 
     def _pair(self, a: str, b: str) -> tuple[PairCounts, int]:
         """The pair's clean-row counts, made on first use, and a's side."""
@@ -300,9 +318,17 @@ class SubsetPairs:
         return counts
 
     def marginal(self, name: str) -> Pmf:
-        counts = self._counts(name)
-        bins = np.flatnonzero(counts)
-        return Pmf(bins, counts[bins] / self.n)
+        """The channel's pmf on the subset's rows. Without extra rows it is
+        the one Pmf kept on the shared stats, so that the trees rooted at the
+        channel share the Shannon terms cached under its identity."""
+        pmf = self._stats._marginals.get(name) if self._extra is None else None
+        if pmf is None:
+            counts = self._counts(name)
+            bins = np.flatnonzero(counts)
+            pmf = Pmf(bins, counts[bins] / self.n)
+            if self._extra is None:
+                self._stats._marginals[name] = pmf
+        return pmf
 
     def _entropy(self, name: str) -> float:
         """Shannon entropy of one channel on the subset's rows, in bits."""
@@ -385,49 +411,100 @@ def build_tree(channels: list[BinnedChannel],
     )
 
 
+def _remember(cond: ConditionalTable, key, value):
+    """Store value in the table's cache under key, evicting the oldest entry
+    once the cache is full, and return it."""
+    if len(cond.cache) >= _CACHE_CAP:
+        del cond.cache[next(iter(cond.cache))]
+    cond.cache[key] = value
+    return value
+
+
 def tree_shannon(model: ChowLiuModel) -> float:
-    """Chain-rule Shannon entropy H(root) + sum of H(child | parent)."""
-    marginals: dict[str, np.ndarray] = {model.root: _dense_root(model)}
+    """Chain-rule Shannon entropy H(root) + sum of H(child | parent).
+
+    Each child's term and dense marginal depend only on its table and its
+    parent's marginal, so the table caches them under the identity of that
+    marginal (the root's Pmf, else a cached dense array); the entry keeps the
+    marginal alive, so the identity cannot be reused while it is cached.
+    """
+    marginals: dict[str, object] = {model.root: model.root_marginal}
     terms = [_shannon_bits(model.root_marginal.p)]
     for child in model.order[1:]:
         cond = model.conditionals[child]
-        pm = marginals[model.parent[child]][cond.parent_bins]
-        # per-row plug-in entropies, weighted by the parent marginal
-        contrib = -(cond.probs * np.log2(cond.probs))
-        row_h = np.add.reduceat(contrib, cond.indptr[:-1])
-        terms.append(math.fsum((pm * row_h).tolist()))
-        dense = np.zeros(model.bin_counts[child])
-        np.add.at(dense, cond.child_bins,
-                  cond.probs * np.repeat(pm, np.diff(cond.indptr)))
-        marginals[child] = dense
+        above = marginals[model.parent[child]]
+        key = ("shannon", id(above), model.bin_counts[child])
+        hit = cond.cache.get(key)
+        if hit is None:
+            dense_above = _dense_root(model) if above is model.root_marginal else above
+            pm = dense_above[cond.parent_bins]
+            # per-row plug-in entropies, weighted by the parent marginal
+            contrib = -(cond.probs * np.log2(cond.probs))
+            row_h = np.add.reduceat(contrib, cond.indptr[:-1])
+            dense = np.zeros(model.bin_counts[child])
+            np.add.at(dense, cond.child_bins,
+                      cond.probs * np.repeat(pm, np.diff(cond.indptr)))
+            hit = _remember(cond, key,
+                            (math.fsum((pm * row_h).tolist()), dense, above))
+        terms.append(hit[0])
+        marginals[child] = hit[1]
     return math.fsum(terms)
 
 
-def _upward(model: ChowLiuModel, weights, combine, reduce, zero):
+class _Message(NamedTuple):
+    """What one node sends its parent in an upward pass."""
+
+    values: np.ndarray  # by parent bin
+    picks: np.ndarray | None  # max-product: the node's code by parent bin
+    peak: object  # values.max(), for tree_support_count's tier check
+    # the child messages it was made from; their identities are in its cache
+    # key, and holding them here keeps those identities from being reused
+    children: tuple[np.ndarray, ...]
+
+
+def _upward(model: ChowLiuModel, tag, weights, combine, reduce, zero):
     """One upward pass over the tree in the semiring the arguments define.
 
     Children come before their parents. A node's terms start as
     weights(probs) of its table; each child's message, read at the table's
-    child bins, is folded in with combine, in child order; reduce(node, terms)
-    collapses each parent row to one value, and the message to the parent
-    holds those values at the row's parent bins and zero elsewhere. Returns
-    the root's terms (weights of the root marginal, children folded in) and
-    the messages by node; the root's own reduction is left to the caller.
+    child bins, is folded in with combine, in child order; reduce(table,
+    terms) collapses each parent row to one value and, for max-product, the
+    child bin it picked; the message to the parent holds those values at the
+    row's parent bins and zero elsewhere.
+
+    A message depends only on the semiring (tag), the table, the parent's bin
+    count and the child messages, so the table caches it under those, the
+    child messages by identity. A cached message is the same object every
+    time, so the parent's key matches too, and a tree whose tables are shared
+    with earlier trees (a sweep's subsets without extra rows) recomputes only
+    the messages it is first to need. Returns the root's terms (weights of
+    the root marginal, children folded in) and the messages by node; the
+    root's own reduction is left to the caller.
     """
-    messages: dict[str, np.ndarray] = {}
+    sent: dict[str, _Message] = {}
     for node in reversed(model.order[1:]):
         cond = model.conditionals[node]
-        terms = weights(cond.probs)
-        for child in model.children[node]:
-            terms = combine(terms, messages[child][cond.child_bins])
-        rows = reduce(node, terms)
-        msg = np.full(model.bin_counts[model.parent[node]], zero, dtype=rows.dtype)
-        msg[cond.parent_bins] = rows
-        messages[node] = msg
+        kids = tuple(sent[child].values for child in model.children[node])
+        size = model.bin_counts[model.parent[node]]
+        key = (tag, size, *map(id, kids))
+        msg = cond.cache.get(key)
+        if msg is None:
+            terms = weights(cond.probs)
+            for kid in kids:
+                terms = combine(terms, kid[cond.child_bins])
+            rows, picks = reduce(cond, terms)
+            values = np.full(size, zero, dtype=rows.dtype)
+            values[cond.parent_bins] = rows
+            if picks is not None:
+                dense_picks = np.zeros(size, dtype=np.int64)
+                dense_picks[cond.parent_bins] = picks
+                picks = dense_picks
+            msg = _remember(cond, key, _Message(values, picks, values.max(), kids))
+        sent[node] = msg
     terms = weights(model.root_marginal.p)
     for child in model.children[model.root]:
-        terms = combine(terms, messages[child][model.root_marginal.bins])
-    return terms, messages
+        terms = combine(terms, sent[child].values[model.root_marginal.bins])
+    return terms, sent
 
 
 def tree_power_sum(model: ChowLiuModel, alpha: float) -> float:
@@ -440,52 +517,46 @@ def tree_power_sum(model: ChowLiuModel, alpha: float) -> float:
     if alpha <= 0 or abs(alpha - 1.0) < 1e-6:
         raise DataError("power sums need alpha > 0 and away from 1")
 
-    def log_sum_rows(node: str, terms: np.ndarray) -> np.ndarray:
-        cond = model.conditionals[node]
+    def log_sum_rows(cond: ConditionalTable, terms: np.ndarray):
         starts = cond.indptr[:-1]
         peak = np.maximum.reduceat(terms, starts)
         spread = np.exp2(terms - np.repeat(peak, np.diff(cond.indptr)))
-        return peak + np.log2(np.add.reduceat(spread, starts))
+        return peak + np.log2(np.add.reduceat(spread, starts)), None
 
-    terms, _ = _upward(model, lambda p: alpha * np.log2(p), np.add,
-                       log_sum_rows, -np.inf)
+    terms, _ = _upward(model, ("pow", alpha), lambda p: alpha * np.log2(p),
+                       np.add, log_sum_rows, -np.inf)
     peak = float(terms.max())
     return peak + math.log2(float(np.sum(np.exp2(terms - peak))))
 
 
+def _first_max(cond: ConditionalTable, terms: np.ndarray):
+    """Each row's largest term and the child bin of its first occurrence;
+    bins ascend within a row, so ties go to the smallest bin."""
+    starts = cond.indptr[:-1]
+    peak = np.maximum.reduceat(terms, starts)
+    at_peak = terms == np.repeat(peak, np.diff(cond.indptr))
+    best = np.minimum.reduceat(
+        np.where(at_peak, np.arange(terms.size), terms.size), starts)
+    return terms[best], cond.child_bins[best]
+
+
 def tree_max_prob(model: ChowLiuModel) -> tuple[float, tuple[int, ...]]:
     """Max-product pass: (log2 of the modal probability, argmax code tuple)."""
-    choices: dict[str, np.ndarray] = {}  # node -> its code, by parent code
-
-    def first_max(node: str, terms: np.ndarray) -> np.ndarray:
-        cond = model.conditionals[node]
-        starts = cond.indptr[:-1]
-        peak = np.maximum.reduceat(terms, starts)
-        at_peak = terms == np.repeat(peak, np.diff(cond.indptr))
-        # first peak of each row; bins ascend within a row, so ties go to
-        # the smallest bin
-        best = np.minimum.reduceat(
-            np.where(at_peak, np.arange(terms.size), terms.size), starts)
-        pick = np.zeros(model.bin_counts[model.parent[node]], dtype=np.int64)
-        pick[cond.parent_bins] = cond.child_bins[best]
-        choices[node] = pick
-        return terms[best]
-
-    terms, _ = _upward(model, np.log2, np.add, first_max, -np.inf)
+    terms, sent = _upward(model, "max", np.log2, np.add, _first_max, -np.inf)
     best = int(np.argmax(terms))
     code = {model.root: int(model.root_marginal.bins[best])}
     for node in model.order[1:]:
-        code[node] = int(choices[node][code[model.parent[node]]])
+        code[node] = int(sent[node].picks[code[model.parent[node]]])
     return float(terms[best]), tuple(code[name] for name in model.nodes)
 
 
-def _count_pass(model: ChowLiuModel, dtype) -> tuple[object, dict[str, np.ndarray]]:
+def _count_pass(model: ChowLiuModel, dtype) -> tuple[object, dict[str, _Message]]:
     """Upward sum-product over the support indicator: (total, messages)."""
-    terms, messages = _upward(
-        model, lambda p: np.ones(p.size, dtype=dtype), np.multiply,
-        lambda node, w: np.add.reduceat(w, model.conditionals[node].indptr[:-1]),
-        0)
-    return terms.sum(), messages
+    terms, sent = _upward(
+        model, ("count", dtype), lambda p: np.ones(p.size, dtype=dtype),
+        np.multiply,
+        lambda cond, w: (np.add.reduceat(w, cond.indptr[:-1]), None), 0)
+    return terms.sum(), sent
 
 
 def tree_support_count(model: ChowLiuModel) -> int:
@@ -502,8 +573,8 @@ def tree_support_count(model: ChowLiuModel) -> int:
     and 2**63, so an int64 run it admits cannot overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        total, messages = _count_pass(model, np.float64)
-    values = [total, *(m.max() for m in messages.values())]
+        total, sent = _count_pass(model, np.float64)
+    values = [total, *(m.peak for m in sent.values())]
     if all(v < _FLOAT64_EXACT for v in values):
         return int(total)
     fits = all(v <= _INT64_SAFE for v in values)

@@ -232,8 +232,16 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _load_input(args) -> SampleTable:
+    """The table the options name; an option of the other source is a usage
+    error rather than silently ignored."""
+    given = {key: value for key, value in (("seed", args.seed), ("rows", args.rows))
+             if value is not None}
     if args.synthetic:
-        return synth.sensor_table(seed=args.seed, rows=args.rows)
+        if args.data_root is not None:
+            raise UsageError("--data-root applies only to --manifest")
+        return synth.sensor_table(**given)
+    if given:
+        raise UsageError("--seed and --rows apply only to --synthetic")
     root = args.data_root or os.path.dirname(os.path.abspath(args.manifest))
     return load_table(load_manifest(args.manifest), root)
 
@@ -475,10 +483,10 @@ def build_parser() -> _Parser:
     data.add_argument("--data-root", metavar="DIR",
                       help="base directory for manifest paths "
                            "(default: manifest directory)")
-    data.add_argument("--seed", type=int, default=7,
+    # no defaults here, so that _load_input can tell whether they were given
+    data.add_argument("--seed", type=int,
                       help="seed for synthetic data (default 7)")
     data.add_argument("--rows", type=_int_at_least(2, "at least 2 rows"),
-                      default=100_000,
                       help="rows of synthetic data (default 100000)")
     data.add_argument("--bins", type=_parse_rule, default="fd",
                       help="binning rule: fd, scott, or a fixed count")

@@ -187,10 +187,31 @@ def bin_channel(values, rule, name: str = "channel",
         spec = BinningSpec(kind, edges.size - 1, edges, width)
 
     codes = np.full(raw.shape, MISSING, dtype=np.int64)
-    codes[finite] = np.clip(
-        np.searchsorted(spec.edges, v, side="right") - 1, 0, spec.bin_count - 1
-    )
+    codes[finite] = _bin_codes(spec.edges, v)
     return BinnedChannel(name, spec, codes)
+
+
+def _bin_codes(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """clip(searchsorted(edges, v, "right") - 1, 0, nb - 1) without a search.
+
+    Each code is first guessed from where v falls in the edges' span, then
+    stepped down while v lies below its bin's lower edge and up while v
+    reaches the next bin's lower edge, comparing against the real edges, so
+    the codes are exact. Edges are near-uniform, so few values need a step.
+    """
+    nb = edges.size - 1
+    guess = np.floor((v - edges[0]) * (nb / (edges[-1] - edges[0])))
+    # fmax/fmin map a NaN guess (from an overflowing span) to bin 0
+    codes = np.fmin(np.fmax(guess, 0), nb - 1).astype(np.int64)
+    at = np.flatnonzero((codes > 0) & (v < edges[codes]))
+    while at.size:
+        codes[at] -= 1
+        at = at[(codes[at] > 0) & (v[at] < edges[codes[at]])]
+    at = np.flatnonzero((codes < nb - 1) & (v >= edges[codes + 1]))
+    while at.size:
+        codes[at] += 1
+        at = at[(codes[at] < nb - 1) & (v[at] >= edges[codes[at] + 1])]
+    return codes
 
 
 def prebinned(name: str, codes, bin_count: int) -> BinnedChannel:

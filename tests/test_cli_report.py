@@ -190,6 +190,29 @@ def test_rows_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_data_options_of_the_other_source_are_usage_errors(tmp_path, capsys):
+    # refused before any data is read (a missing manifest would exit 2)
+    absent = ["--manifest", str(tmp_path / "absent.yaml")]
+    for cmd, argv, what in [
+        ("single", ["--synthetic", "--rows", "300", "--data-root", str(tmp_path)],
+         "--data-root applies only to --manifest"),
+        ("single", [*absent, "--rows", "5", "--seed", "1"],
+         "--seed and --rows apply only to --synthetic"),
+        ("sweep", [*absent, "--seed", "1"],
+         "--seed and --rows apply only to --synthetic"),
+        ("matrix", [*absent, "--rows", "300"],
+         "--seed and --rows apply only to --synthetic"),
+    ]:
+        assert run([cmd, *argv]) == 1
+        err = capsys.readouterr().err
+        assert what in err and f"usage: entroscope {cmd} " in err
+    # each source's own options still apply
+    assert run(["single", "--synthetic", "--rows", "300", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert run(["single", *absent, "--data-root", str(tmp_path)]) == 2
+    assert "absent.yaml" in capsys.readouterr().err
+
+
 def test_size_range_is_a_usage_error(tmp_path, capsys):
     # refused before the manifest is read (a missing manifest would exit 2)
     absent = ["--manifest", str(tmp_path / "absent.yaml")]

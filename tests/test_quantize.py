@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from entroscope.errors import DataError, DegenerateSpreadError
 from entroscope.quantize import (
     MISSING,
+    _bin_codes,
     bin_channel,
     fd_width,
     pmf_of,
@@ -114,6 +115,52 @@ def test_equal_width_interior_bins():
     assert np.allclose(widths[:-1], ch.spec.width, rtol=1e-9)
     assert ch.spec.edges[-1] == values.max()
     assert widths.min() > 0
+
+
+def _searched(edges, v):
+    """The codes by binary search, as bin_channel once assigned them."""
+    return np.clip(np.searchsorted(edges, v, side="right") - 1, 0, edges.size - 2)
+
+
+def _channel_values(kind):
+    rng = np.random.default_rng(11)
+    if kind == "constant":
+        values = np.full(500, 3.25)
+    elif kind == "heavy":  # a width rule asks for far more than 2048 bins
+        values = rng.standard_cauchy(20_000)
+    else:  # a skewed sample with ties, so many values sit on or near edges
+        values = np.round(rng.gamma(2.0, size=20_000), 2)
+    values[rng.random(values.size) < 0.05] = np.nan
+    values[:3] = [np.inf, -np.inf, np.nan]
+    return values
+
+
+@pytest.mark.parametrize("kind, rule, max_bins", [
+    ("skewed", "fd", None),
+    ("skewed", "scott", None),
+    ("skewed", 1, None),
+    ("skewed", 7, None),
+    ("skewed", 2048, None),
+    ("heavy", "fd", 2048),
+    ("heavy", "fd", None),
+    ("constant", 1, None),
+])
+def test_bin_codes_match_binary_search(kind, rule, max_bins):
+    values = _channel_values(kind)
+    ch = bin_channel(values, rule, max_bins=max_bins)
+    edges = ch.spec.edges
+    if max_bins:
+        assert ch.spec.bin_count == max_bins  # the cap applied
+    finite = np.isfinite(values)
+    want = np.full(values.size, MISSING, dtype=np.int64)
+    want[finite] = _searched(edges, values[finite])
+    assert np.array_equal(ch.codes, want)
+    # every edge and its neighbours one ulp away, and points past both ends
+    probe = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [edges[0] - 1.0, edges[-1] + 1.0, -1e300, 1e300],
+    ])
+    assert np.array_equal(_bin_codes(edges, probe), _searched(edges, probe))
 
 
 def as_dict(pmf):
