@@ -20,7 +20,7 @@ import os
 import sys
 import time
 
-from entroscope.cli_report import run
+from entroscope.cli_report import emit, parse_report, run
 
 
 def step(argv: list[str]) -> None:
@@ -64,19 +64,19 @@ def main() -> None:
 
     step(["single", *data, *out("single_channel")])
     step(["matrix", *data, "--kind", "mi", *out("mi_matrix")])
-    # the ranking doubles as input for the guesswork step, so emit it
-    # structured as well as human-readable
     step(["sweep", *data, *sweepish, *out("sweep_ranking")])
+    # the ranking doubles as input for the sensitivity and guesswork steps,
+    # so it is emitted structured; its markdown is the same report
+    # re-emitted, not another sweep
     step(["topk", *data, *sweepish, "--k", "10",
           *out("top10_ranking", "structured")])
-    step(["topk", *data, *sweepish, "--k", "10", *out("top10_ranking")])
-    step(["means", *data, *sweepish, *out("size_means")])
-
-    # read the winner back out of the top-10 report for the sensitivity curve
-    from entroscope.cli_report import parse_report
-
     with open(os.path.join(args.outdir, "top10_ranking.json"), "rb") as fh:
         ranking = parse_report(fh.read())
+    with open(os.path.join(args.outdir, "top10_ranking.md"), "wb") as fh:
+        fh.write(emit(ranking, "markdown"))
+    step(["means", *data, *sweepish, *out("size_means")])
+
+    # the winner of the top-10 gets the sensitivity curve
     best = ranking.payload["rows"][0][0]
     step(["sensitivity", *data, "--subset", best.replace("+", ","),
           *out("sensitivity_best")])

@@ -210,25 +210,25 @@ _positive_int = _int_at_least(1, "a positive integer")
 _subset_size = _int_at_least(2, "a subset size of at least 2")
 
 
-def _parse_names(text: str) -> list[str]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    if not names:
-        raise UsageError("empty channel list")
-    return names
+def _list_of(item, what: str, valid=lambda values: True):
+    """A type for a comma-separated list, non-empty and passing valid."""
+    def parse(text: str) -> list:
+        try:
+            values = [item(part.strip()) for part in text.split(",") if part.strip()]
+        except ValueError:
+            values = []
+        if not values or not valid(values):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return values
+    return parse
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad numeric list {text!r}") from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad integer list {text!r}") from exc
+_names = _list_of(str, "channel names A,B,...")
+_two_or_three_names = _list_of(str, "2 or 3 channel names A,B[,C]",
+                               lambda v: 2 <= len(v) <= 3)
+_floats = _list_of(float, "numbers N1,N2,...")
+_grid = _list_of(int, "increasing bin counts of at least 2",
+                 lambda v: v[0] >= 2 and all(a < b for a, b in zip(v, v[1:])))
 
 
 def _load_input(args) -> SampleTable:
@@ -339,10 +339,9 @@ def _cmd_means(args) -> Report:
 
 def _cmd_validate(args) -> Report:
     table = _load_input(args)
-    names = _parse_names(args.subset)
     chans = [
         bin_channel(table.column(name), args.bins, name=name, max_bins=MAX_JOINT_BINS)
-        for name in names
+        for name in args.subset
     ]
     rep = validate_subset(chans)
     orders = ("H0", "H1", "H2", "Hmin")
@@ -393,9 +392,7 @@ def _cmd_matrix(args) -> Report:
 
 def _cmd_sensitivity(args) -> Report:
     table = _load_input(args)
-    names = _parse_names(args.subset)
-    grid = _parse_ints(args.grid) if args.grid else DEFAULT_GRID
-    curve = sensitivity(table, names, grid)
+    curve = sensitivity(table, args.subset, args.grid or DEFAULT_GRID)
     rows = [
         [int(count), *_prof_cells(prof)] for count, prof in curve.points
     ]
@@ -421,10 +418,9 @@ def _cmd_guesswork(args) -> Report:
         hmins = [float(row[idx]) for row in source.payload["rows"]]
         dataset = source.metadata.get("dataset", args.from_report)
     else:
-        hmins = _parse_floats(args.hmin)
+        hmins = args.hmin
         dataset = "manual"
-    rates = _parse_floats(args.rates)
-    gt = guesswork_table(hmins, rates)
+    gt = guesswork_table(hmins, args.rates)
     rate_cols = [f"q{r:g}" for r in gt.rates]
     rows = [
         [float(h), gt.expected[i], *gt.times[i]]
@@ -512,25 +508,27 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=_positive_int, default=10)
     p = sub.add_parser("validate", parents=[data, out],
                        help="direct vs tree profile on one 2-3 channel subset")
-    p.add_argument("--subset", required=True, metavar="A,B[,C]")
+    p.add_argument("--subset", required=True, metavar="A,B[,C]",
+                   type=_two_or_three_names)
     p = sub.add_parser("matrix", parents=[data, out],
                        help="pairwise dependence matrix")
     p.add_argument("--kind", choices=("pearson", "mi"), default="mi")
     p = sub.add_parser("sensitivity", parents=[data, out],
                        help="joint profile vs bin count for one subset")
-    p.add_argument("--subset", required=True, metavar="A,B,...")
-    p.add_argument("--grid", metavar="N1,N2,...",
+    p.add_argument("--subset", required=True, metavar="A,B,...", type=_names)
+    p.add_argument("--grid", metavar="N1,N2,...", type=_grid,
                    help="bin counts to test (default 5..2048 geometric)")
     sub.add_parser("means", parents=[data, sweepish, out],
                    help="mean joint profile per subset size")
     p = sub.add_parser("guesswork", parents=[out],
                        help="attacker cost table from min-entropy values")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--hmin", metavar="H1,H2,...",
+    source.add_argument("--hmin", metavar="H1,H2,...", type=_floats,
                         help="min-entropy values in bits")
     source.add_argument("--from-report", metavar="PATH",
                         help="take hmin values from a structured subset_ranking report")
-    p.add_argument("--rates", default="1,10,1e3,1e6", metavar="R1,R2,...",
+    p.add_argument("--rates", type=_floats, default="1,10,1e3,1e6",
+                   metavar="R1,R2,...",
                    help="guess rates per second (default 1,10,1e3,1e6)")
     return parser
 

@@ -20,7 +20,7 @@ from .quantize import BinnedChannel, Pmf
 _ORDER_TOL = 1e-9
 # alpha this close to 1 is routed to the Shannon limit
 _SHANNON_WINDOW = 1e-6
-# default cap on occupied joint states for direct enumeration
+# cap on occupied joint states for direct enumeration
 DEFAULT_JOINT_BUDGET = 5e7
 
 
@@ -135,16 +135,14 @@ def complete_row_mask(channels: list[BinnedChannel]) -> np.ndarray:
     return mask
 
 
-def joint_direct(channels: list[BinnedChannel],
-                 budget: float = DEFAULT_JOINT_BUDGET
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def joint_direct(channels: list[BinnedChannel]) -> tuple[np.ndarray, np.ndarray]:
     """Occupied code tuples over the rows complete in every channel.
 
     Returns (codes, counts): an (m, k) int64 array of the m distinct code
     tuples in ascending order, first channel most significant, and how many
     rows hold each. Raises DataError when no row is complete, and
     BudgetError before counting if the occupied-state bound min(complete
-    rows, product of bin counts) exceeds budget.
+    rows, product of bin counts) exceeds DEFAULT_JOINT_BUDGET.
     """
     mask = complete_row_mask(channels)
     n = int(mask.sum())
@@ -153,10 +151,10 @@ def joint_direct(channels: list[BinnedChannel],
 
     bin_counts = [ch.spec.bin_count for ch in channels]
     states = math.prod(bin_counts)
-    if min(n, states) > budget:
+    if min(n, states) > DEFAULT_JOINT_BUDGET:
         raise BudgetError(
             f"direct joint needs up to {min(n, states)} occupied states, over "
-            f"the budget of {budget:.0f}; use the Chow-Liu tree path"
+            f"the budget of {DEFAULT_JOINT_BUDGET:.0f}; use the Chow-Liu tree path"
         )
 
     cols = [ch.codes[mask] for ch in channels]

@@ -22,4 +22,4 @@ class DegenerateSpreadError(DataError):
 
 
 class BudgetError(DataError):
-    """Direct joint enumeration would exceed the configured state budget."""
+    """Direct joint enumeration would exceed its state budget."""

@@ -1,10 +1,8 @@
-"""Turn min-entropy into attacker effort: success bounds, expected guess
-counts, and human-readable time-to-success tables.
+"""Turn min-entropy into attacker effort: expected guess counts and
+human-readable time-to-success tables.
 
-For an attacker making q guesses against a secret with min-entropy hmin the
-success probability is at most q * 2^-hmin, and the expected number of
-guesses under the optimal (probability-descending) strategy is at least
-2^(hmin-1).
+Against a secret with min-entropy hmin, the expected number of guesses under
+the optimal (probability-descending) strategy is at least 2^(hmin-1).
 """
 
 from __future__ import annotations
@@ -19,15 +17,6 @@ _MS_BELOW = 0.1
 _S_BELOW = 180.0
 _MIN_BELOW = 3600.0
 _H_BELOW = 86400.0
-
-
-def success_bound(hmin: float, guesses: float) -> float:
-    """Upper bound on success probability of `guesses` optimal guesses."""
-    if not math.isfinite(hmin) or hmin < 0:
-        raise DataError("hmin must be finite and non-negative")
-    if guesses < 0:
-        raise DataError("guess count cannot be negative")
-    return min(1.0, guesses * 2.0 ** (-hmin))
 
 
 def expected_guesses(hmin: float) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,7 +107,6 @@ class SampleTable:
     channels: tuple[str, ...]
     rows: np.ndarray  # (rows, len(channels)) float64
     source: str
-    missing_policy: str = "drop-row-for-subset"
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
@@ -127,7 +125,7 @@ class SampleTable:
 
 
 def _parse_rows(rows: list[list[str]], positions: list[tuple[int, int]],
-                width: int, strict: bool, fpath: Path) -> np.ndarray:
+                width: int, fpath: Path) -> np.ndarray:
     """Per-cell parse of csv records, for files the one-pass parse cannot
     take exactly; it alone names a bad cell's file:line."""
     block = np.full((len(rows), width), np.nan)
@@ -136,15 +134,13 @@ def _parse_rows(rows: list[list[str]], positions: list[tuple[int, int]],
             if src_i >= len(row):
                 continue
             cell = row[src_i].strip()
-            value = math.nan
-            if cell:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    if strict:
-                        raise DataError(
-                            f"non-numeric cell {cell!r} at {fpath}:{r + 2}") from None
-            block[r, ch_i] = value
+            if not cell:
+                continue
+            try:
+                block[r, ch_i] = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"non-numeric cell {cell!r} at {fpath}:{r + 2}") from None
     return block
 
 
@@ -183,8 +179,7 @@ def _parse_fast(body: str, delimiter: str,
         return None
 
 
-def _load_file(fs: FileSpec, root: Path, channels: tuple[str, ...],
-               strict: bool) -> np.ndarray:
+def _load_file(fs: FileSpec, root: Path, channels: tuple[str, ...]) -> np.ndarray:
     fpath = root / fs.path
     if not fpath.is_file():
         raise DataError(f"missing file {fpath}")
@@ -204,29 +199,28 @@ def _load_file(fs: FileSpec, root: Path, channels: tuple[str, ...],
     parsed = _parse_fast(body, fs.delimiter, usecols) if body and usecols else None
     if parsed is None:
         rows = list(csv.reader(io.StringIO(body, newline=""), delimiter=fs.delimiter))
-        return _parse_rows(rows, positions, len(channels), strict, fpath)
+        return _parse_rows(rows, positions, len(channels), fpath)
     block = np.full((parsed.shape[0], len(channels)), np.nan)
     for k, (_, ch_i) in enumerate(positions):
         block[:, ch_i] = parsed[:, k]
     return block
 
 
-def load_table(manifest: DatasetManifest, root, strict: bool = True) -> SampleTable:
+def load_table(manifest: DatasetManifest, root) -> SampleTable:
     """Pool every manifest file into one table, magnitudes appended last.
 
     Rows concatenate in manifest file order. Channels a file does not map
-    stay missing for that file's rows. Empty cells are missing even under
-    strict mode; strict only rejects non-numeric text.
+    stay missing for that file's rows. Empty cells are missing; non-numeric
+    text is an error.
     """
     if not manifest.files:
         raise ManifestError("empty manifest")
     root = Path(root)
-    blocks = [_load_file(fs, root, manifest.channels, strict) for fs in manifest.files]
+    blocks = [_load_file(fs, root, manifest.channels) for fs in manifest.files]
     table = SampleTable(
         channels=manifest.channels,
         rows=np.vstack(blocks),
         source=manifest.name,
-        missing_policy=manifest.missing_policy,
     )
     for spec in manifest.magnitude_specs:
         table = add_magnitude(table, spec.x, spec.y, spec.z, spec.name)
@@ -247,5 +241,4 @@ def add_magnitude(table: SampleTable, x: str, y: str, z: str,
         channels=table.channels + (name,),
         rows=np.column_stack([table.rows, mag]),
         source=table.source,
-        missing_policy=table.missing_policy,
     )

@@ -214,12 +214,6 @@ def _bin_codes(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
     return codes
 
 
-def prebinned(name: str, codes, bin_count: int) -> BinnedChannel:
-    """Wrap already-discrete codes (synthetic samples) as a BinnedChannel."""
-    edges = np.arange(bin_count + 1, dtype=float) - 0.5
-    return BinnedChannel(name, BinningSpec("fixed_count", bin_count, edges), codes)
-
-
 def pmf_of(codes) -> Pmf:
     """Empirical pmf of the non-missing codes: probs[k] = count(k) / n."""
     c = np.asarray(codes, dtype=np.int64).ravel()

@@ -1,188 +1,15 @@
-"""Ground-truth generators for oracle testing.
-
-TrueModel holds an analytic tree-factored distribution whose entropy profile
-is computable by brute enumeration; that enumeration is the oracle every
-message-pass result is checked against, so it deliberately shares no code
-with the tree routines. sensor_table builds a correlated 8-channel table
-shaped like a phone's pooled accelerometer/gyroscope stream.
+"""Synthetic input: sensor_table builds a correlated 8-channel table shaped
+like a phone's pooled accelerometer/gyroscope stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .chowliu import ChowLiuModel, ConditionalTable
-from .entropy import EntropyProfile
 from .errors import DataError
 from .ingest import SampleTable
-from .quantize import Pmf
-
-# joints above this many states are not expandable
-MAX_EXPANSION = 1_000_000
-
-
-@dataclass(frozen=True, eq=False)
-class TrueModel:
-    """Exact tree-factored distribution in ancestral order.
-
-    parents[0] is -1 for the root; parents[i] < i otherwise. cond_tables[i-1]
-    has shape (arity of parent, arity of node i) with rows summing to 1.
-    """
-
-    parents: tuple[int, ...]
-    arities: tuple[int, ...]
-    root_table: np.ndarray
-    cond_tables: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        k = len(self.parents)
-        if k < 1 or len(self.arities) != k or len(self.cond_tables) != k - 1:
-            raise DataError("model pieces disagree on node count")
-        if self.parents[0] != -1 or any(self.parents[i] >= i for i in range(1, k)):
-            raise DataError("parents must be ancestral: parents[i] < i")
-        if self.root_table.shape != (self.arities[0],):
-            raise DataError("root table shape mismatch")
-        if abs(float(self.root_table.sum()) - 1.0) > 1e-9 or np.any(self.root_table < 0):
-            raise DataError("root table must be a distribution")
-        for i, table in enumerate(self.cond_tables, start=1):
-            want = (self.arities[self.parents[i]], self.arities[i])
-            if table.shape != want:
-                raise DataError(f"conditional {i} shape {table.shape}, want {want}")
-            if np.any(table < 0) or np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
-                raise DataError(f"conditional {i} rows must be distributions")
-
-
-def random_tree_model(seed: int, nodes: int, arity: int) -> TrueModel:
-    """Deterministic random model: random topology, strictly positive tables."""
-    if nodes < 1 or arity < 2:
-        raise DataError("need nodes >= 1 and arity >= 2")
-    rng = np.random.default_rng(seed)
-    parents = [-1] + [int(rng.integers(0, i)) for i in range(1, nodes)]
-    # the +0.1 floor keeps every entry strictly positive
-    root = rng.random(arity) + 0.1
-    root /= root.sum()
-    conds = []
-    for _ in range(1, nodes):
-        t = rng.random((arity, arity)) + 0.1
-        t /= t.sum(axis=1, keepdims=True)
-        conds.append(t)
-    return TrueModel(tuple(parents), (arity,) * nodes, root, tuple(conds))
-
-
-def expand_joint(model: TrueModel) -> np.ndarray:
-    """The full joint as a dense array indexed by code tuples."""
-    k = len(model.parents)
-    states = math.prod(model.arities)
-    if states > MAX_EXPANSION:
-        raise DataError(f"joint of {states} states is too large to expand")
-    shape = [1] * k
-    shape[0] = model.arities[0]
-    joint = model.root_table.reshape(shape)
-    for i in range(1, k):
-        p = model.parents[i]
-        shape = [1] * k
-        shape[p] = model.arities[p]
-        shape[i] = model.arities[i]
-        joint = joint * model.cond_tables[i - 1].reshape(shape)
-    return joint
-
-
-def brute_profile(model: TrueModel) -> EntropyProfile:
-    """Oracle profile from the fully expanded joint.
-
-    The four orders are computed inline on purpose; reusing the entropy or
-    tree routines here would make the cross-checks circular.
-    """
-    p = expand_joint(model).ravel()
-    p = p[p > 0]
-    h0 = math.log2(p.size)
-    h1 = -math.fsum((p * np.log2(p)).tolist())
-    h2 = -math.log2(math.fsum((p * p).tolist()))
-    hmin = -math.log2(float(p.max()))
-    return EntropyProfile(h0=h0, h1=h1, h2=h2, hmin=hmin)
-
-
-def sample(model: TrueModel, count: int, seed: int) -> np.ndarray:
-    """Ancestral sampling; returns an int64 (count, k) code table."""
-    if count < 1:
-        raise DataError("need at least 1 sample")
-    rng = np.random.default_rng(seed)
-    k = len(model.parents)
-    out = np.empty((count, k), dtype=np.int64)
-    cum = np.cumsum(model.root_table)
-    cum[-1] = 1.0  # close the rounding gap so u < 1 always lands in range
-    out[:, 0] = (cum < rng.random(count)[:, None]).sum(axis=1)
-    for i in range(1, k):
-        rows = np.cumsum(model.cond_tables[i - 1], axis=1)
-        rows[:, -1] = 1.0
-        u = rng.random(count)
-        out[:, i] = (rows[out[:, model.parents[i]]] < u[:, None]).sum(axis=1)
-    return out
-
-
-def _marginals(model: TrueModel) -> list[np.ndarray]:
-    margs = [model.root_table]
-    for i in range(1, len(model.parents)):
-        margs.append(margs[model.parents[i]] @ model.cond_tables[i - 1])
-    return margs
-
-
-def _h_bits(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return -math.fsum((p * np.log2(p)).tolist())
-
-
-def as_chowliu(model: TrueModel) -> ChowLiuModel:
-    """The same distribution as a ChowLiuModel, tables copied verbatim.
-
-    Lets the message passes run on exact analytic tables, which is how they
-    get compared against brute_profile.
-    """
-    k = len(model.parents)
-    names = tuple(f"x{i}" for i in range(k))
-    margs = _marginals(model)
-
-    root_bins = np.flatnonzero(model.root_table > 0)
-    root_marginal = Pmf(root_bins, model.root_table[root_bins])
-
-    parent: dict[str, str] = {}
-    conditionals: dict[str, ConditionalTable] = {}
-    edge_weights: dict[tuple[str, str], float] = {}
-    for i in range(1, k):
-        p = model.parents[i]
-        parent[names[i]] = names[p]
-        table = model.cond_tables[i - 1]
-        # rows only for parent bins the model can actually reach
-        live = np.flatnonzero(margs[p] > 0)
-        rows = []
-        for pb in live:
-            cb = np.flatnonzero(table[pb] > 0)
-            rows.append((pb, cb, table[pb, cb]))
-        parent_bins = np.array([pb for pb, _, _ in rows], dtype=np.int64)
-        lens = np.array([cb.size for _, cb, _ in rows])
-        indptr = np.r_[0, np.cumsum(lens)]
-        child_bins = np.concatenate([cb for _, cb, _ in rows])
-        probs = np.concatenate([pr for _, _, pr in rows])
-        conditionals[names[i]] = ConditionalTable(parent_bins, indptr, child_bins, probs)
-
-        edge_joint = margs[p][:, None] * table
-        mi = _h_bits(margs[p]) + _h_bits(margs[i]) - _h_bits(edge_joint.ravel())
-        a, b = sorted((names[p], names[i]))
-        edge_weights[(a, b)] = max(0.0, mi)
-
-    return ChowLiuModel(
-        nodes=names,
-        root=names[0],
-        parent=parent,
-        root_marginal=root_marginal,
-        conditionals=conditionals,
-        edge_weights=edge_weights,
-        bin_counts={names[i]: model.arities[i] for i in range(k)},
-    )
-
 
 # channel layout mirrors a pooled phone recording: two triaxial sensors plus
 # their synthesized magnitudes
@@ -233,5 +60,4 @@ def sensor_table(seed: int = 7, rows: int = 100_000) -> SampleTable:
         channels=SENSOR_CHANNELS,
         rows=data,
         source=f"synthetic-{seed}",
-        missing_policy="drop-row-for-subset",
     )

@@ -17,14 +17,10 @@ from entroscope.dependence import mutual_information
 from entroscope.entropy import profile, renyi
 from entroscope.guesswork import guesswork_table
 from entroscope.ingest import load_manifest, load_table
-from entroscope.quantize import Pmf, bin_channel, pmf_of, prebinned
+from entroscope.quantize import Pmf, bin_channel, pmf_of
 from entroscope.sweep import enumerate_subsets, run_sweep
-from entroscope.synth import (
-    as_chowliu,
-    brute_profile,
-    random_tree_model,
-    sensor_table,
-)
+from entroscope.synth import sensor_table
+from oracles import as_chowliu, brute_profile, prebinned, random_tree_model
 
 UCI_HAR_ENV = "ENTROSCOPE_UCI_HAR_DIR"
 MANIFEST_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "manifests")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entroscope import synth
 from entroscope.chowliu import (
     ChowLiuModel,
     ConditionalTable,
@@ -29,8 +28,9 @@ from entroscope.entropy import (
     profile_joint,
 )
 from entroscope.errors import DataError
-from entroscope.quantize import Pmf, pmf_of, prebinned
+from entroscope.quantize import Pmf, pmf_of
 from helpers import profile_of_dict
+from oracles import prebinned, random_tree_model, sample
 
 
 def _top_down(model):
@@ -819,8 +819,8 @@ def test_tree_shannon_dominates_direct():
 
 
 def test_validate_on_tree_generated_data():
-    model = synth.random_tree_model(seed=3, nodes=3, arity=4)
-    rows = synth.sample(model, 1_000_000, seed=4)
+    model = random_tree_model(seed=3, nodes=3, arity=4)
+    rows = sample(model, 1_000_000, seed=4)
     chans = chans_from(rows, list(model.arities))
     rep = validate(chans)
     assert rep.n == 3

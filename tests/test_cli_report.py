@@ -154,7 +154,7 @@ def test_usage_names_the_failing_subcommand(capsys):
     assert run(["sweep", "--synthetic", "--workers", "0"]) == 1
     err = capsys.readouterr().err
     assert "usage: entroscope sweep " in err and "--workers WORKERS" in err
-    # raised after parsing, by the command
+    # raised by an option type
     assert run(["validate", "--synthetic", "--rows", "200", "--subset", ","]) == 1
     assert "usage: entroscope validate " in capsys.readouterr().err
     assert run(["no-such-command"]) == 1
@@ -223,6 +223,57 @@ def test_size_range_is_a_usage_error(tmp_path, capsys):
         assert f"usage: entroscope {cmd} " in capsys.readouterr().err
     # the upper bound depends on the channels, so it stays a data error
     assert run(["sweep", "--synthetic", "--rows", "300", "--max-size", "9"]) == 2
+    capsys.readouterr()
+
+
+def test_list_options_are_usage_errors(tmp_path, capsys):
+    # refused at parse time, before any data is read (the missing manifest
+    # would exit 2, and so would the synthetic table's channels)
+    absent = ["--manifest", str(tmp_path / "absent.yaml")]
+    for cmd, argv in [
+        ("validate", [*absent, "--subset", "Acc.X,Acc.Y,Acc.Z,Gyro.X"]),
+        ("validate", [*absent, "--subset", "Acc.X"]),
+        ("validate", [*absent, "--subset", " , "]),
+        ("sensitivity", [*absent, "--subset", ","]),
+        ("sensitivity", ["--synthetic", "--rows", "500", "--subset", "Acc.X,Acc.Y",
+                         "--grid", "8,5"]),
+        ("sensitivity", [*absent, "--subset", "Acc.X", "--grid", "5,5"]),
+        ("sensitivity", [*absent, "--subset", "Acc.X", "--grid", "1,5"]),
+        ("sensitivity", [*absent, "--subset", "Acc.X", "--grid", "5,eight"]),
+        ("sensitivity", [*absent, "--subset", "Acc.X", "--grid", ""]),
+        ("guesswork", ["--hmin", ","]),
+        ("guesswork", ["--hmin", "17,x"]),
+        ("guesswork", ["--hmin", "17", "--rates", "1,fast"]),
+    ]:
+        assert run([cmd, *argv]) == 1
+        err = capsys.readouterr().err
+        assert "expected" in err and f"usage: entroscope {cmd} " in err
+
+
+def test_markdown_from_a_structured_report_matches_the_cli(tmp_path, capsys):
+    # one invocation per report kind; the full-analysis script writes its
+    # markdown top-10 this way instead of sweeping again
+    invocations = {
+        "single_sensor_table": ["single", "--synthetic", "--rows", "2000"],
+        "subset_ranking": ["topk", "--synthetic", "--rows", "2000",
+                           "--max-size", "3", "--k", "5"],
+        "sweep_means_curve": ["means", "--synthetic", "--rows", "2000",
+                              "--max-size", "3"],
+        "validation_table": ["validate", "--synthetic", "--rows", "2000",
+                             "--subset", "Acc.X,Acc.Y,Gyro.X"],
+        "dependence_matrix": ["matrix", "--synthetic", "--rows", "2000"],
+        "sensitivity_curve": ["sensitivity", "--synthetic", "--rows", "2000",
+                              "--subset", "Acc.X,Gyro.X", "--grid", "4,16,64"],
+        "guesswork_table": ["guesswork", "--hmin", "6.5,17,40", "--rates", "1,1e6"],
+    }
+    assert set(invocations) == set(cli_report.KINDS)
+    md, js = tmp_path / "r.md", tmp_path / "r.json"
+    for kind, argv in invocations.items():
+        assert run([*argv, "--out", str(md)]) == 0
+        assert run([*argv, "--format", "structured", "--out", str(js)]) == 0
+        report = parse_report(js.read_bytes())
+        assert report.kind == kind
+        assert emit(report, "markdown") == md.read_bytes()
     capsys.readouterr()
 
 

@@ -14,8 +14,9 @@ from entroscope.dependence import (
 from entroscope.entropy import profile
 from entroscope.errors import DataError
 from entroscope.ingest import SampleTable
-from entroscope.quantize import bin_channel, pmf_of, prebinned
+from entroscope.quantize import bin_channel, pmf_of
 from helpers import binary_entropy, dict_mi
+from oracles import prebinned
 
 
 def test_pearson_self_and_negation():
@@ -112,7 +113,7 @@ def test_mi_symmetry_and_bound(seed, bins, n):
 def _table(rng, names, n=400):
     rows = rng.normal(size=(n, len(names)))
     rows[:, 1] += rows[:, 0]  # give one pair real correlation
-    return SampleTable(tuple(names), rows, "test", "drop-row-for-subset")
+    return SampleTable(tuple(names), rows, "test")
 
 
 def test_matrix_pearson_shape_and_diag():
@@ -155,7 +156,7 @@ def test_matrix_mi_bitwise_equals_per_column_counts_with_nans():
                      base ** 2], axis=1)
     for j, share in enumerate([0.0, 0.03, 0.1, 0.2]):
         rows[rng.random(n) < share, j] = np.nan
-    table = SampleTable(("a", "b", "c", "d"), rows, "test", "drop-row-for-subset")
+    table = SampleTable(("a", "b", "c", "d"), rows, "test")
     binned = [bin_channel(table.column(name), "fd", name=name)
               for name in table.channels]
     dm = matrix(table, binned, "mi")
@@ -179,7 +180,6 @@ def test_matrix_permutation_equivariance():
         tuple(perm),
         np.stack([table.column(n) for n in perm], axis=1),
         "test",
-        "drop-row-for-subset",
     )
     m1 = matrix(table, [], "pearson")
     m2 = matrix(permuted, [], "pearson")
@@ -190,7 +190,7 @@ def test_matrix_permutation_equivariance():
 def test_matrix_records_missing_cells():
     rows = np.ones((50, 2))
     rows[:, 1] = np.arange(50.0)
-    table = SampleTable(("const", "ramp"), rows, "test", "drop-row-for-subset")
+    table = SampleTable(("const", "ramp"), rows, "test")
     dm = matrix(table, [], "pearson")
     assert math.isnan(dm.values[0, 1])
     assert dm.missing == (("const", "ramp", "undefined correlation"),)
@@ -206,7 +206,7 @@ def test_matrix_unbinned_channel_reported():
 
 
 def test_matrix_needs_two_channels():
-    table = SampleTable(("a",), np.ones((10, 1)), "t", "drop-row-for-subset")
+    table = SampleTable(("a",), np.ones((10, 1)), "t")
     with pytest.raises(DataError):
         matrix(table, [], "pearson")
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entroscope import entropy
 from entroscope.entropy import (
     EntropyProfile,
     _shannon_bits_grouped,
@@ -15,8 +16,9 @@ from entroscope.entropy import (
     renyi,
 )
 from entroscope.errors import BudgetError, DataError
-from entroscope.quantize import pmf_of, prebinned
+from entroscope.quantize import pmf_of
 from helpers import from_probs
+from oracles import prebinned
 
 ALPHAS = (0.0, 0.5, 1.0, 2.0, 5.0, math.inf)
 
@@ -163,15 +165,16 @@ def test_joint_direct_no_complete_rows():
         joint_direct([a, b])
 
 
-def test_joint_direct_budget():
+def test_joint_direct_budget(monkeypatch):
     rng = np.random.default_rng(1)
     chans = [
         prebinned(f"c{i}", rng.integers(0, 1000, size=500), 1000)
         for i in range(4)
     ]
     # occupied states bounded by min(rows, bin product) = 500 > 100
+    monkeypatch.setattr(entropy, "DEFAULT_JOINT_BUDGET", 100)
     with pytest.raises(BudgetError, match="Chow-Liu"):
-        joint_direct(chans, budget=100)
+        joint_direct(chans)
 
 
 def test_joint_direct_h1_adds_for_independent():

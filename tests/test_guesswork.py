@@ -11,24 +11,10 @@ from entroscope.guesswork import (
     format_duration,
     format_guess_count,
     guesswork_table,
-    success_bound,
     time_to_success,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-
-
-def test_success_bound_hand_values():
-    assert success_bound(8, 128) == pytest.approx(0.5, abs=1e-15)
-    assert success_bound(8, 512) == 1.0
-    assert success_bound(30, 0) == 0.0
-
-
-def test_success_bound_validation():
-    with pytest.raises(DataError):
-        success_bound(-1, 10)
-    with pytest.raises(DataError):
-        success_bound(8, -1)
 
 
 def test_expected_guesses_values():
@@ -42,25 +28,6 @@ def test_time_to_success():
     assert time_to_success(24, 1e6) == pytest.approx(8.388608, abs=1e-12)
     with pytest.raises(DataError):
         time_to_success(8, 0)
-
-
-@given(st.floats(0, 64), st.integers(0, 2**70))
-@settings(max_examples=100, deadline=None)
-def test_success_bound_monotone_in_q(hmin, q):
-    assert success_bound(hmin, q) <= success_bound(hmin, q + 1)
-    assert 0.0 <= success_bound(hmin, q) <= 1.0
-
-
-@given(st.floats(0, 60), st.floats(0.5, 60))
-@settings(max_examples=100, deadline=None)
-def test_success_bound_monotone_in_hmin(h1, h2):
-    lo, hi = sorted((h1, h2))
-    assert success_bound(hi, 1000) <= success_bound(lo, 1000) + 1e-15
-
-
-def test_success_bound_half_at_midpoint():
-    for hmin in (1, 4, 10, 17):
-        assert success_bound(hmin, 2 ** (hmin - 1)) == pytest.approx(0.5)
 
 
 def test_time_rate_product_on_table_grid():

@@ -57,17 +57,27 @@ def test_load_table_strict_rejects_text(simple_dataset):
         load_table(m, simple_dataset)
 
 
-def test_load_table_lenient(simple_dataset):
-    m = load_manifest(simple_dataset / "m.yaml")
-    table = load_table(m, simple_dataset, strict=False)
+def test_load_table_appends_manifest_magnitudes(tmp_path):
+    write(tmp_path / "a.csv", """\
+        ax,ay,az
+        3,4,0
+        1,,2
+    """)
+    write(tmp_path / "m.yaml", """\
+        name: toy
+        channels: [Acc.X, Acc.Y, Acc.Z]
+        files:
+          - path: a.csv
+            columns: {ax: Acc.X, ay: Acc.Y, az: Acc.Z}
+        magnitudes:
+          - {x: Acc.X, y: Acc.Y, z: Acc.Z, name: Acc.Mag}
+    """)
+    table = load_table(load_manifest(tmp_path / "m.yaml"), tmp_path)
     assert table.channels == ("Acc.X", "Acc.Y", "Acc.Z", "Acc.Mag")
-    assert table.rows.shape[0] == 3
-    assert table.column("Acc.Mag")[0] == pytest.approx(5.0)  # 3-4-0 triangle
-    # missing component or unparseable cell poisons the magnitude
+    assert table.column("Acc.Mag")[0] == 5.0  # 3-4-0 triangle
+    # a missing component poisons the magnitude
     assert math.isnan(table.column("Acc.Y")[1])
     assert math.isnan(table.column("Acc.Mag")[1])
-    assert math.isnan(table.column("Acc.X")[2])
-    assert math.isnan(table.column("Acc.Mag")[2])
 
 
 def test_empty_cell_is_missing_even_strict(tmp_path):
@@ -220,7 +230,7 @@ def test_manifest_rejects_drop_value_policy(tmp_path):
         load_manifest(tmp_path / "m.yaml")
 
 
-def reference_rows(path, columns, channels, delimiter, strict):
+def reference_rows(path, columns, channels, delimiter):
     """The per-cell loader as it was before the np.loadtxt pass."""
     def parse_cell(cell, where):
         cell = cell.strip()
@@ -229,9 +239,7 @@ def reference_rows(path, columns, channels, delimiter, strict):
         try:
             return float(cell)
         except ValueError:
-            if strict:
-                raise DataError(f"non-numeric cell {cell!r} at {where}") from None
-            return math.nan
+            raise DataError(f"non-numeric cell {cell!r} at {where}") from None
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -283,19 +291,17 @@ def outcome(load):
         return "error", str(exc)
 
 
-@given(csv_files(), st.booleans())
-@example(("x,y\n1,\n,2\n\n3,4", ",", {"x": "V0", "y": "V1"}, ("V0", "V1", "V2")),
-         True)
-@example(("x,y\n1,2\n3,oops\n", ",", {"x": "V0", "y": "V1"}, ("V0", "V1", "V2")),
-         True)
+@given(csv_files())
+@example(("x,y\n1,\n,2\n\n3,4", ",", {"x": "V0", "y": "V1"}, ("V0", "V1", "V2")))
+@example(("x,y\n1,2\n3,oops\n", ",", {"x": "V0", "y": "V1"}, ("V0", "V1", "V2")))
 @settings(max_examples=300, deadline=None)
-def test_load_table_matches_per_cell_reference(tmp_path_factory, case, strict):
+def test_load_table_matches_per_cell_reference(tmp_path_factory, case):
     text, delimiter, columns, channels = case
     root = tmp_path_factory.mktemp("csv")
     (root / "d.csv").write_text(text, newline="")
     manifest = DatasetManifest(
         "prop", (FileSpec("d.csv", columns, delimiter),), channels)
-    got = outcome(lambda: load_table(manifest, root, strict=strict).rows)
+    got = outcome(lambda: load_table(manifest, root).rows)
     want = outcome(lambda: reference_rows(
-        root / "d.csv", columns, channels, delimiter, strict))
+        root / "d.csv", columns, channels, delimiter))
     assert got == want

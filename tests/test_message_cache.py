@@ -24,8 +24,9 @@ from entroscope.chowliu import (
     tree_support_count,
 )
 from entroscope.ingest import SampleTable
-from entroscope.quantize import Pmf, bin_channel, prebinned
+from entroscope.quantize import Pmf, bin_channel
 from entroscope.sweep import MAX_JOINT_BINS, enumerate_subsets, run_sweep
+from oracles import prebinned
 
 
 def _profile_bits(prof):
@@ -53,7 +54,7 @@ def _latent_table(rows, k, seed, holes=()):
     for i, share in enumerate(holes):
         data[rng.random(rows) < share, i] = np.nan
     names = tuple(f"c{i:02d}" for i in range(k))
-    return SampleTable(names, data, "unit", "drop-row-for-subset")
+    return SampleTable(names, data, "unit")
 
 
 def _binned(table, rule):

@@ -13,10 +13,10 @@ from entroscope.quantize import (
     bin_channel,
     fd_width,
     pmf_of,
-    prebinned,
     scott_width,
 )
 from helpers import from_probs
+from oracles import prebinned
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

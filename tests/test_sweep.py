@@ -62,7 +62,7 @@ def small_table(rows=4000, channels=4, seed=0):
     data = rng.normal(size=(rows, channels))
     data[:, 1] += data[:, 0]
     names = tuple(f"ch{i}" for i in range(channels))
-    return SampleTable(names, data, "unit", "drop-row-for-subset")
+    return SampleTable(names, data, "unit")
 
 
 def test_run_sweep_pair_count():
@@ -116,7 +116,7 @@ def test_run_sweep_matches_fresh_trees_with_missing_values(workers):
     data[rng.random(rows) < 0.05, 1] = np.nan
     data[rng.random(rows) < 0.1, 3] = np.nan
     names = tuple(f"ch{i}" for i in range(5))
-    table = SampleTable(names, data, "unit", "drop-row-for-subset")
+    table = SampleTable(names, data, "unit")
     chans = {
         name: bin_channel(table.column(name), "fd", name=name,
                           max_bins=MAX_JOINT_BINS)
@@ -138,7 +138,7 @@ def test_run_sweep_error_ledger(workers):
         np.full(1000, 3.0),  # constant: FD cannot bin it
         rng.normal(size=1000),
     ])
-    table = SampleTable(("a", "bad", "c"), data, "unit", "drop-row-for-subset")
+    table = SampleTable(("a", "bad", "c"), data, "unit")
     errors = []
     results = run_sweep(table, "fd", workers=workers, errors=errors)
     assert {r.subset for r in results} == {("a", "c")}
@@ -153,8 +153,7 @@ def test_progress_counts_every_subset_alike_serial_and_pooled(capsys):
     rng = np.random.default_rng(6)
     data = rng.normal(size=(1000, 4))
     data[:, 2] = 3.0
-    table = SampleTable(("a", "b", "bad", "d"), data, "unit",
-                        "drop-row-for-subset")
+    table = SampleTable(("a", "b", "bad", "d"), data, "unit")
     counts = []
     for workers in (1, 2):
         capsys.readouterr()
@@ -226,7 +225,7 @@ def test_size_means():
 def test_sensitivity_single_uniform_channel():
     # 4096 evenly spread values: fixed counts 2/4/8 give exactly uniform codes
     values = (np.arange(4096.0) + 0.5) / 4096.0
-    table = SampleTable(("u",), values[:, None], "unit", "drop-row-for-subset")
+    table = SampleTable(("u",), values[:, None], "unit")
     curve = sensitivity(table, ["u"], [2, 4, 8])
     h1s = [prof.h1 for _, prof in curve.points]
     assert h1s == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
@@ -286,7 +285,7 @@ def test_sweep_without_clean_rows():
     data[:, 2] += data[:, 0]
     data[:1000, 0] = np.nan
     data[1000:, 1] = np.nan
-    table = SampleTable(("a", "b", "c", "d"), data, "unit", "drop-row-for-subset")
+    table = SampleTable(("a", "b", "c", "d"), data, "unit")
     errors = []
     results = run_sweep(table, "fd", errors=errors)
     assert errors == [
@@ -308,8 +307,7 @@ def test_sweep_without_clean_rows():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_when_no_channel_bins(workers):
-    table = SampleTable(("a", "b", "c"), np.ones((100, 3)), "unit",
-                        "drop-row-for-subset")
+    table = SampleTable(("a", "b", "c"), np.ones((100, 3)), "unit")
     errors = []
     assert run_sweep(table, "fd", workers=workers, errors=errors) == []
     reason = {}

@@ -9,13 +9,21 @@ from hypothesis import given, settings, strategies as st
 from entroscope import chowliu, synth
 from entroscope.entropy import profile
 from entroscope.errors import DataError
-from entroscope.quantize import pmf_of, prebinned
+from entroscope.quantize import pmf_of
 from helpers import expand_model_dict, profile_of_dict
+from oracles import (
+    TrueModel,
+    as_chowliu,
+    brute_profile,
+    prebinned,
+    random_tree_model,
+    sample,
+)
 
 
 def test_random_tree_model_deterministic():
-    a = synth.random_tree_model(seed=1, nodes=4, arity=3)
-    b = synth.random_tree_model(seed=1, nodes=4, arity=3)
+    a = random_tree_model(seed=1, nodes=4, arity=3)
+    b = random_tree_model(seed=1, nodes=4, arity=3)
     assert a.parents == b.parents
     assert np.array_equal(a.root_table, b.root_table)
     for ta, tb in zip(a.cond_tables, b.cond_tables):
@@ -23,23 +31,23 @@ def test_random_tree_model_deterministic():
 
 
 def test_random_tree_model_single_node():
-    m = synth.random_tree_model(seed=1, nodes=1, arity=4)
+    m = random_tree_model(seed=1, nodes=1, arity=4)
     assert m.parents == (-1,)
     assert m.root_table.shape == (4,)
-    prof = synth.brute_profile(m)
+    prof = brute_profile(m)
     assert prof.h0 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_model_size_arithmetic():
-    m = synth.random_tree_model(seed=7, nodes=5, arity=6)
+    m = random_tree_model(seed=7, nodes=5, arity=6)
     assert math.prod(m.arities) == 6 ** 5 == 7776
 
 
 def test_brute_profile_uniform_independent():
     root = np.array([0.5, 0.5])
     cond = np.array([[0.5, 0.5], [0.5, 0.5]])
-    m = synth.TrueModel((-1, 0), (2, 2), root, (cond,))
-    prof = synth.brute_profile(m)
+    m = TrueModel((-1, 0), (2, 2), root, (cond,))
+    prof = brute_profile(m)
     assert prof == pytest.approx((2.0, 2.0, 2.0, 2.0)) or all(
         abs(v - 2.0) < 1e-12 for v in (prof.h0, prof.h1, prof.h2, prof.hmin)
     )
@@ -48,40 +56,40 @@ def test_brute_profile_uniform_independent():
 def test_brute_profile_point_mass():
     root = np.array([1.0, 0.0])
     cond = np.array([[0.0, 1.0], [0.5, 0.5]])
-    m = synth.TrueModel((-1, 0), (2, 2), root, (cond,))
-    prof = synth.brute_profile(m)
+    m = TrueModel((-1, 0), (2, 2), root, (cond,))
+    prof = brute_profile(m)
     assert (prof.h0, prof.h1, prof.h2, prof.hmin) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_brute_profile_against_dict_oracle():
     for seed in range(8):
-        m = synth.random_tree_model(seed=seed, nodes=4, arity=4)
+        m = random_tree_model(seed=seed, nodes=4, arity=4)
         want = profile_of_dict(
             expand_model_dict(m.parents, m.arities, m.root_table, m.cond_tables)
         )
-        prof = synth.brute_profile(m)
+        prof = brute_profile(m)
         got = (prof.h0, prof.h1, prof.h2, prof.hmin)
         for w, g in zip(want, got):
             assert g == pytest.approx(w, abs=1e-10)
 
 
 def test_expansion_size_guard():
-    m = synth.random_tree_model(seed=2, nodes=21, arity=2)
+    m = random_tree_model(seed=2, nodes=21, arity=2)
     with pytest.raises(DataError, match="too large to expand"):
-        synth.brute_profile(m)
+        brute_profile(m)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(2, 5))
 @settings(max_examples=40, deadline=None)
 def test_brute_profile_ordering(seed, nodes, arity):
-    prof = synth.brute_profile(synth.random_tree_model(seed, nodes, arity))
+    prof = brute_profile(random_tree_model(seed, nodes, arity))
     assert prof.hmin <= prof.h2 + 1e-9 <= prof.h1 + 2e-9 <= prof.h0 + 3e-9
 
 
 def test_sample_deterministic_and_in_range():
-    m = synth.random_tree_model(seed=5, nodes=4, arity=5)
-    a = synth.sample(m, 1000, seed=9)
-    b = synth.sample(m, 1000, seed=9)
+    m = random_tree_model(seed=5, nodes=4, arity=5)
+    a = sample(m, 1000, seed=9)
+    b = sample(m, 1000, seed=9)
     assert np.array_equal(a, b)
     assert a.shape == (1000, 4)
     for i, arity in enumerate(m.arities):
@@ -92,14 +100,14 @@ def test_sample_deterministic_and_in_range():
 def test_sample_point_mass():
     root = np.array([0.0, 1.0, 0.0])
     cond = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    m = synth.TrueModel((-1, 0), (3, 2), root, (cond,))
-    rows = synth.sample(m, 5, seed=1)
+    m = TrueModel((-1, 0), (3, 2), root, (cond,))
+    rows = sample(m, 5, seed=1)
     assert rows.tolist() == [[1, 1]] * 5
 
 
 def test_sample_marginal_total_variation():
-    m = synth.random_tree_model(seed=12, nodes=3, arity=5)
-    rows = synth.sample(m, 1_000_000, seed=13)
+    m = random_tree_model(seed=12, nodes=3, arity=5)
+    rows = sample(m, 1_000_000, seed=13)
     # true root marginal vs empirical, total variation
     counts = np.bincount(rows[:, 0], minlength=5) / rows.shape[0]
     tv = 0.5 * np.abs(counts - m.root_table).sum()
@@ -107,21 +115,21 @@ def test_sample_marginal_total_variation():
 
 
 def test_sample_h1_convergence():
-    m = synth.random_tree_model(seed=21, nodes=4, arity=6)
-    rows = synth.sample(m, 1_000_000, seed=22)
+    m = random_tree_model(seed=21, nodes=4, arity=6)
+    rows = sample(m, 1_000_000, seed=22)
     chans = [
         prebinned(f"x{i}", rows[:, i], m.arities[i]) for i in range(4)
     ]
     fitted = chowliu.build_tree(chans)
-    want = synth.brute_profile(m).h1
+    want = brute_profile(m).h1
     assert chowliu.tree_shannon(fitted) == pytest.approx(want, abs=0.05)
 
 
 def test_as_chowliu_matches_brute():
     for seed in (0, 3, 14):
-        m = synth.random_tree_model(seed=seed, nodes=5, arity=4)
-        prof = chowliu.tree_profile(synth.as_chowliu(m))
-        want = synth.brute_profile(m)
+        m = random_tree_model(seed=seed, nodes=5, arity=4)
+        prof = chowliu.tree_profile(as_chowliu(m))
+        want = brute_profile(m)
         assert prof.h0 == pytest.approx(want.h0, abs=1e-9)
         assert prof.h1 == pytest.approx(want.h1, abs=1e-9)
         assert prof.h2 == pytest.approx(want.h2, abs=1e-9)
@@ -132,8 +140,8 @@ def test_build_tree_recovers_sampled_chain():
     # ancestral chain 0-1-2 with strong conditionals
     root = np.array([0.5, 0.5])
     strong = np.array([[0.9, 0.1], [0.1, 0.9]])
-    m = synth.TrueModel((-1, 0, 1), (2, 2, 2), root, (strong, strong))
-    rows = synth.sample(m, 100_000, seed=31)
+    m = TrueModel((-1, 0, 1), (2, 2, 2), root, (strong, strong))
+    rows = sample(m, 100_000, seed=31)
     chans = [prebinned(f"x{i}", rows[:, i], 2) for i in range(3)]
     fitted = chowliu.build_tree(chans)
     assert set(fitted.edge_weights) == {("x0", "x1"), ("x1", "x2")}
