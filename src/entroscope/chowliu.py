@@ -3,23 +3,21 @@
 The tree is the maximum-weight spanning tree under pairwise mutual
 information, grown by Prim from the first channel, with plug-in tables. All
 four entropy orders come out of message passes over the tree, never from
-expanding the joint state space: sum-product in log2 domain for the power
-sums, max-product for the modal probability, sum-product over the support
-indicator for the support count (float64, int64 or Python integers,
-whichever keeps the count exact). The three upward passes share one walk
-(_upward), each with its own semiring; the Shannon chain rule walks the
-other way. Pairwise counts, the only statistics a tree needs, come from one
-counting routine (PairCounts) that merges rows into an empty table or into
-shared counts, and MI from one formula (_mutual_information).
+expanding the joint state space. The four passes are one upward walk
+(_upward), each in its own semiring: sum-product over the support indicator
+for the support count (float64, int64 or Python integers, whichever keeps
+the count exact), the expectation semiring for Shannon entropy, sum-product
+in log2 domain for the power sums, max-product for the modal probability.
+Pairwise counts, the only statistics a tree needs, come from one counting
+routine (PairCounts) that merges rows into an empty table or into shared
+counts, and MI from one formula (_mutual_information).
 
-Each message a pass sends, and each chain-rule term, is a pure function of
-one conditional table and of what reaches it from the rest of the tree, so
-it is cached on that table, keyed by the identity of those inputs. In a
-sweep the tables of subsets without extra rows are the shared ones cached
-on PairStats, so a message is computed once for all the trees that send it.
-The caches live and die with their tables, and each keeps at most
-_CACHE_CAP entries, dropping the oldest first, so memory stays bounded
-however many subsets a sweep visits.
+Each message a pass sends is cached on its conditional table, under one key
+scheme for all four passes (see _upward). In a sweep the tables of subsets
+without extra rows are the shared ones cached on PairStats, so a message is
+computed once for all the trees that send it. The caches live and die with
+their tables, and each keeps at most _CACHE_CAP entries, dropping the
+oldest first, so memory stays bounded however many subsets a sweep visits.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ import numpy as np
 
 from .entropy import (
     EntropyProfile,
-    _shannon_bits,
     _shannon_bits_of_counts,
     complete_row_mask,
     joint_direct,
@@ -57,8 +54,8 @@ class ConditionalTable:
 
     Rows exist only for parent bins seen with nonzero count; probabilities
     within a row are strictly positive and sum to 1. The cache holds what the
-    tree passes computed from the table (see _upward and tree_shannon), at
-    most _CACHE_CAP entries.
+    tree passes computed from the table (see _upward), at most _CACHE_CAP
+    entries.
     """
 
     parent_bins: np.ndarray  # (P,) strictly increasing parent codes
@@ -124,12 +121,6 @@ class ValidationReport:
     chowliu: EntropyProfile
     mae: float
     rel_error_pct: float
-
-
-def _dense_root(model: ChowLiuModel) -> np.ndarray:
-    dense = np.zeros(model.bin_counts[model.root])
-    dense[model.root_marginal.bins] = model.root_marginal.p
-    return dense
 
 
 def _edge_key(a: str, b: str) -> tuple[str, str]:
@@ -319,8 +310,8 @@ class SubsetPairs:
 
     def marginal(self, name: str) -> Pmf:
         """The channel's pmf on the subset's rows. Without extra rows it is
-        the one Pmf kept on the shared stats, so that the trees rooted at the
-        channel share the Shannon terms cached under its identity."""
+        the one Pmf kept on the shared stats, so the trees rooted at the
+        channel do not each rebuild it from the counts."""
         pmf = self._stats._marginals.get(name) if self._extra is None else None
         if pmf is None:
             counts = self._counts(name)
@@ -420,37 +411,6 @@ def _remember(cond: ConditionalTable, key, value):
     return value
 
 
-def tree_shannon(model: ChowLiuModel) -> float:
-    """Chain-rule Shannon entropy H(root) + sum of H(child | parent).
-
-    Each child's term and dense marginal depend only on its table and its
-    parent's marginal, so the table caches them under the identity of that
-    marginal (the root's Pmf, else a cached dense array); the entry keeps the
-    marginal alive, so the identity cannot be reused while it is cached.
-    """
-    marginals: dict[str, object] = {model.root: model.root_marginal}
-    terms = [_shannon_bits(model.root_marginal.p)]
-    for child in model.order[1:]:
-        cond = model.conditionals[child]
-        above = marginals[model.parent[child]]
-        key = ("shannon", id(above), model.bin_counts[child])
-        hit = cond.cache.get(key)
-        if hit is None:
-            dense_above = _dense_root(model) if above is model.root_marginal else above
-            pm = dense_above[cond.parent_bins]
-            # per-row plug-in entropies, weighted by the parent marginal
-            contrib = -(cond.probs * np.log2(cond.probs))
-            row_h = np.add.reduceat(contrib, cond.indptr[:-1])
-            dense = np.zeros(model.bin_counts[child])
-            np.add.at(dense, cond.child_bins,
-                      cond.probs * np.repeat(pm, np.diff(cond.indptr)))
-            hit = _remember(cond, key,
-                            (math.fsum((pm * row_h).tolist()), dense, above))
-        terms.append(hit[0])
-        marginals[child] = hit[1]
-    return math.fsum(terms)
-
-
 class _Message(NamedTuple):
     """What one node sends its parent in an upward pass."""
 
@@ -505,6 +465,21 @@ def _upward(model: ChowLiuModel, tag, weights, combine, reduce, zero):
     for child in model.children[model.root]:
         terms = combine(terms, sent[child].values[model.root_marginal.bins])
     return terms, sent
+
+
+def tree_shannon(model: ChowLiuModel) -> float:
+    """Shannon entropy of the tree distribution, in bits.
+
+    Upward sum-product in the expectation semiring: a node sends, for each
+    parent bin v, t(v) = sum over x of p(x|v) (log2 p(x|v) + its children's
+    t at x), the expected log2-probability of its subtree given v. H1 is
+    minus the same expectation at the root.
+    """
+    terms, _ = _upward(
+        model, "shannon", np.log2, np.add,
+        lambda cond, t: (np.add.reduceat(cond.probs * t, cond.indptr[:-1]), None),
+        0.0)
+    return -math.fsum((model.root_marginal.p * terms).tolist())
 
 
 def tree_power_sum(model: ChowLiuModel, alpha: float) -> float:
@@ -621,15 +596,3 @@ def validate(channels: list[BinnedChannel]) -> ValidationReport:
         rel_error_pct=rel,
     )
 
-
-def dump(model: ChowLiuModel) -> str:
-    """Stable text rendering of the fitted structure, for logs and goldens."""
-    lines = [f"root {model.root}"]
-    for name in model.nodes:
-        lines.append(f"node {name} bins {model.bin_counts[name]}")
-    for (a, b), w in sorted(model.edge_weights.items()):
-        lines.append(f"edge {a} -- {b} weight {w!r}")
-    for child in model.nodes:
-        if child in model.parent:
-            lines.append(f"parent {child} <- {model.parent[child]}")
-    return "\n".join(lines) + "\n"

@@ -223,9 +223,10 @@ def _list_of(item, what: str, valid=lambda values: True):
     return parse
 
 
-_names = _list_of(str, "channel names A,B,...")
-_two_or_three_names = _list_of(str, "2 or 3 channel names A,B[,C]",
-                               lambda v: 2 <= len(v) <= 3)
+_names = _list_of(str, "distinct channel names A,B,...",
+                  lambda v: len(set(v)) == len(v))
+_two_or_three_names = _list_of(str, "2 or 3 distinct channel names A,B[,C]",
+                               lambda v: 2 <= len(set(v)) == len(v) <= 3)
 _floats = _list_of(float, "numbers N1,N2,...")
 _grid = _list_of(int, "increasing bin counts of at least 2",
                  lambda v: v[0] >= 2 and all(a < b for a, b in zip(v, v[1:])))

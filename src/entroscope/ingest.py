@@ -18,8 +18,6 @@ import yaml
 
 from .errors import DataError, ManifestError
 
-MISSING_POLICIES = ("drop-row-for-subset",)
-
 
 @dataclass(frozen=True)
 class FileSpec:
@@ -42,13 +40,10 @@ class DatasetManifest:
     files: tuple[FileSpec, ...]
     channels: tuple[str, ...]
     magnitude_specs: tuple[MagnitudeSpec, ...] = ()
-    missing_policy: str = "drop-row-for-subset"
 
     def __post_init__(self):
         if len(set(self.channels)) != len(self.channels):
             raise ManifestError("channel names must be unique")
-        if self.missing_policy not in MISSING_POLICIES:
-            raise ManifestError(f"unknown missing policy {self.missing_policy!r}")
         taken = set(self.channels)
         for spec in self.magnitude_specs:
             for ref in (spec.x, spec.y, spec.z):
@@ -76,6 +71,10 @@ def load_manifest(path) -> DatasetManifest:
         raise ManifestError(f"cannot parse manifest {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"manifest {path} must be a mapping")
+    # rows missing a channel are dropped per subset; no other policy exists
+    policy = str(doc.get("missing_policy", "drop-row-for-subset"))
+    if policy != "drop-row-for-subset":
+        raise ManifestError(f"unknown missing policy {policy!r}")
     try:
         files = tuple(
             FileSpec(
@@ -94,7 +93,6 @@ def load_manifest(path) -> DatasetManifest:
             files=files,
             channels=tuple(str(c) for c in doc["channels"]),
             magnitude_specs=magnitudes,
-            missing_policy=str(doc.get("missing_policy", "drop-row-for-subset")),
         )
     except (KeyError, TypeError) as exc:
         raise ManifestError(f"manifest {path} is missing or mistypes a field: {exc}") from exc

@@ -4,7 +4,9 @@ TrueModel holds an analytic tree-factored distribution whose entropy profile
 is computable by brute enumeration; that enumeration is the oracle every
 message-pass result is checked against, so it deliberately shares no code
 with the tree routines. as_chowliu hands the same tables to those routines,
-and prebinned wraps sampled codes as channels.
+and prebinned wraps sampled codes as channels. chain_rule_shannon and
+exact_chain_rule_shannon are references for tree_shannon on any tree, fitted
+ones included, and dump renders a fitted tree's structure for comparison.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from entroscope.chowliu import ChowLiuModel, ConditionalTable
-from entroscope.entropy import EntropyProfile
+from entroscope.entropy import EntropyProfile, _shannon_bits
 from entroscope.errors import DataError
 from entroscope.quantize import BinnedChannel, BinningSpec, Pmf
 
@@ -187,3 +189,76 @@ def prebinned(name: str, codes, bin_count: int) -> BinnedChannel:
     """Wrap already-discrete codes (synthetic samples) as a BinnedChannel."""
     edges = np.arange(bin_count + 1, dtype=float) - 0.5
     return BinnedChannel(name, BinningSpec("fixed_count", bin_count, edges), codes)
+
+
+def dump(model: ChowLiuModel) -> str:
+    """Stable text rendering of the fitted structure, for logs and goldens."""
+    lines = [f"root {model.root}"]
+    for name in model.nodes:
+        lines.append(f"node {name} bins {model.bin_counts[name]}")
+    for (a, b), w in sorted(model.edge_weights.items()):
+        lines.append(f"edge {a} -- {b} weight {w!r}")
+    for child in model.nodes:
+        if child in model.parent:
+            lines.append(f"parent {child} <- {model.parent[child]}")
+    return "\n".join(lines) + "\n"
+
+
+def chain_rule_shannon(model: ChowLiuModel) -> float:
+    """Chain-rule Shannon entropy H(root) + sum of H(child | parent).
+
+    Walks the tree top-down, pushing each node's dense marginal through its
+    children's tables, in float64 with fsum per term and over the terms. It
+    touches no table cache.
+    """
+    dense_root = np.zeros(model.bin_counts[model.root])
+    dense_root[model.root_marginal.bins] = model.root_marginal.p
+    marginals = {model.root: dense_root}
+    terms = [_shannon_bits(model.root_marginal.p)]
+    for child in model.order[1:]:
+        cond = model.conditionals[child]
+        pm = marginals[model.parent[child]][cond.parent_bins]
+        # per-row plug-in entropies, weighted by the parent marginal
+        contrib = -(cond.probs * np.log2(cond.probs))
+        row_h = np.add.reduceat(contrib, cond.indptr[:-1])
+        dense = np.zeros(model.bin_counts[child])
+        np.add.at(dense, cond.child_bins,
+                  cond.probs * np.repeat(pm, np.diff(cond.indptr)))
+        terms.append(math.fsum((pm * row_h).tolist()))
+        marginals[child] = dense
+    return math.fsum(terms)
+
+
+def exact_chain_rule_shannon(model: ChowLiuModel):
+    """The same chain rule over the same float tables, evaluated in mpmath
+    with 200-bit arithmetic; returns an mpf. Needs mpmath."""
+    import mpmath
+
+    with mpmath.workprec(200):
+        def h_row(probs):
+            return -mpmath.fsum(mpmath.mpf(p) * mpmath.log(p, 2) for p in probs)
+
+        root = model.root_marginal
+        marginals = {model.root: dict(zip(root.bins.tolist(),
+                                          map(mpmath.mpf, root.p.tolist())))}
+        total = h_row(root.p.tolist())
+        for child in model.order[1:]:
+            cond = model.conditionals[child]
+            above = marginals[model.parent[child]]
+            below: dict = {}
+            for row, pb in enumerate(cond.parent_bins.tolist()):
+                lo, hi = cond.indptr[row], cond.indptr[row + 1]
+                probs = cond.probs[lo:hi].tolist()
+                weight = above.get(pb, mpmath.mpf(0))
+                total += weight * h_row(probs)
+                for cb, p in zip(cond.child_bins[lo:hi].tolist(), probs):
+                    below[cb] = below.get(cb, mpmath.mpf(0)) + weight * p
+            marginals[child] = below
+        return +total
+
+
+def ulps(value: float, reference) -> float:
+    """|value - reference| in units in the last place of the float nearest
+    the reference."""
+    ref = float(reference)
+    return float(abs(value - reference)) / math.ulp(ref)

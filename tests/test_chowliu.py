@@ -12,7 +12,6 @@ from entroscope.chowliu import (
     PairStats,
     SubsetPairs,
     build_tree,
-    dump,
     tree_max_prob,
     tree_power_sum,
     tree_profile,
@@ -30,7 +29,16 @@ from entroscope.entropy import (
 from entroscope.errors import DataError
 from entroscope.quantize import Pmf, pmf_of
 from helpers import profile_of_dict
-from oracles import prebinned, random_tree_model, sample
+from oracles import (
+    as_chowliu,
+    chain_rule_shannon,
+    dump,
+    exact_chain_rule_shannon,
+    prebinned,
+    random_tree_model,
+    sample,
+    ulps,
+)
 
 
 def _top_down(model):
@@ -201,6 +209,30 @@ def test_tree_shannon_duplicated_pair():
     assert tree_shannon(model) == pytest.approx(
         profile(pmf_of(codes)).h1, abs=1e-9
     )
+
+
+def _random_models():
+    """Oracle trees of 1 to 9 nodes over 2 to 6 bins each."""
+    return [as_chowliu(random_tree_model(seed, nodes=1 + seed % 9,
+                                         arity=2 + seed % 5))
+            for seed in range(18)]
+
+
+def test_tree_shannon_within_8_ulp_of_chain_rule_on_random_trees():
+    for model in _random_models():
+        assert ulps(tree_shannon(model), chain_rule_shannon(model)) <= 8
+
+
+def test_tree_shannon_within_1_ulp_of_exact_chain_rule():
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12)
+    base = rng.integers(0, 9, size=3000)
+    rows = np.stack([np.where(rng.random(3000) < share, base,
+                              rng.integers(0, 9, size=3000))
+                     for share in (1.0, 0.7, 0.5, 0.3, 0.0)], axis=1)
+    fitted = build_tree(chans_from(rows, [9, 9, 9, 9, 9]))
+    for model in [*_random_models(), fitted]:
+        assert ulps(tree_shannon(model), exact_chain_rule_shannon(model)) <= 1
 
 
 def uniform_product_model(k, m):

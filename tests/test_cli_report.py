@@ -228,13 +228,16 @@ def test_size_range_is_a_usage_error(tmp_path, capsys):
 
 def test_list_options_are_usage_errors(tmp_path, capsys):
     # refused at parse time, before any data is read (the missing manifest
-    # would exit 2, and so would the synthetic table's channels)
+    # would exit 2, and so would the synthetic table's channels or a repeated
+    # channel name)
     absent = ["--manifest", str(tmp_path / "absent.yaml")]
     for cmd, argv in [
         ("validate", [*absent, "--subset", "Acc.X,Acc.Y,Acc.Z,Gyro.X"]),
         ("validate", [*absent, "--subset", "Acc.X"]),
         ("validate", [*absent, "--subset", " , "]),
+        ("validate", ["--synthetic", "--rows", "500", "--subset", "Acc.X,Acc.X"]),
         ("sensitivity", [*absent, "--subset", ","]),
+        ("sensitivity", [*absent, "--subset", "Acc.X,Acc.X"]),
         ("sensitivity", ["--synthetic", "--rows", "500", "--subset", "Acc.X,Acc.Y",
                          "--grid", "8,5"]),
         ("sensitivity", [*absent, "--subset", "Acc.X", "--grid", "5,5"]),

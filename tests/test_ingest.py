@@ -48,7 +48,6 @@ def test_load_manifest_fields(simple_dataset):
     assert m.channels == ("Acc.X", "Acc.Y", "Acc.Z")
     assert m.files[0].columns == {"ax": "Acc.X", "ay": "Acc.Y", "az": "Acc.Z"}
     assert m.magnitude_specs[0].name == "Acc.Mag"
-    assert m.missing_policy == "drop-row-for-subset"
 
 
 def test_load_table_strict_rejects_text(simple_dataset):
@@ -151,8 +150,6 @@ def test_missing_file_and_column_errors(tmp_path):
 def test_manifest_validation_errors(tmp_path):
     with pytest.raises(ManifestError):
         DatasetManifest("x", (), ("A", "A"))
-    with pytest.raises(ManifestError):
-        DatasetManifest("x", (), ("A",), missing_policy="ignore")
     with pytest.raises(ManifestError):
         DatasetManifest(
             "x", (), ("A",),

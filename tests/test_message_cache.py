@@ -2,7 +2,8 @@
 
 Every value a pass returns with the caches in play must be bit for bit the
 value a fresh fit of the same subset returns: its own PairStats, so no table,
-marginal or cache is shared with any other tree.
+marginal or cache is shared with any other tree. The Shannon pass is also
+held to the top-down chain rule, on the same fits.
 """
 
 import itertools
@@ -26,7 +27,7 @@ from entroscope.chowliu import (
 from entroscope.ingest import SampleTable
 from entroscope.quantize import Pmf, bin_channel
 from entroscope.sweep import MAX_JOINT_BINS, enumerate_subsets, run_sweep
-from oracles import prebinned
+from oracles import chain_rule_shannon, exact_chain_rule_shannon, prebinned, ulps
 
 
 def _profile_bits(prof):
@@ -126,6 +127,31 @@ def test_gappy_sweep_mixes_shared_and_merged_tables():
     for r in results:
         want = tree_profile(build_tree([chans[n] for n in r.subset]))
         assert _profile_bits(r.profile) == _profile_bits(want), r.subset
+
+
+def _shared_fits(table, chans):
+    """Each subset's tree, fitted from one PairStats over the table."""
+    stats = PairStats(list(chans.values()))
+    stats.count_all()
+    for subset in enumerate_subsets(table.channels):
+        yield subset, build_tree([chans[n] for n in subset], stats)
+
+
+def test_shannon_near_chain_rule_on_12_channel_sweep(wide12):
+    table, chans, _ = wide12
+    for subset, model in _shared_fits(table, chans):
+        assert ulps(tree_shannon(model), chain_rule_shannon(model)) <= 8, subset
+
+
+def test_shannon_near_chain_rule_on_gappy_fits():
+    # shared and merged tables alike (see the gappy sweep test above)
+    table = _latent_table(2500, 6, seed=23, holes=(0.0, 0.05, 0.0, 0.1))
+    fits = list(_shared_fits(table, _binned(table, "fd")))
+    for subset, model in fits:
+        assert ulps(tree_shannon(model), chain_rule_shannon(model)) <= 8, subset
+    pytest.importorskip("mpmath")
+    for subset, model in fits[::6]:
+        assert ulps(tree_shannon(model), exact_chain_rule_shannon(model)) <= 1, subset
 
 
 def _copy(model):

@@ -2,8 +2,10 @@
 
 A public name is one a module of src/entroscope defines at top level without
 a leading underscore. It counts as used when code under src/, scripts/ or
-bench/ loads it by name, reads it as an attribute or imports it; its own
-definition does not count.
+bench/ loads it by name, imports it, or reads it as an attribute of a name
+spelled like one of the package's modules (chowliu.build_tree); its own
+definition does not count. An attribute of anything else, such as json.dump
+or model.root, says nothing about the package's names.
 """
 
 import ast
@@ -25,11 +27,15 @@ def _defined(tree):
             yield node.target.id
 
 
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
 def _used(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in MODULES):
             yield node.attr
         elif isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
