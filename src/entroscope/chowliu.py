@@ -43,8 +43,8 @@ _FLOAT64_EXACT = 2 ** 53
 # support counts whose float64 estimate stays within this run in int64
 _INT64_SAFE = 2 ** 60
 # most entries a conditional table's cache holds, over all passes; past it
-# the oldest goes. Tables of the bench sweeps take at most 158 (wide12) and
-# 76 (synth8) entries, so they lose no reuse to it
+# the oldest goes. Tables of the bench sweeps at seed 3 take at most 194
+# (wide12) and 100 (synth8) entries, so they lose no reuse to it
 _CACHE_CAP = 256
 
 

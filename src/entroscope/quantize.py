@@ -77,21 +77,35 @@ class Pmf:
 
 
 def _finite_values(values) -> np.ndarray:
+    """The finite values, flattened. When every value is finite this may be
+    the caller's own array, so the result must not be written to."""
     v = np.asarray(values, dtype=float).ravel()
-    return v[np.isfinite(v)]
+    finite = np.isfinite(v)
+    return v if finite.all() else v[finite]
+
+
+def _quantile(s: np.ndarray, q: float) -> float:
+    """Quantile q of the sorted values s, bit for bit as numpy's "linear"
+    percentile method: order statistics at (n-1)*q, combined as its _lerp."""
+    at = (s.size - 1) * q
+    lo = math.floor(at)
+    t = at - lo
+    a, b = float(s[lo]), float(s[lo + 1])
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
 
 
 def fd_width(values) -> float:
     """Freedman-Diaconis width 2*IQR/n^(1/3).
 
-    IQR uses linear interpolation between order statistics.
+    IQR uses linear interpolation between order statistics, read from one sort.
     """
     v = _finite_values(values)
     n = v.size
     if n < 2:
         raise DataError("width rules need at least 2 samples")
-    q25, q75 = np.percentile(v, [25.0, 75.0])
-    iqr = float(q75 - q25)
+    s = np.sort(v)
+    iqr = _quantile(s, 0.75) - _quantile(s, 0.25)
     if iqr <= 0.0:
         raise DegenerateSpreadError("degenerate spread; use fixed_count")
     return 2.0 * iqr * n ** (-1.0 / 3.0)
@@ -151,7 +165,19 @@ def bin_channel(values, rule, name: str = "channel",
     if raw.size == 0:
         raise DataError("cannot bin an empty channel")
     finite = np.isfinite(raw)
-    v = raw[finite]
+    complete = finite.all()
+    v = raw if complete else raw[finite]
+    spec = _binning_spec(v, rule, name, max_bins)
+    if complete:
+        return BinnedChannel(name, spec, _bin_codes(spec.edges, v))
+    codes = np.full(raw.shape, MISSING, dtype=np.int64)
+    codes[finite] = _bin_codes(spec.edges, v)
+    return BinnedChannel(name, spec, codes)
+
+
+def _binning_spec(v: np.ndarray, rule, name: str,
+                  max_bins: int | None = None) -> BinningSpec:
+    """The spec bin_channel gives a channel whose finite values are v."""
     if v.size == 0:
         raise DataError("channel has no non-missing values")
     vmin = float(v.min())
@@ -167,50 +193,48 @@ def bin_channel(values, rule, name: str = "channel",
             edges = np.array([vmin - 0.5, vmin + 0.5])
         else:
             edges = np.linspace(vmin, vmax, k + 1)
-        spec = BinningSpec(kind, k, edges)
+        return BinningSpec(kind, k, edges)
+    width = fd_width(v) if kind == "freedman_diaconis" else scott_width(v)
+    # size check before allocating: a tiny spread against a huge range
+    # can imply astronomically many bins
+    estimate = (vmax - vmin) / width
+    if max_bins is not None and estimate > max_bins:
+        edges = np.linspace(vmin, vmax, max_bins + 1)
+        width = (vmax - vmin) / max_bins
+    elif estimate > _MAX_AUTO_BINS:
+        raise DataError(
+            f"channel {name!r}: width {width:g} over range "
+            f"[{vmin:g}, {vmax:g}] implies {estimate:.3g} bins; "
+            "pass max_bins or use fixed_count"
+        )
     else:
-        width = fd_width(v) if kind == "freedman_diaconis" else scott_width(v)
-        # size check before allocating: a tiny spread against a huge range
-        # can imply astronomically many bins
-        estimate = (vmax - vmin) / width
-        if max_bins is not None and estimate > max_bins:
-            edges = np.linspace(vmin, vmax, max_bins + 1)
-            width = (vmax - vmin) / max_bins
-        elif estimate > _MAX_AUTO_BINS:
-            raise DataError(
-                f"channel {name!r}: width {width:g} over range "
-                f"[{vmin:g}, {vmax:g}] implies {estimate:.3g} bins; "
-                "pass max_bins or use fixed_count"
-            )
-        else:
-            edges = _width_edges(vmin, vmax, width)
-        spec = BinningSpec(kind, edges.size - 1, edges, width)
-
-    codes = np.full(raw.shape, MISSING, dtype=np.int64)
-    codes[finite] = _bin_codes(spec.edges, v)
-    return BinnedChannel(name, spec, codes)
+        edges = _width_edges(vmin, vmax, width)
+    return BinningSpec(kind, edges.size - 1, edges, width)
 
 
 def _bin_codes(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
     """clip(searchsorted(edges, v, "right") - 1, 0, nb - 1) without a search.
 
-    Each code is first guessed from where v falls in the edges' span, then
-    stepped down while v lies below its bin's lower edge and up while v
-    reaches the next bin's lower edge, comparing against the real edges, so
-    the codes are exact. Edges are near-uniform, so few values need a step.
+    Each code is first guessed from the first bin's width, which every bin
+    but a width rule's shorter last one shares, then stepped down while v
+    lies below its bin's lower edge and up while v reaches its upper edge,
+    comparing against the real edges, so the codes are exact. The outer
+    edges are open (-inf and inf) to clip. Few values need a step.
     """
     nb = edges.size - 1
-    guess = np.floor((v - edges[0]) * (nb / (edges[-1] - edges[0])))
-    # fmax/fmin map a NaN guess (from an overflowing span) to bin 0
+    guess = np.floor((v - edges[0]) / (edges[1] - edges[0]))
+    # fmax/fmin map a NaN guess (from an overflowing width) to bin 0
     codes = np.fmin(np.fmax(guess, 0), nb - 1).astype(np.int64)
-    at = np.flatnonzero((codes > 0) & (v < edges[codes]))
+    lower = np.concatenate(([-np.inf], edges[1:-1]))
+    upper = np.concatenate((edges[1:-1], [np.inf]))
+    at = np.flatnonzero(v < lower[codes])
     while at.size:
         codes[at] -= 1
-        at = at[(codes[at] > 0) & (v[at] < edges[codes[at]])]
-    at = np.flatnonzero((codes < nb - 1) & (v >= edges[codes + 1]))
+        at = at[v[at] < lower[codes[at]]]
+    at = np.flatnonzero(v >= upper[codes])
     while at.size:
         codes[at] += 1
-        at = at[(codes[at] < nb - 1) & (v[at] >= edges[codes[at] + 1])]
+        at = at[v[at] >= upper[codes[at]]]
     return codes
 
 

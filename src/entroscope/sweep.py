@@ -25,7 +25,9 @@ from .chowliu import PairStats, build_tree, tree_profile
 from .entropy import EntropyProfile, profile
 from .errors import DataError, EntroscopeError
 from .ingest import SampleTable
-from .quantize import BinnedChannel, bin_channel, pmf_of
+from .quantize import (
+    BinnedChannel, _binning_spec, _finite_values, bin_channel, pmf_of,
+)
 
 # per-channel cap for joint analyses; width rules past this rebin equal-width
 MAX_JOINT_BINS = 2048
@@ -212,9 +214,9 @@ def sensitivity(table: SampleTable, subset, grid=DEFAULT_GRID) -> SensitivityCur
     fd_counts = []
     scott_counts = []
     for name in subset:
-        col = table.column(name)
-        fd_counts.append(bin_channel(col, "fd", name=name).spec.bin_count)
-        scott_counts.append(bin_channel(col, "scott", name=name).spec.bin_count)
+        v = _finite_values(table.column(name))
+        fd_counts.append(_binning_spec(v, "fd", name).bin_count)
+        scott_counts.append(_binning_spec(v, "scott", name).bin_count)
     markers = (
         float(np.mean(fd_counts)),
         float(np.mean(scott_counts)),

@@ -7,6 +7,7 @@ with the tree routines. as_chowliu hands the same tables to those routines,
 and prebinned wraps sampled codes as channels. chain_rule_shannon and
 exact_chain_rule_shannon are references for tree_shannon on any tree, fitted
 ones included, and dump renders a fitted tree's structure for comparison.
+percentile_fd_width is the reference for quantize.fd_width's quartiles.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from entroscope.chowliu import ChowLiuModel, ConditionalTable
 from entroscope.entropy import EntropyProfile, _shannon_bits
-from entroscope.errors import DataError
+from entroscope.errors import DataError, DegenerateSpreadError
 from entroscope.quantize import BinnedChannel, BinningSpec, Pmf
 
 # joints above this many states are not expandable
@@ -189,6 +190,20 @@ def prebinned(name: str, codes, bin_count: int) -> BinnedChannel:
     """Wrap already-discrete codes (synthetic samples) as a BinnedChannel."""
     edges = np.arange(bin_count + 1, dtype=float) - 0.5
     return BinnedChannel(name, BinningSpec("fixed_count", bin_count, edges), codes)
+
+
+def percentile_fd_width(values) -> float:
+    """Freedman-Diaconis width with its quartiles from np.percentile."""
+    v = np.asarray(values, dtype=float).ravel()
+    v = v[np.isfinite(v)]
+    n = v.size
+    if n < 2:
+        raise DataError("width rules need at least 2 samples")
+    q25, q75 = np.percentile(v, [25.0, 75.0])
+    iqr = float(q75 - q25)
+    if iqr <= 0.0:
+        raise DegenerateSpreadError("degenerate spread; use fixed_count")
+    return 2.0 * iqr * n ** (-1.0 / 3.0)
 
 
 def dump(model: ChowLiuModel) -> str:

@@ -16,7 +16,7 @@ from entroscope.quantize import (
     scott_width,
 )
 from helpers import from_probs
-from oracles import prebinned
+from oracles import percentile_fd_width, prebinned
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -40,6 +40,39 @@ def test_fd_width_uniform_golden():
     pmf = pmf_of(ch.codes)
     assert len(pmf.p) == golden["bin_count"]
     assert pmf.p.max() < 2.0 / golden["bin_count"]
+
+
+def _width_or_error(width, values):
+    try:
+        return width(values).hex()
+    except DataError as exc:
+        return type(exc).__name__
+
+
+def _quartile_cases():
+    rng = np.random.default_rng(13)
+    for n in range(2, 10):
+        for _ in range(20):
+            yield rng.normal(size=n)
+            yield np.round(rng.normal(size=n), 1)
+            yield rng.choice([-0.0, 0.0, -1.0, 1.0], size=n)
+    for n in rng.integers(10, 5000, size=40):
+        yield rng.gamma(2.0, size=n)
+        # tie-heavy: a coarse grid, so quartiles often fall between equal values
+        yield np.round(rng.normal(size=n), int(rng.integers(0, 2)))
+        # signed zeros: -0.0 and 0.0 sort as equals, so either may land on
+        # a quartile's order statistic
+        yield np.round(rng.random(n)) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    for exp in range(-300, 301, 20):
+        for n in (2, 3, 5, 8, 101, 1000):
+            yield rng.normal(size=n) * 10.0 ** exp
+
+
+def test_fd_width_matches_percentile_bitwise():
+    # every width, or the error, is the one np.percentile's quartiles give
+    for values in _quartile_cases():
+        assert _width_or_error(fd_width, values) == _width_or_error(
+            percentile_fd_width, values), values
 
 
 def test_fd_width_degenerate():
@@ -130,12 +163,15 @@ def _channel_values(kind):
         values = rng.standard_cauchy(20_000)
     else:  # a skewed sample with ties, so many values sit on or near edges
         values = np.round(rng.gamma(2.0, size=20_000), 2)
-    values[rng.random(values.size) < 0.05] = np.nan
-    values[:3] = [np.inf, -np.inf, np.nan]
+    if kind != "complete":
+        values[rng.random(values.size) < 0.05] = np.nan
+        values[:3] = [np.inf, -np.inf, np.nan]
     return values
 
 
 @pytest.mark.parametrize("kind, rule, max_bins", [
+    ("complete", "fd", None),
+    ("complete", 7, None),
     ("skewed", "fd", None),
     ("skewed", "scott", None),
     ("skewed", 1, None),
@@ -161,6 +197,22 @@ def test_bin_codes_match_binary_search(kind, rule, max_bins):
         [edges[0] - 1.0, edges[-1] + 1.0, -1e300, 1e300],
     ])
     assert np.array_equal(_bin_codes(edges, probe), _searched(edges, probe))
+
+
+@pytest.mark.parametrize("kind", ["complete", "skewed", "constant"])
+@pytest.mark.parametrize("rule", ["fd", "scott", 1, 64])
+def test_binning_leaves_input_untouched(kind, rule):
+    values = _channel_values(kind)
+    before = values.copy()
+    try:
+        ch = bin_channel(values, rule, max_bins=2048)
+    except DataError:
+        pass
+    else:
+        assert not np.shares_memory(ch.codes, values)
+    for width in (fd_width, scott_width):
+        _width_or_error(width, values)
+    assert values.tobytes() == before.tobytes()
 
 
 def as_dict(pmf):

@@ -235,13 +235,14 @@ def test_sensitivity_markers_and_defaults():
     table = small_table(rows=5000)
     curve = sensitivity(table, ["ch0", "ch1"])
     assert [c for c, _ in curve.points] == list(DEFAULT_GRID)
-    fd_marker, scott_marker = curve.markers
-    want_fd = np.mean([
-        bin_channel(table.column(n), "fd", name=n).spec.bin_count
-        for n in ("ch0", "ch1")
-    ])
-    assert fd_marker == pytest.approx(want_fd)
-    assert scott_marker > 0
+    # the markers are the mean bin counts of the channels binned by each rule
+    counts = {
+        rule: [bin_channel(table.column(n), rule, name=n).spec.bin_count
+               for n in ("ch0", "ch1")]
+        for rule in ("fd", "scott")
+    }
+    assert curve.markers == (float(np.mean(counts["fd"])),
+                             float(np.mean(counts["scott"])))
 
 
 def test_sensitivity_grid_validation():
