@@ -8,6 +8,8 @@ the same artifacts the CLI produces one at a time, chained.
 
 By default it runs on the built-in synthetic table so it works out of the
 box; point --manifest/--data-root at a prepared dataset for the real thing.
+--data-root, --seed, --rows and --workers are passed on only when given, so
+an option of the source not chosen fails the first step, as it would the CLI.
 
 Usage:
     python3 scripts/run_full_analysis.py --outdir reports/
@@ -32,30 +34,36 @@ def step(argv: list[str]) -> None:
     print(f"  ... {time.perf_counter() - t0:.1f}s", file=sys.stderr)
 
 
-def main() -> None:
+def _given(args, *names: str) -> list[str]:
+    """The named options as CLI arguments, each only when it was given."""
+    argv = []
+    for name in names:
+        value = getattr(args, name.replace("-", "_"))
+        if value is not None:
+            argv += [f"--{name}", value]
+    return argv
+
+
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="reports",
                         help="directory for the emitted reports")
     parser.add_argument("--manifest", help="dataset manifest (default: synthetic)")
     parser.add_argument("--data-root", help="base directory for manifest paths")
-    parser.add_argument("--rows", type=int, default=100_000,
-                        help="synthetic rows when no manifest is given")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--rows",
+                        help="synthetic rows (default: the CLI's, 100000)")
+    parser.add_argument("--seed", help="synthetic seed (default: the CLI's, 7)")
     parser.add_argument("--bins", default="fd", help="binning rule (default fd)")
     parser.add_argument("--workers",
                         help="sweep workers (default: $ENTROSCOPE_WORKERS or 1)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     os.makedirs(args.outdir, exist_ok=True)
-    if args.manifest:
-        data = ["--manifest", args.manifest]
-        if args.data_root:
-            data += ["--data-root", args.data_root]
-    else:
-        data = ["--synthetic", "--seed", str(args.seed), "--rows", str(args.rows)]
-    data += ["--bins", args.bins]
-    # forwarded only when given, so the CLI's own default applies otherwise
-    sweepish = [] if args.workers is None else ["--workers", args.workers]
+    # each option is forwarded only when given, so the CLI's own default
+    # applies otherwise and the CLI refuses an option of the other source
+    data = ["--manifest", args.manifest] if args.manifest else ["--synthetic"]
+    data += [*_given(args, "data-root", "seed", "rows"), "--bins", args.bins]
+    sweepish = _given(args, "workers")
 
     def out(name: str, format: str = "markdown") -> list[str]:
         ext = {"markdown": "md", "structured": "json", "delimited": "csv"}[format]

@@ -10,14 +10,17 @@ the count exact), the expectation semiring for Shannon entropy, sum-product
 in log2 domain for the power sums, max-product for the modal probability.
 Pairwise counts, the only statistics a tree needs, come from one counting
 routine (PairCounts) that merges rows into an empty table or into shared
-counts, and MI from one formula (_mutual_information).
+counts, and MI from one formula (_mutual_information). One class holds them
+(PairStats): a sweep's PairStats counts the rows complete in every channel,
+and each subset's PairStats, its child, merges in only the leftover rows
+complete across the subset, or serves the parent's counts as they are.
 
 Each message a pass sends is cached on its conditional table, under one key
 scheme for all four passes (see _upward). In a sweep the tables of subsets
-without extra rows are the shared ones cached on PairStats, so a message is
-computed once for all the trees that send it. The caches live and die with
-their tables, and each keeps at most _CACHE_CAP entries, dropping the
-oldest first, so memory stays bounded however many subsets a sweep visits.
+without leftover rows are the parent's, so a message is computed once for
+all the trees that send it. The caches live and die with their tables, and
+each keeps at most _CACHE_CAP entries, dropping the oldest first, so memory
+stays bounded however many subsets a sweep visits.
 """
 
 from __future__ import annotations
@@ -201,137 +204,94 @@ def _mutual_information(h_a: float, h_b: float, joint: PairCounts) -> float:
 
 
 class PairStats:
-    """Pair counts of a set of channels, each pair counted at most once.
+    """Pair statistics of channels on the rows complete across them.
 
-    Rows split in two. Clean rows are complete in every channel; each pair
-    is counted on them once, however many trees ask for it. Extra rows are
-    the others: a subset of the channels (see SubsetPairs) adds to the clean
-    counts only those of its extra rows, the ones complete across it. Over
-    the channels of a single tree the clean rows are exactly its complete
-    rows and there are no extra rows.
+    Each pair is counted at most once, however many trees ask for it.
+    Without a parent a PairStats counts its rows itself and keeps every
+    channel's codes on the leftover rows, the others, to lend to subsets.
+    With a parent, a PairStats over a superset of the channels, its rows are
+    the parent's plus the parent's leftover rows complete across the
+    channels: it counts only the latter and merges them into the parent's
+    counts, in the parent's orientation of each pair. With no such rows it
+    serves the parent's counts, conditional tables and pmfs themselves.
     """
 
-    def __init__(self, channels: list[BinnedChannel]):
+    def __init__(self, channels: list[BinnedChannel],
+                 parent: PairStats | None = None):
         self.channels = {ch.name: ch for ch in channels}
-        clean = complete_row_mask(channels) if channels else np.ones(0, bool)
-        if clean.all():
-            # nothing to split, so no copy of the columns either
-            self._cols = {ch.name: ch.codes for ch in channels}
-            extra = np.zeros(0, dtype=np.intp)
-        else:
-            self._cols = {ch.name: ch.codes[clean] for ch in channels}
-            extra = np.flatnonzero(~clean)
-        self.n = clean.size - extra.size  # clean rows
-        self._extra_rows = extra.size
-        # each channel's codes on the extra rows, missing ones included
-        self._extra = {ch.name: ch.codes[extra] for ch in channels}
+        self._parent = parent
+        # the channels on the rows it may count: all rows, or the parent's
+        # leftover rows; it counts those complete across the channels
+        source = channels if parent is None else [
+            parent._leftover[name] for name in self.channels]
+        rows = complete_row_mask(source) if source else np.ones(0, bool)
+        own = int(np.count_nonzero(rows))
+        self.n = own + (0 if parent is None else parent.n)
+        # each channel's codes on the rows counted here; no copy if all are
+        self._cols = {ch.name: ch.codes if own == rows.size else ch.codes[rows]
+                      for ch in source}
+        if parent is None:  # a child lends to no one, so keeps no leftovers
+            leftover = np.flatnonzero(~rows)
+            self._leftover = {ch.name: BinnedChannel(ch.name, ch.spec,
+                                                     ch.codes[leftover])
+                              for ch in channels}
+        self._same_rows = parent is not None and own == 0
         self._pairs: dict[tuple[str, str], PairCounts] = {}
         self._code_counts: dict[str, np.ndarray] = {}
-        self._marginals: dict[str, Pmf] = {}  # on the clean rows
-
-    def _pair(self, a: str, b: str) -> tuple[PairCounts, int]:
-        """The pair's clean-row counts, made on first use, and a's side."""
-        if (b, a) in self._pairs:
-            return self._pairs[(b, a)], 1
-        if (a, b) not in self._pairs:
-            bins = (self.channels[a].spec.bin_count, self.channels[b].spec.bin_count)
-            self._pairs[(a, b)] = PairCounts(self._cols[a], self._cols[b], bins)
-        return self._pairs[(a, b)], 0
-
-    def _clean_counts(self, name: str) -> np.ndarray:
-        """Per-bin code counts of one channel on the clean rows."""
-        counts = self._code_counts.get(name)
-        if counts is None:
-            counts = np.bincount(self._cols[name],
-                                 minlength=self.channels[name].spec.bin_count)
-            self._code_counts[name] = counts
-        return counts
-
-    def count_all(self) -> None:
-        """Count every pair and every channel on the clean rows now, rather
-        than on first use, so forked workers inherit the counts.
-
-        When every row is clean, every subset uses these counts as they are,
-        so the pairs' MI is worked out now as well.
-        """
-        names = list(self.channels)
-        for name in names:
-            self._clean_counts(name)
-        whole = (SubsetPairs(self, list(self.channels.values()))
-                 if self.n and not self._extra_rows else None)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                self._pair(a, b)
-                if whole is not None:
-                    whole.mi(a, b)  # kept on the shared counts for every subset
-
-
-class SubsetPairs:
-    """Pair statistics of a subset of a PairStats' channels on the rows
-    complete across the subset: the shared clean-row counts, plus the counts
-    of the subset's own extra rows merged in. Without such rows the shared
-    counts, and the conditional tables cached on them, serve as they are."""
-
-    def __init__(self, stats: PairStats, channels: list[BinnedChannel]):
-        self._stats = stats
-        names = [ch.name for ch in channels]
-        keep = np.ones(stats._extra_rows, dtype=bool)
-        for name in names:
-            keep &= stats._extra[name] >= 0
-        self.n = stats.n + int(keep.sum())
-        if self.n == 0:
-            raise DataError("no complete rows")
-        self._extra = (
-            {name: stats._extra[name][keep] for name in names}
-            if self.n > stats.n else None
-        )
-        self._pairs: dict[tuple[str, str], PairCounts] = {}
         self._entropies: dict[str, float] = {}
+        self._marginals: dict[str, Pmf] = {}
 
     def pair(self, a: str, b: str) -> tuple[PairCounts, int]:
-        """The pair's counts on the subset's rows, and the side a is on."""
-        shared, side = self._stats._pair(a, b)
-        if self._extra is None:
-            return shared, side
+        """The pair's counts on these rows, made on first use, and a's side."""
+        if self._parent is None:
+            base, side = None, int((b, a) in self._pairs)
+        else:
+            base, side = self._parent.pair(a, b)
+            if self._same_rows:
+                return base, side
         first, second = (a, b) if side == 0 else (b, a)
         counts = self._pairs.get((first, second))
         if counts is None:
-            counts = PairCounts(self._extra[first], self._extra[second],
-                                shared.bins, shared)
+            bins = (self.channels[first].spec.bin_count,
+                    self.channels[second].spec.bin_count)
+            counts = PairCounts(self._cols[first], self._cols[second], bins, base)
             self._pairs[(first, second)] = counts
         return counts, side
 
     def _counts(self, name: str) -> np.ndarray:
-        """Per-bin row counts of one channel on the subset's rows."""
-        counts = self._stats._clean_counts(name)
-        if self._extra is not None:
-            counts = counts + np.bincount(self._extra[name], minlength=counts.size)
+        """Per-bin row counts of one channel on these rows."""
+        counts = self._code_counts.get(name)
+        if counts is None:
+            counts = np.bincount(self._cols[name],
+                                 minlength=self.channels[name].spec.bin_count)
+            if self._parent is not None:
+                counts = self._parent._counts(name) + counts
+            self._code_counts[name] = counts
         return counts
 
     def marginal(self, name: str) -> Pmf:
-        """The channel's pmf on the subset's rows. Without extra rows it is
-        the one Pmf kept on the shared stats, so the trees rooted at the
-        channel do not each rebuild it from the counts."""
-        pmf = self._stats._marginals.get(name) if self._extra is None else None
+        """The channel's pmf on these rows, built once, so the trees rooted
+        at the channel do not each rebuild it from the counts."""
+        if self._same_rows:
+            return self._parent.marginal(name)
+        pmf = self._marginals.get(name)
         if pmf is None:
             counts = self._counts(name)
             bins = np.flatnonzero(counts)
-            pmf = Pmf(bins, counts[bins] / self.n)
-            if self._extra is None:
-                self._stats._marginals[name] = pmf
+            pmf = self._marginals[name] = Pmf(bins, counts[bins] / self.n)
         return pmf
 
     def _entropy(self, name: str) -> float:
-        """Shannon entropy of one channel on the subset's rows, in bits."""
+        """Shannon entropy of one channel on these rows, in bits."""
         h = self._entropies.get(name)
         if h is None:
-            h = _shannon_bits_of_counts(self._counts(name), self.n)
-            self._entropies[name] = h
+            h = self._entropies[name] = _shannon_bits_of_counts(
+                self._counts(name), self.n)
         return h
 
     def mi(self, a: str, b: str) -> float:
-        """Plug-in MI of a and b on the subset's rows, in bits; worked out
-        once per count table, so subsets sharing a table share it."""
+        """Plug-in MI of a and b on these rows, in bits; worked out once per
+        count table, so the PairStats that share a table share it."""
         counts, _ = self.pair(a, b)
         if counts.mi is None:
             counts.mi = _mutual_information(self._entropy(a), self._entropy(b),
@@ -342,6 +302,19 @@ class SubsetPairs:
         counts, side = self.pair(parent, child)
         return counts.conditional(side)
 
+    def count_all(self) -> None:
+        """Count every pair and every channel now, rather than on first use,
+        so forked workers inherit the counts, and with rows to count on,
+        work out each pair's MI too."""
+        names = list(self.channels)
+        for name in names:
+            self._counts(name)
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                self.pair(a, b)
+                if self.n:
+                    self.mi(a, b)
+
 
 def build_tree(channels: list[BinnedChannel],
                shared: PairStats | None = None) -> ChowLiuModel:
@@ -349,16 +322,19 @@ def build_tree(channels: list[BinnedChannel],
 
     Weight ties break toward the lexicographically smallest name pair; the
     root is the first channel in input order. Both choices exist purely so
-    repeated runs produce the identical model. Pair counts come from shared,
-    a PairStats over these channels and possibly more, or from one over just
-    these channels; the model is the same either way.
+    repeated runs produce the identical model. Pair counts come from a
+    PairStats over these channels, whose parent, when given, is shared: a
+    PairStats over these channels and possibly more. The model is the same
+    either way.
     """
     if len(channels) < 2:
         raise DataError("tree needs at least 2 channels")
     names = [ch.name for ch in channels]
     if len(set(names)) != len(names):
         raise DataError("duplicate channel names")
-    stats = SubsetPairs(PairStats(channels) if shared is None else shared, channels)
+    stats = PairStats(channels, shared)
+    if stats.n == 0:
+        raise DataError("no complete rows")
     bins = {ch.name: ch.spec.bin_count for ch in channels}
 
     weights: dict[tuple[str, str], float] = {}
@@ -436,9 +412,9 @@ def _upward(model: ChowLiuModel, tag, weights, combine, reduce, zero):
     count and the child messages, so the table caches it under those, the
     child messages by identity. A cached message is the same object every
     time, so the parent's key matches too, and a tree whose tables are shared
-    with earlier trees (a sweep's subsets without extra rows) recomputes only
-    the messages it is first to need. Returns the root's terms (weights of
-    the root marginal, children folded in) and the messages by node; the
+    with earlier trees (a sweep's subsets without leftover rows) recomputes
+    only the messages it is first to need. Returns the root's terms (weights
+    of the root marginal, children folded in) and the messages by node; the
     root's own reduction is left to the caller.
     """
     sent: dict[str, _Message] = {}

@@ -182,6 +182,9 @@ def _binning_spec(v: np.ndarray, rule, name: str,
         raise DataError("channel has no non-missing values")
     vmin = float(v.min())
     vmax = float(v.max())
+    if not math.isfinite(vmax - vmin):
+        raise DataError(f"channel {name!r}: range [{vmin:g}, {vmax:g}] "
+                        "is wider than float64 can hold")
 
     kind, k = _canonical_rule(rule)
     if kind == "fixed_count":
@@ -223,7 +226,6 @@ def _bin_codes(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     nb = edges.size - 1
     guess = np.floor((v - edges[0]) / (edges[1] - edges[0]))
-    # fmax/fmin map a NaN guess (from an overflowing width) to bin 0
     codes = np.fmin(np.fmax(guess, 0), nb - 1).astype(np.int64)
     lower = np.concatenate(([-np.inf], edges[1:-1]))
     upper = np.concatenate((edges[1:-1], [np.inf]))

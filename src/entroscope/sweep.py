@@ -191,7 +191,8 @@ def sensitivity(table: SampleTable, subset, grid=DEFAULT_GRID) -> SensitivityCur
     """Joint profile of one subset re-binned at each fixed bin count.
 
     Markers are the FD- and Scott-selected bin counts averaged over the
-    subset channels, for placing the rule choices on the curve.
+    subset channels, for placing the rule choices on the curve; each count
+    is capped at MAX_JOINT_BINS, as in every sweep.
     """
     subset = tuple(subset)
     if not subset:
@@ -215,8 +216,8 @@ def sensitivity(table: SampleTable, subset, grid=DEFAULT_GRID) -> SensitivityCur
     scott_counts = []
     for name in subset:
         v = _finite_values(table.column(name))
-        fd_counts.append(_binning_spec(v, "fd", name).bin_count)
-        scott_counts.append(_binning_spec(v, "scott", name).bin_count)
+        fd_counts.append(_binning_spec(v, "fd", name, MAX_JOINT_BINS).bin_count)
+        scott_counts.append(_binning_spec(v, "scott", name, MAX_JOINT_BINS).bin_count)
     markers = (
         float(np.mean(fd_counts)),
         float(np.mean(scott_counts)),

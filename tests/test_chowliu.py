@@ -10,7 +10,6 @@ from entroscope.chowliu import (
     ConditionalTable,
     PairCounts,
     PairStats,
-    SubsetPairs,
     build_tree,
     tree_max_prob,
     tree_power_sum,
@@ -166,8 +165,8 @@ def test_build_tree_matches_kruskal_on_tied_weights():
                                     axis=1), bins)
         chans = [chans[i] for i in rng.permutation(k)]
         names = [ch.name for ch in chans]
-        view = SubsetPairs(PairStats(chans), chans)
-        weights = {tuple(sorted(e)): view.mi(*e)
+        stats = PairStats(chans)
+        weights = {tuple(sorted(e)): stats.mi(*e)
                    for e in itertools.combinations(names, 2)}
         model = build_tree(chans)
         parent = _kruskal_parent(names, weights)
@@ -651,7 +650,7 @@ def test_pair_counts_match_direct_counting(a_bins, b_bins):
     a, b = prebinned("a", ca, a_bins), prebinned("b", cb, b_bins)
     want = _mi_bits(ca, cb, b_bins).hex()
     assert mutual_information(a, b).hex() == want
-    assert SubsetPairs(PairStats([a, b]), [a, b]).mi("a", "b").hex() == want
+    assert PairStats([a, b]).mi("a", "b").hex() == want
 
 
 def _same_bits(got, want):
@@ -659,28 +658,28 @@ def _same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def _assert_pair_counted_directly(view, chans, a, b):
-    """view's statistics of (a, b) equal a direct count on the subset's rows."""
+def _assert_pair_counted_directly(child, chans, a, b):
+    """child's statistics of (a, b) equal a direct count on the subset's rows."""
     by_name = {ch.name: ch for ch in chans}
     mask = complete_row_mask(chans)
-    got, side = view.pair(a, b)
-    # the direct count in the orientation the view keeps the pair in
+    got, side = child.pair(a, b)
+    # the direct count in the orientation the child keeps the pair in
     first, second = (a, b) if side == 0 else (b, a)
     want = PairCounts(by_name[first].codes[mask], by_name[second].codes[mask],
                       (by_name[first].spec.bin_count, by_name[second].spec.bin_count))
-    assert got.n == want.n == view.n
+    assert got.n == want.n == child.n
     assert got.bins == want.bins
     _same_bits(got.keys, want.keys)
     _same_bits(got.counts, want.counts)
     ca, cb = by_name[a].codes[mask], by_name[b].codes[mask]
     mi = _mi_bits(ca, cb, by_name[b].spec.bin_count).hex()
-    assert view.mi(a, b).hex() == got.mi.hex() == mi  # kept on the counts
+    assert child.mi(a, b).hex() == got.mi.hex() == mi  # kept on the counts
     tables = [(got.conditional(s), want.conditional(s)) for s in (0, 1)]
-    tables.append((view.conditional(a, b), want.conditional(side)))
+    tables.append((child.conditional(a, b), want.conditional(side)))
     for g, w in tables:
         for field in ("parent_bins", "indptr", "child_bins", "probs"):
             _same_bits(getattr(g, field), getattr(w, field))
-    for g, w in [(view.marginal(name), pmf_of(by_name[name].codes[mask]))
+    for g, w in [(child.marginal(name), pmf_of(by_name[name].codes[mask]))
                  for name in (a, b)]:
         _same_bits(g.bins, w.bins)
         _same_bits(g.p, w.p)
@@ -692,7 +691,7 @@ def _assert_pair_counted_directly(view, chans, a, b):
     (63, 400, (2, 40), (0.0, 0.5, 0.5, 0.9, 0.0)),  # both, few clean rows
     (64, 500, (3, 9), (0.0, 0.0, 0.0)),  # every row clean
 ])
-def test_subset_pairs_match_direct_counting(seed, rows, bin_range, holes):
+def test_pair_stats_with_parent_match_direct_counting(seed, rows, bin_range, holes):
     rng = np.random.default_rng(seed)
     chans = []
     for i, share in enumerate(holes):
@@ -707,31 +706,29 @@ def test_subset_pairs_match_direct_counting(seed, rows, bin_range, holes):
         shared.count_all()  # keeps each pair in channel order
     # otherwise the first ask fixes the orientation: reversed, for even seeds
     flips = (False, True) if seed % 2 else (True, False)
-    # the whole set never has extra rows: they each miss some channel
-    whole = SubsetPairs(shared, chans)
-    extra_subsets = 0
+    leftover_subsets = 0
     for size in range(2, len(chans) + 1):
         for subset in itertools.combinations(chans, size):
             subset = list(subset)
-            # a fresh view per flip, so each orientation is asked first once
+            # a fresh child per flip, so each orientation is asked first once
             for flip in flips:
-                view = SubsetPairs(shared, subset)
+                child = PairStats(subset, shared)
                 for x, y in itertools.combinations(subset, 2):
                     asks = [(x.name, y.name), (y.name, x.name)]
                     for a, b in asks[::-1] if flip else asks:
-                        _assert_pair_counted_directly(view, subset, a, b)
-            extra_subsets += view.n > shared.n
-            # a subset without extra rows serves the shared counts as they are
-            if view.n == shared.n:
+                        _assert_pair_counted_directly(child, subset, a, b)
+            leftover_subsets += child.n > shared.n
+            # a subset without leftover rows serves the parent's counts as they are
+            if child.n == shared.n:
                 pair = (subset[0].name, subset[1].name)
-                assert view.pair(*pair)[0] is whole.pair(*pair)[0]
-    assert extra_subsets > 0 or not any(holes)
+                assert child.pair(*pair)[0] is shared.pair(*pair)[0]
+    assert leftover_subsets > 0 or not any(holes)
 
 
-def test_subset_pairs_merge_sorted_counts_densely():
+def test_pair_stats_with_parent_merge_sorted_counts_densely():
     # 20 x 20 cells: more than the 250 clean rows, so the shared counts are
     # sorted, but no more than the 250 + 300 rows of the subset {a, b}, so
-    # the merge with its extra rows counts through the dense table
+    # the merge with its leftover rows counts through the dense table
     rng = np.random.default_rng(67)
     rows = 550
     a = rng.integers(0, 20, size=rows)
@@ -740,20 +737,89 @@ def test_subset_pairs_merge_sorted_counts_densely():
     c[250:] = -1
     chans = [prebinned("a", a, 20), prebinned("b", b, 20), prebinned("c", c, 4)]
     shared = PairStats(chans)
-    view = SubsetPairs(shared, chans[:2])
-    assert shared.n < 20 * 20 <= view.n == rows
+    child = PairStats(chans[:2], shared)
+    assert shared.n < 20 * 20 <= child.n == rows
     for x, y in (("a", "b"), ("b", "a")):
-        _assert_pair_counted_directly(view, chans[:2], x, y)
+        _assert_pair_counted_directly(child, chans[:2], x, y)
 
 
-def test_subset_pairs_with_one_extra_row():
+def test_pair_stats_with_parent_and_one_leftover_row():
     rng = np.random.default_rng(66)
     a, b, c = (rng.integers(0, 3, size=50) for _ in range(3))
     a[7] = -1
     chans = [prebinned("a", a, 3), prebinned("b", b, 3), prebinned("c", c, 3)]
-    view = SubsetPairs(PairStats(chans), chans[1:])
-    assert view.n == 50
-    _assert_pair_counted_directly(view, chans[1:], "c", "b")
+    child = PairStats(chans[1:], PairStats(chans))
+    assert child.n == 50
+    _assert_pair_counted_directly(child, chans[1:], "c", "b")
+
+
+def _snapshot(stats):
+    """Copies of everything a PairStats has counted, each as a tuple of arrays."""
+    return (
+        {key: (c.keys.copy(), c.counts.copy()) for key, c in stats._pairs.items()},
+        {name: (c.copy(),) for name, c in stats._code_counts.items()},
+        {name: (m.bins.copy(), m.p.copy()) for name, m in stats._marginals.items()},
+        {name: (ch.codes.copy(),) for name, ch in stats._leftover.items()},
+    )
+
+
+def test_pair_stats_children_never_write_into_their_parent():
+    rng = np.random.default_rng(68)
+    chans = []
+    # pairs with c2 have more cells than rows: they merge by the sorted route
+    for i, bins in enumerate((3, 5, 300, 6, 2)):
+        codes = rng.integers(0, bins, size=400)
+        codes[rng.random(400) < 0.08 * i] = -1
+        chans.append(prebinned(f"c{i}", codes, bins))
+    parent = PairStats(chans)
+    parent.count_all()
+    for ch in chans:
+        parent.marginal(ch.name)
+    before, n = _snapshot(parent), parent.n
+    merged = 0
+    for size in range(2, len(chans) + 1):
+        for subset in map(list, itertools.combinations(chans, size)):
+            child = PairStats(subset, parent)
+            child.count_all()
+            merged += child.n > n
+            for ch in subset:
+                child.marginal(ch.name)
+            tree_profile(build_tree(subset, parent))
+    assert merged > 20
+    assert parent.n == n
+    for got, want in zip(_snapshot(parent), before):
+        assert got.keys() == want.keys()
+        for key in want:
+            for g, w in zip(got[key], want[key]):
+                _same_bits(g, w)
+
+
+def test_pair_stats_child_without_leftover_rows_serves_the_parents_objects():
+    # a and b miss different rows, so every leftover row of the parent misses
+    # one of them: a child over both has no rows of its own
+    rng = np.random.default_rng(69)
+    a, b, c = (rng.integers(0, 4, size=300) for _ in range(3))
+    a[:30] = -1
+    b[30:60] = -1
+    chans = [prebinned("a", a, 4), prebinned("b", b, 4), prebinned("c", c, 4)]
+    parent = PairStats(chans)
+    for subset in (chans[:2], chans[1::-1], chans, chans[::-1]):
+        child = PairStats(subset, parent)
+        assert child.n == parent.n
+        for x, y in itertools.permutations([ch.name for ch in subset], 2):
+            assert child.pair(x, y)[0] is parent.pair(x, y)[0]
+            assert child.conditional(x, y) is parent.conditional(x, y)
+        for ch in subset:
+            assert child.marginal(ch.name) is parent.marginal(ch.name)
+        model = build_tree(subset, parent)
+        assert model.root_marginal is parent.marginal(model.root)
+        for node, par in model.parent.items():
+            assert model.conditionals[node] is parent.conditional(par, node)
+    # a child over a and c takes rows 30..59 of its own: nothing is lent
+    child = PairStats([chans[0], chans[2]], parent)
+    assert child.n == parent.n + 30
+    assert child.pair("a", "c")[0] is not parent.pair("a", "c")[0]
+    assert child.marginal("a") is not parent.marginal("a")
 
 
 def test_pair_stats_without_clean_rows():
@@ -769,11 +835,11 @@ def test_pair_stats_without_clean_rows():
     assert shared.n == 0
     for x, y in (("a", "c"), ("c", "b")):
         subset = [ch for ch in chans if ch.name in (x, y)]
-        _assert_pair_counted_directly(SubsetPairs(shared, subset), subset, x, y)
-    with pytest.raises(DataError, match="no complete rows"):
-        SubsetPairs(shared, chans[:2])
-    with pytest.raises(DataError, match="no complete rows"):
-        build_tree(chans, shared)
+        _assert_pair_counted_directly(PairStats(subset, shared), subset, x, y)
+    assert PairStats(chans[:2], shared).n == 0
+    for subset in (chans[:2], chans):
+        with pytest.raises(DataError, match="no complete rows"):
+            build_tree(subset, shared)
 
 
 def test_pair_stats_of_no_channels():

@@ -16,7 +16,6 @@ from entroscope.chowliu import (
     ChowLiuModel,
     ConditionalTable,
     PairStats,
-    SubsetPairs,
     build_tree,
     tree_max_prob,
     tree_power_sum,
@@ -109,7 +108,7 @@ def test_caches_past_a_small_cap_change_no_value(monkeypatch):
 
 def test_gappy_sweep_mixes_shared_and_merged_tables():
     # c01 and c03 miss rows: a subset holding both uses the shared tables
-    # when every other row misses one of them, the rest merge extra rows
+    # when every other row misses one of them, the rest merge leftover rows
     table = _latent_table(2500, 6, seed=23, holes=(0.0, 0.05, 0.0, 0.1))
     chans = _binned(table, "fd")
     stats = PairStats(list(chans.values()))
@@ -117,7 +116,7 @@ def test_gappy_sweep_mixes_shared_and_merged_tables():
     shared = {False: 0, True: 0}
     for subset in enumerate_subsets(table.channels):
         sub = [chans[n] for n in subset]
-        shared[SubsetPairs(stats, sub)._extra is None] += 1
+        shared[PairStats(sub, stats).n == stats.n] += 1
         want = _passes(build_tree(sub))
         # twice: the second time every message comes from the caches
         assert _passes(build_tree(sub, stats)) == want, subset

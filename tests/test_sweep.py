@@ -222,6 +222,26 @@ def test_size_means():
         )
 
 
+@pytest.mark.parametrize("rule", ["fd", "scott", 8])
+def test_channel_range_past_float64_is_a_data_error(rule):
+    # normals times 1e308 span more than float64 holds: vmax - vmin is inf
+    rng = np.random.default_rng(8)
+    data = rng.normal(size=(1000, 3))
+    with np.errstate(over="ignore"):  # the largest few become inf: missing
+        data[:, 1] *= 1e308
+    data[:, 2] += data[:, 0]
+    table = SampleTable(("a", "huge", "c"), data, "unit")
+    with pytest.raises(DataError, match=r"channel 'huge': range \[-.*e\+308, .*e\+308\]"):
+        bin_channel(table.column("huge"), rule, name="huge")
+    errors = []
+    results = run_sweep(table, rule, errors=errors)
+    assert [r.subset for r in results] == [("a", "c")]
+    assert [subset for subset, _ in errors] == [
+        ("a", "huge"), ("huge", "c"), ("a", "huge", "c")]
+    assert all("channel 'huge' not binned: channel 'huge': range" in msg
+               for _, msg in errors)
+
+
 def test_sensitivity_single_uniform_channel():
     # 4096 evenly spread values: fixed counts 2/4/8 give exactly uniform codes
     values = (np.arange(4096.0) + 0.5) / 4096.0
@@ -243,6 +263,21 @@ def test_sensitivity_markers_and_defaults():
     }
     assert curve.markers == (float(np.mean(counts["fd"])),
                              float(np.mean(counts["scott"])))
+
+
+def test_sensitivity_markers_stop_at_the_sweep_cap():
+    # a Cauchy channel's tails stretch its range far past its quartiles, so
+    # FD alone would ask for tens of thousands of bins
+    rng = np.random.default_rng(9)
+    data = np.column_stack([rng.normal(size=20_000),
+                            rng.standard_cauchy(size=20_000) * 1e4])
+    table = SampleTable(("n", "c"), data, "unit")
+    uncapped = bin_channel(table.column("c"), "fd", name="c", max_bins=10**6)
+    assert uncapped.spec.bin_count > MAX_JOINT_BINS
+    fd, scott = sensitivity(table, ["n", "c"], [4, 8]).markers
+    assert fd <= MAX_JOINT_BINS and scott <= MAX_JOINT_BINS
+    capped = bin_channel(table.column("n"), "fd", name="n").spec.bin_count
+    assert fd == (capped + MAX_JOINT_BINS) / 2
 
 
 def test_sensitivity_grid_validation():
