@@ -12,15 +12,14 @@ Pairwise counts, the only statistics a tree needs, come from one counting
 routine (PairCounts) that merges rows into an empty table or into shared
 counts, and MI from one formula (_mutual_information). One class holds them
 (PairStats): a sweep's PairStats counts the rows complete in every channel,
-and each subset's PairStats, its child, merges in only the leftover rows
-complete across the subset, or serves the parent's counts as they are.
+and a subset with leftover rows complete across it fits on a child that
+merges in only those rows; any other subset fits on the sweep's PairStats.
 
-Each message a pass sends is cached on its conditional table, under one key
-scheme for all four passes (see _upward). In a sweep the tables of subsets
-without leftover rows are the parent's, so a message is computed once for
-all the trees that send it. The caches live and die with their tables, and
-each keeps at most _CACHE_CAP entries, dropping the oldest first, so memory
-stays bounded however many subsets a sweep visits.
+Each message a pass sends is cached on the PairStats the tree was fitted on
+(see _upward), so in a sweep a message is computed once for all the trees
+without leftover rows that send it; a child's cache dies with it. Each
+cache holds at most _CACHE_BYTES of messages, dropping the oldest first, so
+memory stays bounded however many subsets a sweep visits.
 """
 
 from __future__ import annotations
@@ -41,14 +40,13 @@ from .entropy import (
 from .errors import DataError
 from .quantize import BinnedChannel, Pmf
 
-# support counts whose float64 run stays below this are exact as they are
+# support counts whose float64 total stays below this are exact as they are
 _FLOAT64_EXACT = 2 ** 53
-# support counts whose float64 estimate stays within this run in int64
-_INT64_SAFE = 2 ** 60
-# most entries a conditional table's cache holds, over all passes; past it
-# the oldest goes. Tables of the bench sweeps at seed 3 take at most 194
-# (wide12) and 100 (synth8) entries, so they lose no reuse to it
-_CACHE_CAP = 256
+# support counts whose float64 total stays below this run in int64
+_INT64_SAFE = 2 ** 62
+# most bytes of message values and picks one cache holds, over all passes;
+# past it the oldest entries go
+_CACHE_BYTES = 64 * 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,16 +54,13 @@ class ConditionalTable:
     """p(child | parent) in a CSR-like layout.
 
     Rows exist only for parent bins seen with nonzero count; probabilities
-    within a row are strictly positive and sum to 1. The cache holds what the
-    tree passes computed from the table (see _upward), at most _CACHE_CAP
-    entries.
+    within a row are strictly positive and sum to 1.
     """
 
     parent_bins: np.ndarray  # (P,) strictly increasing parent codes
     indptr: np.ndarray  # (P + 1,) row boundaries into the flat arrays
     child_bins: np.ndarray  # (nnz,) ascending within each row
     probs: np.ndarray  # (nnz,)
-    cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.parent_bins.size + 1 != self.indptr.size:
@@ -79,6 +74,31 @@ class ConditionalTable:
             raise DataError("conditional rows must each sum to 1")
 
 
+class _Message(NamedTuple):
+    """What one node sends its parent in an upward pass."""
+
+    values: np.ndarray  # by parent bin
+    picks: np.ndarray | None  # max-product: the node's code by parent bin
+
+    @property
+    def nbytes(self) -> int:
+        return self.values.nbytes + (0 if self.picks is None else self.picks.nbytes)
+
+
+class MessageCache(dict):
+    """Messages by key (see _upward), at most _CACHE_BYTES of them; past
+    that the oldest go first."""
+
+    nbytes = 0
+
+    def remember(self, key, msg: _Message) -> _Message:
+        self[key] = msg
+        self.nbytes += msg.nbytes
+        while self.nbytes > _CACHE_BYTES:
+            self.nbytes -= self.pop(next(iter(self))).nbytes
+        return msg
+
+
 @dataclass(frozen=True, eq=False)
 class ChowLiuModel:
     nodes: tuple[str, ...]
@@ -88,6 +108,8 @@ class ChowLiuModel:
     conditionals: dict[str, ConditionalTable]  # keyed by child
     edge_weights: dict[tuple[str, str], float]  # sorted name pair -> MI bits
     bin_counts: dict[str, int]
+    # messages of the passes over the models fitted on one PairStats
+    cache: MessageCache = field(default_factory=MessageCache, repr=False)
     # derived from parent: each node's children in nodes order, and every
     # node in a top-down order (root first, each parent before its children)
     children: dict[str, tuple[str, ...]] = field(init=False, repr=False)
@@ -212,8 +234,8 @@ class PairStats:
     With a parent, a PairStats over a superset of the channels, its rows are
     the parent's plus the parent's leftover rows complete across the
     channels: it counts only the latter and merges them into the parent's
-    counts, in the parent's orientation of each pair. With no such rows it
-    serves the parent's counts, conditional tables and pmfs themselves.
+    counts, in the parent's orientation of each pair. The cache holds the
+    messages of the trees fitted on it (see _upward).
     """
 
     def __init__(self, channels: list[BinnedChannel],
@@ -235,7 +257,7 @@ class PairStats:
             self._leftover = {ch.name: BinnedChannel(ch.name, ch.spec,
                                                      ch.codes[leftover])
                               for ch in channels}
-        self._same_rows = parent is not None and own == 0
+        self.cache = MessageCache()
         self._pairs: dict[tuple[str, str], PairCounts] = {}
         self._code_counts: dict[str, np.ndarray] = {}
         self._entropies: dict[str, float] = {}
@@ -247,8 +269,6 @@ class PairStats:
             base, side = None, int((b, a) in self._pairs)
         else:
             base, side = self._parent.pair(a, b)
-            if self._same_rows:
-                return base, side
         first, second = (a, b) if side == 0 else (b, a)
         counts = self._pairs.get((first, second))
         if counts is None:
@@ -272,8 +292,6 @@ class PairStats:
     def marginal(self, name: str) -> Pmf:
         """The channel's pmf on these rows, built once, so the trees rooted
         at the channel do not each rebuild it from the counts."""
-        if self._same_rows:
-            return self._parent.marginal(name)
         pmf = self._marginals.get(name)
         if pmf is None:
             counts = self._counts(name)
@@ -324,7 +342,8 @@ def build_tree(channels: list[BinnedChannel],
     root is the first channel in input order. Both choices exist purely so
     repeated runs produce the identical model. Pair counts come from a
     PairStats over these channels, whose parent, when given, is shared: a
-    PairStats over these channels and possibly more. The model is the same
+    PairStats over these channels and possibly more; without rows beyond
+    shared's, the subset fits on shared itself. The model is the same
     either way.
     """
     if len(channels) < 2:
@@ -333,6 +352,8 @@ def build_tree(channels: list[BinnedChannel],
     if len(set(names)) != len(names):
         raise DataError("duplicate channel names")
     stats = PairStats(channels, shared)
+    if shared is not None and stats.n == shared.n:
+        stats = shared
     if stats.n == 0:
         raise DataError("no complete rows")
     bins = {ch.name: ch.spec.bin_count for ch in channels}
@@ -375,27 +396,8 @@ def build_tree(channels: list[BinnedChannel],
         conditionals=conditionals,
         edge_weights=tree_weights,
         bin_counts=bins,
+        cache=stats.cache,
     )
-
-
-def _remember(cond: ConditionalTable, key, value):
-    """Store value in the table's cache under key, evicting the oldest entry
-    once the cache is full, and return it."""
-    if len(cond.cache) >= _CACHE_CAP:
-        del cond.cache[next(iter(cond.cache))]
-    cond.cache[key] = value
-    return value
-
-
-class _Message(NamedTuple):
-    """What one node sends its parent in an upward pass."""
-
-    values: np.ndarray  # by parent bin
-    picks: np.ndarray | None  # max-product: the node's code by parent bin
-    peak: object  # values.max(), for tree_support_count's tier check
-    # the child messages it was made from; their identities are in its cache
-    # key, and holding them here keeps those identities from being reused
-    children: tuple[np.ndarray, ...]
 
 
 def _upward(model: ChowLiuModel, tag, weights, combine, reduce, zero):
@@ -408,26 +410,28 @@ def _upward(model: ChowLiuModel, tag, weights, combine, reduce, zero):
     child bin it picked; the message to the parent holds those values at the
     row's parent bins and zero elsewhere.
 
-    A message depends only on the semiring (tag), the table, the parent's bin
-    count and the child messages, so the table caches it under those, the
-    child messages by identity. A cached message is the same object every
-    time, so the parent's key matches too, and a tree whose tables are shared
-    with earlier trees (a sweep's subsets without leftover rows) recomputes
-    only the messages it is first to need. Returns the root's terms (weights
-    of the root marginal, children folded in) and the messages by node; the
-    root's own reduction is left to the caller.
+    A message depends only on the semiring (tag) and the node's subtree,
+    whose shape is (parent name, node name, *its children's shapes). Within
+    one PairStats a pair of names fixes the table and the parent's bin count,
+    so the model's cache keeps each message under (tag, shape), and a tree
+    fitted on the PairStats of earlier trees computes only the messages it
+    is first to need. Returns the root's terms (weights of the root marginal,
+    children folded in) and the messages by node; the root's own reduction
+    is left to the caller.
     """
     sent: dict[str, _Message] = {}
+    shapes: dict[str, tuple] = {}
     for node in reversed(model.order[1:]):
         cond = model.conditionals[node]
-        kids = tuple(sent[child].values for child in model.children[node])
-        size = model.bin_counts[model.parent[node]]
-        key = (tag, size, *map(id, kids))
-        msg = cond.cache.get(key)
+        kids = model.children[node]
+        shape = shapes[node] = (model.parent[node], node,
+                                *(shapes[child] for child in kids))
+        msg = model.cache.get((tag, shape))
         if msg is None:
+            size = model.bin_counts[model.parent[node]]
             terms = weights(cond.probs)
-            for kid in kids:
-                terms = combine(terms, kid[cond.child_bins])
+            for child in kids:
+                terms = combine(terms, sent[child].values[cond.child_bins])
             rows, picks = reduce(cond, terms)
             values = np.full(size, zero, dtype=rows.dtype)
             values[cond.parent_bins] = rows
@@ -435,7 +439,7 @@ def _upward(model: ChowLiuModel, tag, weights, combine, reduce, zero):
                 dense_picks = np.zeros(size, dtype=np.int64)
                 dense_picks[cond.parent_bins] = picks
                 picks = dense_picks
-            msg = _remember(cond, key, _Message(values, picks, values.max(), kids))
+            msg = model.cache.remember((tag, shape), _Message(values, picks))
         sent[node] = msg
     terms = weights(model.root_marginal.p)
     for child in model.children[model.root]:
@@ -501,35 +505,32 @@ def tree_max_prob(model: ChowLiuModel) -> tuple[float, tuple[int, ...]]:
     return float(terms[best]), tuple(code[name] for name in model.nodes)
 
 
-def _count_pass(model: ChowLiuModel, dtype) -> tuple[object, dict[str, _Message]]:
-    """Upward sum-product over the support indicator: (total, messages)."""
-    terms, sent = _upward(
+def _count_pass(model: ChowLiuModel, dtype):
+    """Upward sum-product over the support indicator: the total."""
+    terms, _ = _upward(
         model, ("count", dtype), lambda p: np.ones(p.size, dtype=dtype),
         np.multiply,
         lambda cond, w: (np.add.reduceat(w, cond.indptr[:-1]), None), 0)
-    return terms.sum(), sent
+    return terms.sum()
 
 
 def tree_support_count(model: ChowLiuModel) -> int:
     """Exact number of code tuples with positive tree probability.
 
-    The pass runs in float64 first. Its values are nonnegative integers, each
-    product or partial sum is at most the message or total it ends up in (or
-    is multiplied by zero and drops out), and rounding is monotone, so when
-    every message and the total stay below _FLOAT64_EXACT every step was exact
-    and the float total is the count. Otherwise the float run picks the
-    arithmetic of a second pass: int64 when every value stays within
-    _INT64_SAFE, Python integers beyond. Its relative rounding error, a few
-    ulps per step of the walk, is far below the factor 8 between _INT64_SAFE
-    and 2**63, so an int64 run it admits cannot overflow.
+    The pass runs in float64 first. Its values are nonnegative integers,
+    every intermediate that reaches the total is at most the total (the rest
+    are multiplied by zero, or leave it inf or NaN) and rounding is monotone,
+    so a total below _FLOAT64_EXACT is exact. Otherwise the float total, a
+    few ulps per step off, picks a second pass: int64 below _INT64_SAFE,
+    Python integers beyond. int64 wraps modulo 2**64, which sums and products
+    respect, so it is exact for any count below 2**63, however large a
+    message gets.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        total, sent = _count_pass(model, np.float64)
-    values = [total, *(m.peak for m in sent.values())]
-    if all(v < _FLOAT64_EXACT for v in values):
+        total = _count_pass(model, np.float64)
+    if total < _FLOAT64_EXACT:
         return int(total)
-    fits = all(v <= _INT64_SAFE for v in values)
-    return int(_count_pass(model, np.int64 if fits else object)[0])
+    return int(_count_pass(model, np.int64 if total < _INT64_SAFE else object))
 
 
 def tree_profile(model: ChowLiuModel) -> EntropyProfile:

@@ -159,14 +159,13 @@ def emit(report: Report, format: str = "markdown") -> bytes:
 
 def parse_report(data) -> Report:
     """Rebuild a Report from a structured emission."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or bytes that are not UTF-8
         raise DataError(f"not a structured report: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
-        raise DataError("not a structured report: missing schema")
+    if (not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA
+            or "kind" not in doc or not isinstance(doc.get("payload"), dict)):
+        raise DataError("not a structured report: missing schema, kind or payload")
     return Report(doc["kind"], doc["payload"], doc.get("metadata", {}))
 
 
@@ -415,8 +414,11 @@ def _cmd_guesswork(args) -> Report:
             raise DataError(
                 f"--from-report needs a subset_ranking report, got {source.kind}"
             )
-        idx = source.payload["columns"].index("hmin")
-        hmins = [float(row[idx]) for row in source.payload["rows"]]
+        try:
+            idx = source.payload["columns"].index("hmin")
+            hmins = [float(row[idx]) for row in source.payload["rows"]]
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"--from-report: no numeric hmin column: {exc}") from exc
         dataset = source.metadata.get("dataset", args.from_report)
     else:
         hmins = args.hmin

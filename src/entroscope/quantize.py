@@ -22,10 +22,8 @@ MISSING = -1
 class BinningSpec:
     """How one channel was discretized."""
 
-    rule: str  # "freedman_diaconis" | "scott" | "fixed_count"
     bin_count: int
     edges: np.ndarray  # bin_count + 1 strictly increasing edges
-    width: float | None = None  # rule width for the width-based rules
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
@@ -196,14 +194,13 @@ def _binning_spec(v: np.ndarray, rule, name: str,
             edges = np.array([vmin - 0.5, vmin + 0.5])
         else:
             edges = np.linspace(vmin, vmax, k + 1)
-        return BinningSpec(kind, k, edges)
+        return BinningSpec(k, edges)
     width = fd_width(v) if kind == "freedman_diaconis" else scott_width(v)
     # size check before allocating: a tiny spread against a huge range
     # can imply astronomically many bins
     estimate = (vmax - vmin) / width
     if max_bins is not None and estimate > max_bins:
         edges = np.linspace(vmin, vmax, max_bins + 1)
-        width = (vmax - vmin) / max_bins
     elif estimate > _MAX_AUTO_BINS:
         raise DataError(
             f"channel {name!r}: width {width:g} over range "
@@ -212,7 +209,7 @@ def _binning_spec(v: np.ndarray, rule, name: str,
         )
     else:
         edges = _width_edges(vmin, vmax, width)
-    return BinningSpec(kind, edges.size - 1, edges, width)
+    return BinningSpec(edges.size - 1, edges)
 
 
 def _bin_codes(edges: np.ndarray, v: np.ndarray) -> np.ndarray:

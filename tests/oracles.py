@@ -189,7 +189,7 @@ def as_chowliu(model: TrueModel) -> ChowLiuModel:
 def prebinned(name: str, codes, bin_count: int) -> BinnedChannel:
     """Wrap already-discrete codes (synthetic samples) as a BinnedChannel."""
     edges = np.arange(bin_count + 1, dtype=float) - 0.5
-    return BinnedChannel(name, BinningSpec("fixed_count", bin_count, edges), codes)
+    return BinnedChannel(name, BinningSpec(bin_count, edges), codes)
 
 
 def percentile_fd_width(values) -> float:
@@ -224,7 +224,7 @@ def chain_rule_shannon(model: ChowLiuModel) -> float:
 
     Walks the tree top-down, pushing each node's dense marginal through its
     children's tables, in float64 with fsum per term and over the terms. It
-    touches no table cache.
+    touches no message cache.
     """
     dense_root = np.zeros(model.bin_counts[model.root])
     dense_root[model.root_marginal.bins] = model.root_marginal.p

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entroscope import chowliu
 from entroscope.chowliu import (
     ChowLiuModel,
     ConditionalTable,
@@ -584,10 +585,23 @@ def test_tree_shape_errors():
                      parent={"a": "c", "e": "c", "d": "a"}, **fields)
 
 
-@pytest.mark.parametrize("widths", [[64] * 8 + [32], [64] * 9])
-def test_support_count_exact_between_float64_and_int64_limits(widths):
+def _support_count_dtypes(monkeypatch, model):
+    """tree_support_count(model) and the dtypes of the passes it ran."""
+    real, dtypes = chowliu._count_pass, []
+
+    def count_pass(model, dtype):
+        dtypes.append(dtype)
+        return real(model, dtype)
+
+    monkeypatch.setattr(chowliu, "_count_pass", count_pass)
+    return tree_support_count(model), dtypes
+
+
+@pytest.mark.parametrize("widths", [[64] * 8 + [32], [64] * 9, [64] * 10 + [3]])
+def test_support_count_exact_between_float64_and_int64_limits(widths, monkeypatch):
     # root bin 0 allows w codes on each leaf, root bin 1 one code: prod(w) + 1
-    # tuples, 2**53 + 1 and 2**54 + 1, which float64 rounds down by one
+    # tuples, 2**53 + 1, 2**54 + 1 and 3 * 2**60 + 1, which float64 rounds
+    # down by one
     leaves = tuple(f"l{i}" for i in range(len(widths)))
     conditionals = {
         leaf: ConditionalTable(
@@ -608,10 +622,53 @@ def test_support_count_exact_between_float64_and_int64_limits(widths):
         bin_counts={"r": 2, **dict(zip(leaves, widths))},
     )
     want = math.prod(widths) + 1
-    assert 2 ** 53 < want <= 2 ** 60 and float(want) != want
-    count = tree_support_count(model)
-    assert count == want
+    assert 2 ** 53 < want < 2 ** 62 and float(want) != want
+    count, dtypes = _support_count_dtypes(monkeypatch, model)
+    assert dtypes == [np.float64, np.int64]
+    assert count == want == chowliu._count_pass(model, object)
     assert type(count) is int
+
+
+def _uniform_rows(rows):
+    """A conditional table from {parent bin: child bins}, uniform in each row."""
+    parents = sorted(rows)
+    return ConditionalTable(
+        np.array(parents), np.cumsum([0] + [len(rows[p]) for p in parents]),
+        np.concatenate([np.asarray(rows[p]) for p in parents]),
+        np.concatenate([np.full(len(rows[p]), 1 / len(rows[p])) for p in parents]))
+
+
+def test_support_count_in_int64_past_a_message_beyond_int64(monkeypatch):
+    # r -> x -> {c, d}; c's six children allow 2047 codes each at c = 0, so
+    # c sends 2047**6 > 2**64 at x = 0, where d's table has no row: that
+    # message is multiplied by zero. The count is c's 1 at x = 1 times d's
+    # five children's widths, between 2**53 and 2**62
+    widths = [2047, 2039, 2029, 2017, 2011]
+    kids_c = [f"c{i}" for i in range(6)]
+    kids_d = [f"d{i}" for i in range(5)]
+    conditionals = {
+        "x": _uniform_rows({0: [0, 1]}),
+        "c": _uniform_rows({0: [0], 1: [1]}),
+        "d": _uniform_rows({1: [0]}),
+        **{k: _uniform_rows({0: np.arange(2047), 1: [0]}) for k in kids_c},
+        **{k: _uniform_rows({0: np.arange(w)}) for k, w in zip(kids_d, widths)},
+    }
+    parent = {"x": "r", "c": "x", "d": "x", **dict.fromkeys(kids_c, "c"),
+              **dict.fromkeys(kids_d, "d")}
+    model = ChowLiuModel(
+        nodes=("r", "x", "c", "d", *kids_c, *kids_d), root="r", parent=parent,
+        root_marginal=Pmf(np.array([0]), np.array([1.0])),
+        conditionals=conditionals,
+        edge_weights={tuple(sorted(e)): 0.0 for e in parent.items()},
+        bin_counts={"r": 1, "x": 2, "c": 2, "d": 1, **dict.fromkeys(kids_c, 2047),
+                    **dict(zip(kids_d, widths))},
+    )
+    want = math.prod(widths)
+    assert 2 ** 53 <= want < 2 ** 62 and 2047 ** 6 > 2 ** 64
+    count, dtypes = _support_count_dtypes(monkeypatch, model)
+    assert dtypes == [np.float64, np.int64]
+    assert count == want == chowliu._count_pass(model, object)
+    assert count == _support_count_row_loop(model)
 
 
 def _bits(codes):
@@ -685,6 +742,14 @@ def _assert_pair_counted_directly(child, chans, a, b):
         _same_bits(g.p, w.p)
 
 
+def _assert_fits_on(model, stats):
+    """The model's tables, root pmf and message cache are stats' own."""
+    assert model.cache is stats.cache
+    assert model.root_marginal is stats.marginal(model.root)
+    for node, par in model.parent.items():
+        assert model.conditionals[node] is stats.conditional(par, node)
+
+
 @pytest.mark.parametrize("seed, rows, bin_range, holes", [
     (61, 3000, (2, 7), (0.0, 0.02, 0.1, 0.0, 0.3)),  # dense counts
     (62, 300, (2048, 2049), (0.05, 0.0, 0.2, 0.1)),  # sorted counts
@@ -718,10 +783,9 @@ def test_pair_stats_with_parent_match_direct_counting(seed, rows, bin_range, hol
                     for a, b in asks[::-1] if flip else asks:
                         _assert_pair_counted_directly(child, subset, a, b)
             leftover_subsets += child.n > shared.n
-            # a subset without leftover rows serves the parent's counts as they are
-            if child.n == shared.n:
-                pair = (subset[0].name, subset[1].name)
-                assert child.pair(*pair)[0] is shared.pair(*pair)[0]
+            # a subset without leftover rows fits on the shared statistics
+            if child.n == shared.n > 0:
+                _assert_fits_on(build_tree(subset, shared), shared)
     assert leftover_subsets > 0 or not any(holes)
 
 
@@ -794,9 +858,9 @@ def test_pair_stats_children_never_write_into_their_parent():
                 _same_bits(g, w)
 
 
-def test_pair_stats_child_without_leftover_rows_serves_the_parents_objects():
+def test_build_tree_without_leftover_rows_fits_on_the_shared_stats():
     # a and b miss different rows, so every leftover row of the parent misses
-    # one of them: a child over both has no rows of its own
+    # one of them: a subset holding both has no rows of its own
     rng = np.random.default_rng(69)
     a, b, c = (rng.integers(0, 4, size=300) for _ in range(3))
     a[:30] = -1
@@ -804,22 +868,13 @@ def test_pair_stats_child_without_leftover_rows_serves_the_parents_objects():
     chans = [prebinned("a", a, 4), prebinned("b", b, 4), prebinned("c", c, 4)]
     parent = PairStats(chans)
     for subset in (chans[:2], chans[1::-1], chans, chans[::-1]):
-        child = PairStats(subset, parent)
-        assert child.n == parent.n
-        for x, y in itertools.permutations([ch.name for ch in subset], 2):
-            assert child.pair(x, y)[0] is parent.pair(x, y)[0]
-            assert child.conditional(x, y) is parent.conditional(x, y)
-        for ch in subset:
-            assert child.marginal(ch.name) is parent.marginal(ch.name)
-        model = build_tree(subset, parent)
-        assert model.root_marginal is parent.marginal(model.root)
-        for node, par in model.parent.items():
-            assert model.conditionals[node] is parent.conditional(par, node)
-    # a child over a and c takes rows 30..59 of its own: nothing is lent
-    child = PairStats([chans[0], chans[2]], parent)
-    assert child.n == parent.n + 30
-    assert child.pair("a", "c")[0] is not parent.pair("a", "c")[0]
-    assert child.marginal("a") is not parent.marginal("a")
+        assert PairStats(subset, parent).n == parent.n
+        _assert_fits_on(build_tree(subset, parent), parent)
+    # a subset over a and c takes rows 30..59 of its own: nothing is lent
+    model = build_tree([chans[0], chans[2]], parent)
+    assert model.cache is not parent.cache
+    assert model.root_marginal is not parent.marginal("a")
+    assert model.conditionals["c"] is not parent.conditional("a", "c")
 
 
 def test_pair_stats_without_clean_rows():

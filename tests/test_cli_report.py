@@ -98,6 +98,8 @@ def test_structured_round_trip():
 def test_parse_report_rejects_garbage():
     with pytest.raises(DataError, match="not a structured report"):
         parse_report(b"{not json")
+    with pytest.raises(DataError, match="not a structured report"):
+        parse_report(b'{"kind": "\xff"}')
     with pytest.raises(DataError, match="missing schema"):
         parse_report(json.dumps({"kind": "subset_ranking"}))
 
@@ -448,6 +450,27 @@ def test_guesswork_from_report(tmp_path, capsys):
     assert row[0] == 6.5
     assert row[1] == format_guess_count(expected_guesses(6.5))
     assert report.metadata["dataset"] == "toy"
+
+
+def _set_hmin(doc, value):
+    doc["payload"]["rows"][0][5] = value
+
+
+@pytest.mark.parametrize("breakage, message", [
+    (lambda doc: doc.pop("kind"), "kind"),
+    (lambda doc: doc.pop("payload"), "payload"),
+    (lambda doc: doc.update(payload="columns, rows"), "payload"),
+    (lambda doc: doc["payload"]["columns"].__setitem__(5, "h_min"), "'hmin' is not"),
+    (lambda doc: _set_hmin(doc, None), "NoneType"),
+])
+def test_guesswork_rejects_malformed_reports(tmp_path, capsys, breakage, message):
+    doc = json.loads(emit(RANKING, "structured"))
+    breakage(doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    assert run(["guesswork", "--from-report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
 
 
 def test_guesswork_rejects_wrong_report_kind(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""The tree passes cache what they compute on the conditional tables.
+"""The tree passes cache what they compute on the PairStats they fit on.
 
 Every value a pass returns with the caches in play must be bit for bit the
 value a fresh fit of the same subset returns: its own PairStats, so no table,
@@ -41,11 +41,6 @@ def _passes(model):
             logp.hex(), code)
 
 
-def _tables(stats):
-    return [table for counts in stats._pairs.values()
-            for table in counts._tables.values()]
-
-
 def _latent_table(rows, k, seed, holes=()):
     """k correlated channels; channel i misses a share holes[i] of its rows."""
     rng = np.random.default_rng(seed)
@@ -81,29 +76,42 @@ def test_full_12_channel_sweep_matches_fresh_fits(wide12, workers):
     assert [(r.subset, _profile_bits(r.profile)) for r in results] == fresh
 
 
-def test_full_12_channel_sweep_fills_caches_up_to_the_cap(wide12):
-    table, chans, fresh = wide12
+def _fits_within(monkeypatch, bound, table, chans, want):
+    """Fits every subset on one PairStats under a cache of bound bytes, each
+    to its want(subset, model) value, and checks the bound after each fit
+    and that the first message stored was evicted."""
+    monkeypatch.setattr(chowliu, "_CACHE_BYTES", bound)
     stats = PairStats(list(chans.values()))
     stats.count_all()
-    for subset, want in fresh:
+    first = None
+    for subset in enumerate_subsets(table.channels):
         model = build_tree([chans[n] for n in subset], stats)
-        assert _profile_bits(tree_profile(model)) == want, subset
-    sizes = [len(table.cache) for table in _tables(stats)]
-    # 12 channels give some tables more keys than the cap: they keep the cap
-    assert max(sizes) == chowliu._CACHE_CAP
+        assert model.cache is stats.cache, subset
+        want(subset, model)
+        assert 0 < stats.cache.nbytes <= bound, subset
+        first = first or next(iter(stats.cache))
+    assert first not in stats.cache
 
 
-def test_caches_past_a_small_cap_change_no_value(monkeypatch):
-    monkeypatch.setattr(chowliu, "_CACHE_CAP", 3)
+def test_full_12_channel_sweep_within_a_small_cache_bound(wide12, monkeypatch):
+    table, chans, fresh = wide12
+    fresh = dict(fresh)
+
+    def want(subset, model):
+        assert _profile_bits(tree_profile(model)) == fresh[subset], subset
+
+    _fits_within(monkeypatch, 4096, table, chans, want)
+
+
+def test_caches_past_a_small_byte_bound_change_no_value(monkeypatch):
     table = _latent_table(1500, 6, seed=22)
     chans = _binned(table, "fd")
-    stats = PairStats(list(chans.values()))
-    stats.count_all()
-    for subset in enumerate_subsets(table.channels):
+
+    def want(subset, model):
         sub = [chans[n] for n in subset]
-        assert _passes(build_tree(sub, stats)) == _passes(build_tree(sub)), subset
-        assert max(len(t.cache) for t in _tables(stats)) <= 3
-    assert max(len(t.cache) for t in _tables(stats)) == 3  # entries were evicted
+        assert _passes(model) == _passes(build_tree(sub)), subset
+
+    _fits_within(monkeypatch, 2048, table, chans, want)
 
 
 def test_gappy_sweep_mixes_shared_and_merged_tables():
@@ -126,6 +134,24 @@ def test_gappy_sweep_mixes_shared_and_merged_tables():
     for r in results:
         want = tree_profile(build_tree([chans[n] for n in r.subset]))
         assert _profile_bits(r.profile) == _profile_bits(want), r.subset
+
+
+def test_fits_with_leftover_rows_leave_the_shared_cache_alone():
+    table = _latent_table(2500, 6, seed=23, holes=(0.0, 0.05, 0.0, 0.1))
+    chans = _binned(table, "fd")
+    stats = PairStats(list(chans.values()))
+    stats.count_all()
+    # c01 and c03 miss rows: a subset holding both has no leftover rows
+    tree_profile(build_tree([chans["c01"], chans["c03"], chans["c05"]], stats))
+    held = len(stats.cache)
+    assert held
+    for subset in enumerate_subsets(table.channels):
+        sub = [chans[n] for n in subset]
+        if PairStats(sub, stats).n > stats.n:
+            model = build_tree(sub, stats)
+            assert _passes(model) == _passes(build_tree(sub)), subset
+            assert model.cache is not stats.cache and len(model.cache)
+            assert len(stats.cache) == held, subset
 
 
 def _shared_fits(table, chans):

@@ -145,7 +145,7 @@ def test_equal_width_interior_bins():
     ch = bin_channel(values, "scott")
     widths = np.diff(ch.spec.edges)
     # every bin except possibly the last has the rule's width
-    assert np.allclose(widths[:-1], ch.spec.width, rtol=1e-9)
+    assert np.allclose(widths[:-1], scott_width(values), rtol=1e-9)
     assert ch.spec.edges[-1] == values.max()
     assert widths.min() > 0
 
