@@ -8,12 +8,13 @@ expanding the joint state space. The four passes are one upward walk
 for the support count (float64, int64 or Python integers, whichever keeps
 the count exact), the expectation semiring for Shannon entropy, sum-product
 in log2 domain for the power sums, max-product for the modal probability.
-Pairwise counts, the only statistics a tree needs, come from one counting
-routine (PairCounts) that merges rows into an empty table or into shared
-counts, and MI from one formula (_mutual_information). One class holds them
-(PairStats): a sweep's PairStats counts the rows complete in every channel,
-and a subset with leftover rows complete across it fits on a child that
-merges in only those rows; any other subset fits on the sweep's PairStats.
+The counts a tree needs, of each channel and each pair, are JointCounts,
+the package's one count primitive, which merges rows into an empty table or
+into shared counts; conditional tables and MI are worked out from them here.
+One class holds them (PairStats): a sweep's PairStats counts the rows
+complete in every channel, and a subset with leftover rows complete across
+it fits on a child that merges in only those rows; any other subset fits on
+the sweep's PairStats. The MI matrix reads its cells from PairStats too.
 
 Each message a pass sends is cached on the PairStats the tree was fitted on
 (see _upward), so in a sweep a message is computed once for all the trees
@@ -32,7 +33,7 @@ import numpy as np
 
 from .entropy import (
     EntropyProfile,
-    _shannon_bits_of_counts,
+    JointCounts,
     complete_row_mask,
     joint_direct,
     profile_joint,
@@ -152,90 +153,37 @@ def _edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-class PairCounts:
-    """Occupied cells of the joint count table of two code columns a and b.
-
-    The one count primitive of the package: the pair's conditional tables,
-    and with the channel entropies its MI, derive from these integer counts.
-    Side 0 is a, side 1 is b. The rows ca, cb merge into base (the same pair
-    on other rows) or into an empty table, exactly as if all were counted at
-    once: through a dense table when it has no more cells than there are
-    rows, through a sort of the new rows otherwise, so memory stays bounded
-    by the rows even at 2048 x 2048 bins. The counts may cover no row at all.
-    """
-
-    def __init__(self, ca: np.ndarray, cb: np.ndarray, bins: tuple[int, int],
-                 base: PairCounts | None = None):
-        keys = ca * bins[1] + cb
-        old_keys = keys[:0] if base is None else base.keys
-        old_counts = np.zeros(0, dtype=np.intp) if base is None else base.counts
-        self.bins = bins
-        self.n = keys.size + (0 if base is None else base.n)
-        # sorted occupied keys (so grouped by a, then b) and their counts
-        if bins[0] * bins[1] <= self.n:
-            joint = np.bincount(keys, minlength=bins[0] * bins[1])
-            joint[old_keys] += old_counts
-            self.keys = np.flatnonzero(joint)
-            self.counts = joint[self.keys]
-        else:
-            # a dense table would outgrow the rows; sort the new rows instead
-            # and insert the keys not counted yet
-            more_keys, more_counts = np.unique(keys, return_counts=True)
-            at = np.searchsorted(old_keys, more_keys)
-            known = at < old_keys.size
-            known[known] = old_keys[at[known]] == more_keys[known]
-            counts = old_counts.copy()
-            counts[at[known]] += more_counts[known]
-            fresh = ~known
-            self.keys = np.insert(old_keys, at[fresh], more_keys[fresh])
-            self.counts = np.insert(counts, at[fresh], more_counts[fresh])
-        # plug-in MI in bits, kept here once a caller has worked it out
-        self.mi: float | None = None
-        self._tables: dict[int, ConditionalTable] = {}
-
-    def _codes(self, side: int) -> np.ndarray:
-        return self.keys // self.bins[1] if side == 0 else self.keys % self.bins[1]
-
-    def conditional(self, parent_side: int) -> ConditionalTable:
-        """p(other side | parent side), built once per direction."""
-        table = self._tables.get(parent_side)
-        if table is not None:
-            return table
-        keys, counts, child_bin_count = self.keys, self.counts, self.bins[1]
-        if parent_side == 1:
-            # re-key as (b, a) so rows group by the parent
-            child_bin_count = self.bins[0]
-            keys = self._codes(1) * child_bin_count + self._codes(0)
-            order = np.argsort(keys)
-            keys, counts = keys[order], counts[order]
-        pb = keys // child_bin_count
-        cb = keys % child_bin_count
-        starts = np.flatnonzero(np.r_[True, pb[1:] != pb[:-1]])
-        indptr = np.r_[starts, keys.size]
-        totals = np.add.reduceat(counts, starts)
-        probs = counts / np.repeat(totals, np.diff(indptr))
-        table = ConditionalTable(pb[starts], indptr, cb, probs)
-        self._tables[parent_side] = table
-        return table
-
-
-def _mutual_information(h_a: float, h_b: float, joint: PairCounts) -> float:
-    """Plug-in I(a;b) = H(a) + H(b) - H(a,b) in bits, clamped at 0, from the
-    Shannon entropies of a and b and their joint counts on the same rows."""
-    return max(0.0, h_a + h_b - _shannon_bits_of_counts(joint.counts, joint.n))
+def _conditional(joint: JointCounts, flip: bool) -> ConditionalTable:
+    """p(second column | first) of a pair's counts, or p(first | second)
+    if flip."""
+    parents, children = np.divmod(joint.keys, joint.bins[1])
+    counts = joint.counts
+    if flip:
+        # keys ascend, so a stable sort by the second column groups its rows
+        # with the first column ascending within each
+        order = np.argsort(children, kind="stable")
+        parents, children, counts = children[order], parents[order], counts[order]
+    starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
+    indptr = np.r_[starts, parents.size]
+    totals = np.add.reduceat(counts, starts)
+    probs = counts / np.repeat(totals, np.diff(indptr))
+    return ConditionalTable(parents[starts], indptr, children, probs)
 
 
 class PairStats:
-    """Pair statistics of channels on the rows complete across them.
+    """Channel and pair statistics of channels on the rows complete across
+    them.
 
-    Each pair is counted at most once, however many trees ask for it.
-    Without a parent a PairStats counts its rows itself and keeps every
-    channel's codes on the leftover rows, the others, to lend to subsets.
-    With a parent, a PairStats over a superset of the channels, its rows are
-    the parent's plus the parent's leftover rows complete across the
-    channels: it counts only the latter and merges them into the parent's
-    counts, in the parent's orientation of each pair. The cache holds the
-    messages of the trees fitted on it (see _upward).
+    Each channel and each pair is counted at most once, however many trees
+    ask for it, into one dict of JointCounts keyed by name tuple: 1-tuples
+    for channels, 2-tuples for pairs in the orientation the root PairStats
+    was first asked for. Without a parent a PairStats is a root: it counts
+    its rows itself and keeps every channel's codes on the leftover rows,
+    the others, to lend to subsets. With a parent, a root over a superset of
+    the channels, its rows are the parent's plus the parent's leftover rows
+    complete across the channels: it counts only the latter and merges them
+    into the parent's counts. The cache holds the messages of the trees
+    fitted on it (see _upward).
     """
 
     def __init__(self, channels: list[BinnedChannel],
@@ -258,80 +206,63 @@ class PairStats:
                                                      ch.codes[leftover])
                               for ch in channels}
         self.cache = MessageCache()
-        self._pairs: dict[tuple[str, str], PairCounts] = {}
-        self._code_counts: dict[str, np.ndarray] = {}
-        self._entropies: dict[str, float] = {}
+        self._joints: dict[tuple[str, ...], JointCounts] = {}
+        self._tables: dict[tuple[str, str], ConditionalTable] = {}
         self._marginals: dict[str, Pmf] = {}
 
-    def pair(self, a: str, b: str) -> tuple[PairCounts, int]:
-        """The pair's counts on these rows, made on first use, and a's side."""
-        if self._parent is None:
-            base, side = None, int((b, a) in self._pairs)
-        else:
-            base, side = self._parent.pair(a, b)
-        first, second = (a, b) if side == 0 else (b, a)
-        counts = self._pairs.get((first, second))
-        if counts is None:
-            bins = (self.channels[first].spec.bin_count,
-                    self.channels[second].spec.bin_count)
-            counts = PairCounts(self._cols[first], self._cols[second], bins, base)
-            self._pairs[(first, second)] = counts
-        return counts, side
+    def _joint(self, names: tuple[str, ...]) -> JointCounts:
+        """The joint counts of the named channels on these rows, in that
+        order, made on first use."""
+        joint = self._joints.get(names)
+        if joint is None:
+            base = None if self._parent is None else self._parent._joint(names)
+            joint = self._joints[names] = JointCounts(
+                [self._cols[name] for name in names],
+                [self.channels[name].spec.bin_count for name in names], base)
+        return joint
 
-    def _counts(self, name: str) -> np.ndarray:
-        """Per-bin row counts of one channel on these rows."""
-        counts = self._code_counts.get(name)
-        if counts is None:
-            counts = np.bincount(self._cols[name],
-                                 minlength=self.channels[name].spec.bin_count)
-            if self._parent is not None:
-                counts = self._parent._counts(name) + counts
-            self._code_counts[name] = counts
-        return counts
+    def _pair(self, a: str, b: str) -> tuple[str, str]:
+        """(a, b) or (b, a), whichever way the root counts the pair."""
+        if self._parent is not None:
+            return self._parent._pair(a, b)
+        return (b, a) if (b, a) in self._joints else (a, b)
 
     def marginal(self, name: str) -> Pmf:
         """The channel's pmf on these rows, built once, so the trees rooted
         at the channel do not each rebuild it from the counts."""
         pmf = self._marginals.get(name)
         if pmf is None:
-            counts = self._counts(name)
-            bins = np.flatnonzero(counts)
-            pmf = self._marginals[name] = Pmf(bins, counts[bins] / self.n)
+            joint = self._joint((name,))
+            pmf = self._marginals[name] = Pmf(joint.keys, joint.counts / self.n)
         return pmf
 
-    def _entropy(self, name: str) -> float:
+    def entropy(self, name: str) -> float:
         """Shannon entropy of one channel on these rows, in bits."""
-        h = self._entropies.get(name)
-        if h is None:
-            h = self._entropies[name] = _shannon_bits_of_counts(
-                self._counts(name), self.n)
-        return h
+        return self._joint((name,)).shannon
 
     def mi(self, a: str, b: str) -> float:
-        """Plug-in MI of a and b on these rows, in bits; worked out once per
-        count table, so the PairStats that share a table share it."""
-        counts, _ = self.pair(a, b)
-        if counts.mi is None:
-            counts.mi = _mutual_information(self._entropy(a), self._entropy(b),
-                                            counts)
-        return counts.mi
+        """Plug-in I(a;b) = H(a) + H(b) - H(a,b) on these rows, in bits,
+        clamped at 0."""
+        joint = self._joint(self._pair(a, b))
+        return max(0.0, self.entropy(a) + self.entropy(b) - joint.shannon)
 
     def conditional(self, parent: str, child: str) -> ConditionalTable:
-        counts, side = self.pair(parent, child)
-        return counts.conditional(side)
+        """p(child | parent) on these rows, built once."""
+        table = self._tables.get((parent, child))
+        if table is None:
+            names = self._pair(parent, child)
+            table = self._tables[(parent, child)] = _conditional(
+                self._joint(names), names[0] == child)
+        return table
 
     def count_all(self) -> None:
-        """Count every pair and every channel now, rather than on first use,
-        so forked workers inherit the counts, and with rows to count on,
-        work out each pair's MI too."""
+        """Count every channel and pair, and work out every entropy and MI,
+        now rather than on first use, so forked workers inherit them."""
         names = list(self.channels)
-        for name in names:
-            self._counts(name)
         for i, a in enumerate(names):
+            self.entropy(a)
             for b in names[i + 1:]:
-                self.pair(a, b)
-                if self.n:
-                    self.mi(a, b)
+                self.mi(a, b)
 
 
 def build_tree(channels: list[BinnedChannel],
@@ -553,7 +484,7 @@ def validate(channels: list[BinnedChannel]) -> ValidationReport:
         raise DataError("validation requires n >= 2")
     if len(channels) > 3:
         raise DataError("validation compares against direct enumeration; use n <= 3")
-    direct = profile_joint(joint_direct(channels)[1])
+    direct = profile_joint(joint_direct(channels))
     approx = tree_profile(build_tree(channels))
     pairs = list(zip(
         (direct.h0, direct.h1, direct.h2, direct.hmin),

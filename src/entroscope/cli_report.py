@@ -166,7 +166,10 @@ def parse_report(data) -> Report:
     if (not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA
             or "kind" not in doc or not isinstance(doc.get("payload"), dict)):
         raise DataError("not a structured report: missing schema, kind or payload")
-    return Report(doc["kind"], doc["payload"], doc.get("metadata", {}))
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DataError("not a structured report: metadata is not a mapping")
+    return Report(doc["kind"], doc["payload"], metadata)
 
 
 def _prof_cells(prof: EntropyProfile) -> list:

@@ -2,7 +2,10 @@
 information on binned codes.
 
 Each matrix cell uses pairwise-complete rows for its own pair, so no cell
-throws away data because some third channel is missing.
+throws away data because some third channel is missing. MI cells and the
+entropy diagonal are read from PairStats: one over all binned channels
+counts each pair once on the rows complete in every binned channel, and
+each cell merges in the leftover rows complete across its own pair.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chowliu import PairCounts, _mutual_information
-from .entropy import _shannon_bits_of_counts
+from .chowliu import PairStats
 from .errors import DataError
 from .quantize import BinnedChannel
 
@@ -50,20 +52,6 @@ def pearson(a, b) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def mutual_information(a: BinnedChannel, b: BinnedChannel) -> float:
-    """Plug-in I(a;b) = H(a) + H(b) - H(a,b) in bits, clamped at 0."""
-    if a.codes.size != b.codes.size:
-        raise DataError("channels differ in length")
-    keep = (a.codes >= 0) & (b.codes >= 0)
-    ca = a.codes[keep]
-    cb = b.codes[keep]
-    if ca.size == 0:
-        raise DataError("empty overlap")
-    joint = PairCounts(ca, cb, (a.spec.bin_count, b.spec.bin_count))
-    h_a, h_b = (_shannon_bits_of_counts(np.bincount(c), c.size) for c in (ca, cb))
-    return _mutual_information(h_a, h_b, joint)
-
-
 def _canonical_kind(kind: str) -> str:
     key = kind.strip().lower()
     if key == KIND_PEARSON:
@@ -84,6 +72,7 @@ def matrix(table, binned: list[BinnedChannel], kind: str) -> DependenceMatrix:
     if len(names) < 2:
         raise DataError("matrix needs at least 2 channels")
     by_name = {ch.name: ch for ch in binned}
+    shared = PairStats(binned)
     n = len(names)
     values = np.full((n, n), np.nan)
     missing: list[tuple[str, str, str]] = []
@@ -94,10 +83,8 @@ def matrix(table, binned: list[BinnedChannel], kind: str) -> DependenceMatrix:
         elif name not in by_name:
             missing.append((name, name, "channel not binned"))
         else:
-            ch = by_name[name]
-            codes = ch.codes[ch.codes >= 0]
-            values[i, i] = (_shannon_bits_of_counts(np.bincount(codes), codes.size)
-                            if codes.size else np.nan)
+            stats = PairStats([by_name[name]], shared)
+            values[i, i] = stats.entropy(name) if stats.n else np.nan
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -107,7 +94,11 @@ def matrix(table, binned: list[BinnedChannel], kind: str) -> DependenceMatrix:
                 else:
                     if names[i] not in by_name or names[j] not in by_name:
                         raise DataError("channel not binned")
-                    cell = mutual_information(by_name[names[i]], by_name[names[j]])
+                    stats = PairStats([by_name[names[i]], by_name[names[j]]],
+                                      shared)
+                    if stats.n == 0:
+                        raise DataError("empty overlap")
+                    cell = stats.mi(names[i], names[j])
             except DataError as exc:
                 missing.append((names[i], names[j], str(exc)))
                 continue

@@ -1,5 +1,8 @@
-"""Renyi entropy profiles (orders 0, 1, 2, inf) in bits, plus direct joint
-counting for small channel subsets, held as arrays of occupied states.
+"""Renyi entropy profiles (orders 0, 1, 2, inf) in bits, and the one count
+primitive, JointCounts: the occupied cells of the joint count table of one
+or more code columns. Channel and pair statistics in tree fits, the MI
+matrix and the direct joint of small channel subsets all count through it;
+joint_direct returns the counts of the occupied code tuples.
 
 Everything is plug-in estimation on empirical frequencies: no smoothing, no
 bias correction. All logarithms are base 2. Shannon entropy is the correctly
@@ -9,6 +12,7 @@ distinct count, to the same bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,14 +139,62 @@ def complete_row_mask(channels: list[BinnedChannel]) -> np.ndarray:
     return mask
 
 
-def joint_direct(channels: list[BinnedChannel]) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied code tuples over the rows complete in every channel.
+class JointCounts:
+    """Occupied cells of the joint count table of one or more code columns.
 
-    Returns (codes, counts): an (m, k) int64 array of the m distinct code
-    tuples in ascending order, first channel most significant, and how many
-    rows hold each. Raises DataError when no row is complete, and
-    BudgetError before counting if the occupied-state bound min(complete
-    rows, product of bin counts) exceeds DEFAULT_JOINT_BUDGET.
+    The one count primitive of the package: channel pmfs and entropies, pair
+    tables and MI, and the direct joint all derive from these integer
+    counts. A cell's key fuses its codes in mixed radix, the first column
+    most significant, so ascending keys list the cells in lexicographic code
+    order; the product of bins must stay within int64. The rows of cols
+    merge into base (the same columns on other rows) or into an empty table,
+    exactly as if all were counted at once: through a dense table when it
+    has no more cells than there are rows, through a sort of the new rows
+    otherwise, so memory stays bounded by the rows even at 2048 x 2048 bins.
+    The counts may cover no row at all.
+    """
+
+    def __init__(self, cols: list[np.ndarray], bins: list[int],
+                 base: JointCounts | None = None):
+        keys = cols[0]
+        for col, b in zip(cols[1:], bins[1:]):
+            keys = keys * b + col
+        self.bins = tuple(bins)
+        self.n = keys.size + (0 if base is None else base.n)
+        cells = math.prod(bins)
+        # sorted occupied keys and their counts
+        if cells <= self.n:
+            joint = np.bincount(keys, minlength=cells)
+            if base is not None:
+                joint[base.keys] += base.counts
+            self.keys = np.flatnonzero(joint)
+            self.counts = joint[self.keys]
+        else:
+            # a dense table would outgrow the rows; sort the new rows instead
+            self.keys, self.counts = np.unique(keys, return_counts=True)
+            if base is not None:  # add the base's, inserting the keys it lacks
+                at = np.searchsorted(base.keys, self.keys)
+                known = at < base.keys.size
+                known[known] = base.keys[at[known]] == self.keys[known]
+                counts = base.counts.copy()
+                counts[at[known]] += self.counts[known]
+                fresh = ~known
+                self.keys = np.insert(base.keys, at[fresh], self.keys[fresh])
+                self.counts = np.insert(counts, at[fresh], self.counts[fresh])
+
+    @functools.cached_property
+    def shannon(self) -> float:
+        """Shannon entropy of the counted cells, in bits."""
+        return _shannon_bits_of_counts(self.counts, self.n)
+
+
+def joint_direct(channels: list[BinnedChannel]) -> np.ndarray:
+    """Counts of the occupied code tuples over the rows complete in every
+    channel, in ascending tuple order, first channel most significant.
+
+    Raises DataError when no row is complete, and BudgetError before
+    counting if the occupied-state bound min(complete rows, product of bin
+    counts) exceeds DEFAULT_JOINT_BUDGET.
     """
     mask = complete_row_mask(channels)
     n = int(mask.sum())
@@ -158,18 +210,9 @@ def joint_direct(channels: list[BinnedChannel]) -> tuple[np.ndarray, np.ndarray]
         )
 
     cols = [ch.codes[mask] for ch in channels]
-    if states > 2 ** 62:
-        return np.unique(np.stack(cols, axis=1), axis=0, return_counts=True)
-    # fuse each row's codes into one integer key
-    keys = cols[0].astype(np.int64)
-    for col, b in zip(cols[1:], bin_counts[1:]):
-        keys = keys * b + col
-    uniq, counts = np.unique(keys, return_counts=True)
-    decoded = np.empty((uniq.size, len(cols)), dtype=np.int64)
-    for j in range(len(cols) - 1, -1, -1):
-        decoded[:, j] = uniq % bin_counts[j]
-        uniq = uniq // bin_counts[j]
-    return decoded, counts
+    if states > 2 ** 62:  # too many for one int64 key
+        return np.unique(np.stack(cols, axis=1), axis=0, return_counts=True)[1]
+    return JointCounts(cols, bin_counts).counts
 
 
 def profile_joint(counts: np.ndarray) -> EntropyProfile:

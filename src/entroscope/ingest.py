@@ -75,23 +75,34 @@ def load_manifest(path) -> DatasetManifest:
     policy = str(doc.get("missing_policy", "drop-row-for-subset"))
     if policy != "drop-row-for-subset":
         raise ManifestError(f"unknown missing policy {policy!r}")
+
+    def check(ok: bool, field: str, what: str, value) -> None:
+        if not ok:
+            raise ManifestError(f"manifest {path}: {field} must be {what}, "
+                                f"not {value!r}")
+
     try:
-        files = tuple(
-            FileSpec(
+        files = []
+        for entry in doc.get("files", []) or []:
+            columns, delimiter = entry["columns"], entry.get("delimiter", ",")
+            check(isinstance(columns, dict), "columns", "a mapping", columns)
+            check(isinstance(delimiter, str) and len(delimiter) == 1,
+                  "delimiter", "one character", delimiter)
+            files.append(FileSpec(
                 path=str(entry["path"]),
-                columns={str(k): str(v) for k, v in dict(entry["columns"]).items()},
-                delimiter=str(entry.get("delimiter", ",")),
-            )
-            for entry in doc.get("files", []) or []
-        )
+                columns={str(k): str(v) for k, v in columns.items()},
+                delimiter=delimiter,
+            ))
         magnitudes = tuple(
             MagnitudeSpec(str(m["x"]), str(m["y"]), str(m["z"]), str(m["name"]))
             for m in doc.get("magnitudes", []) or []
         )
+        channels = doc["channels"]
+        check(isinstance(channels, list), "channels", "a list", channels)
         return DatasetManifest(
             name=str(doc["name"]),
-            files=files,
-            channels=tuple(str(c) for c in doc["channels"]),
+            files=tuple(files),
+            channels=tuple(str(c) for c in channels),
             magnitude_specs=magnitudes,
         )
     except (KeyError, TypeError) as exc:

@@ -9,7 +9,6 @@ from entroscope import chowliu
 from entroscope.chowliu import (
     ChowLiuModel,
     ConditionalTable,
-    PairCounts,
     PairStats,
     build_tree,
     tree_max_prob,
@@ -19,15 +18,15 @@ from entroscope.chowliu import (
     tree_support_count,
     validate,
 )
-from entroscope.dependence import mutual_information
 from entroscope.entropy import (
+    JointCounts,
     complete_row_mask,
     joint_direct,
     profile,
     profile_joint,
 )
 from entroscope.errors import DataError
-from entroscope.quantize import Pmf, pmf_of
+from entroscope.quantize import BinnedChannel, Pmf, pmf_of
 from helpers import profile_of_dict
 from oracles import (
     as_chowliu,
@@ -97,7 +96,7 @@ def test_build_tree_two_channels():
     assert model.root == "a"
     assert model.parent == {"b": "a"}
     assert model.edge_weights[("a", "b")] == pytest.approx(
-        mutual_information(a, b), abs=1e-9
+        _mi_bits(a.codes, b.codes, 4), abs=1e-9
     )
 
 
@@ -689,25 +688,26 @@ def test_pair_counts_match_direct_counting(a_bins, b_bins):
     ca = rng.integers(0, a_bins, size=3000)
     cb = (ca * 2 + rng.integers(0, 3, size=3000)) % b_bins
     ca[ca == 4] = 5  # an empty bin inside the range
-    pair = PairCounts(ca, cb, (a_bins, b_bins))
+    pair = JointCounts([ca, cb], [a_bins, b_bins])
     keys, counts = np.unique(ca * b_bins + cb, return_counts=True)
     assert pair.n == ca.size
     assert np.array_equal(pair.keys, keys)
     assert np.array_equal(pair.counts, counts)
-    for parent_side, (cp, cc, child_bins) in enumerate(
-            [(ca, cb, b_bins), (cb, ca, a_bins)]):
+    a, b = prebinned("a", ca, a_bins), prebinned("b", cb, b_bins)
+    stats = PairStats([a, b])
+    for parent, (cp, cc, child_bins) in zip(
+            "ab", [(ca, cb, b_bins), (cb, ca, a_bins)]):
         uniq, counts = np.unique(cp * child_bins + cc, return_counts=True)
-        table = pair.conditional(parent_side)
-        assert pair.conditional(parent_side) is table
+        child = "b" if parent == "a" else "a"
+        table = stats.conditional(parent, child)
+        assert stats.conditional(parent, child) is table
         assert np.array_equal(table.child_bins, uniq % child_bins)
         rows = uniq // child_bins
         assert np.array_equal(table.parent_bins, np.unique(rows))
         totals = np.array([counts[rows == r].sum() for r in rows])
         assert np.array_equal(table.probs, counts / totals)
-    a, b = prebinned("a", ca, a_bins), prebinned("b", cb, b_bins)
     want = _mi_bits(ca, cb, b_bins).hex()
-    assert mutual_information(a, b).hex() == want
-    assert PairStats([a, b]).mi("a", "b").hex() == want
+    assert stats.mi("a", "b").hex() == stats.mi("b", "a").hex() == want
 
 
 def _same_bits(got, want):
@@ -719,21 +719,30 @@ def _assert_pair_counted_directly(child, chans, a, b):
     """child's statistics of (a, b) equal a direct count on the subset's rows."""
     by_name = {ch.name: ch for ch in chans}
     mask = complete_row_mask(chans)
-    got, side = child.pair(a, b)
-    # the direct count in the orientation the child keeps the pair in
-    first, second = (a, b) if side == 0 else (b, a)
-    want = PairCounts(by_name[first].codes[mask], by_name[second].codes[mask],
-                      (by_name[first].spec.bin_count, by_name[second].spec.bin_count))
+    # the child keeps the pair in its root's orientation
+    first, second = names = child._pair(a, b)
+    got = child._joint(names)
+    assert names in (child._parent or child)._joints
+    want = JointCounts([by_name[first].codes[mask], by_name[second].codes[mask]],
+                       [by_name[first].spec.bin_count,
+                        by_name[second].spec.bin_count])
     assert got.n == want.n == child.n
     assert got.bins == want.bins
     _same_bits(got.keys, want.keys)
     _same_bits(got.counts, want.counts)
     ca, cb = by_name[a].codes[mask], by_name[b].codes[mask]
     mi = _mi_bits(ca, cb, by_name[b].spec.bin_count).hex()
-    assert child.mi(a, b).hex() == got.mi.hex() == mi  # kept on the counts
-    tables = [(got.conditional(s), want.conditional(s)) for s in (0, 1)]
-    tables.append((child.conditional(a, b), want.conditional(side)))
-    for g, w in tables:
+    assert child.mi(a, b).hex() == child.mi(b, a).hex() == mi
+    for name, codes in ((a, ca), (b, cb)):
+        assert child.entropy(name).hex() == _bits(codes).hex()
+    # p(second | first) needs no re-sort; p(first | second) does
+    direct = PairStats([BinnedChannel(name, by_name[name].spec,
+                                      by_name[name].codes[mask])
+                        for name in names])
+    for parent, kid in (names, names[::-1]):
+        g = child.conditional(parent, kid)
+        w = direct.conditional(parent, kid)
+        assert g is child.conditional(parent, kid)
         for field in ("parent_bins", "indptr", "child_bins", "probs"):
             _same_bits(getattr(g, field), getattr(w, field))
     for g, w in [(child.marginal(name), pmf_of(by_name[name].codes[mask]))
@@ -820,8 +829,7 @@ def test_pair_stats_with_parent_and_one_leftover_row():
 def _snapshot(stats):
     """Copies of everything a PairStats has counted, each as a tuple of arrays."""
     return (
-        {key: (c.keys.copy(), c.counts.copy()) for key, c in stats._pairs.items()},
-        {name: (c.copy(),) for name, c in stats._code_counts.items()},
+        {key: (c.keys.copy(), c.counts.copy()) for key, c in stats._joints.items()},
         {name: (m.bins.copy(), m.p.copy()) for name, m in stats._marginals.items()},
         {name: (ch.codes.copy(),) for name, ch in stats._leftover.items()},
     )
@@ -967,7 +975,7 @@ def test_tree_shannon_dominates_direct():
     b = (a + rng.integers(0, 2, size=n)) % 4
     c = (a * b + rng.integers(0, 3, size=n)) % 4  # not tree-factored
     chans = chans_from(np.stack([a, b, c], axis=1), [4, 4, 4])
-    direct_h1 = profile_joint(joint_direct(chans)[1]).h1
+    direct_h1 = profile_joint(joint_direct(chans)).h1
     assert tree_shannon(build_tree(chans)) >= direct_h1 - 1e-9
 
 

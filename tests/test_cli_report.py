@@ -290,6 +290,31 @@ def test_exit_code_for_data_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"delimiter": '";;"'}, "delimiter"),
+    ({"delimiter": '""'}, "delimiter"),
+    ({"delimiter": "5"}, "delimiter"),
+    ({"columns": "x"}, "columns"),
+    ({"columns": "[ab, cd]"}, "columns"),  # once read as {a: b, c: d}
+    ({"channels": "AB"}, "channels"),  # once read as (A, B)
+])
+def test_manifest_field_types_exit_2(tmp_path, capsys, fields, named):
+    (tmp_path / "d.csv").write_text("a,b\n1,2\n3,5\n4,4\n")
+    values = {"channels": "[A, B]", "columns": "{a: A, b: B}",
+              "delimiter": '","', **fields}
+    (tmp_path / "m.yaml").write_text(textwrap.dedent(f"""\
+        name: typed
+        channels: {values["channels"]}
+        files:
+          - path: d.csv
+            columns: {values["columns"]}
+            delimiter: {values["delimiter"]}
+    """))
+    assert run(["single", "--manifest", str(tmp_path / "m.yaml")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{named} must be" in err, err
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
@@ -462,6 +487,7 @@ def _set_hmin(doc, value):
     (lambda doc: doc.update(payload="columns, rows"), "payload"),
     (lambda doc: doc["payload"]["columns"].__setitem__(5, "h_min"), "'hmin' is not"),
     (lambda doc: _set_hmin(doc, None), "NoneType"),
+    (lambda doc: doc.update(metadata=["dataset", "toy"]), "metadata"),
 ])
 def test_guesswork_rejects_malformed_reports(tmp_path, capsys, breakage, message):
     doc = json.loads(emit(RANKING, "structured"))

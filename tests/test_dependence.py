@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entroscope.chowliu import PairStats
 from entroscope.dependence import (
     KIND_MI,
     DependenceMatrix,
     matrix,
-    mutual_information,
     pearson,
 )
 from entroscope.entropy import profile
@@ -54,19 +54,24 @@ def test_pearson_affine_invariance():
     assert pearson(x, 0.25 * y - 2.0) == pytest.approx(r, abs=1e-9)
 
 
+def _mi(a, b):
+    """Plug-in MI of two channels on their pairwise-complete rows."""
+    return PairStats([a, b]).mi(a.name, b.name)
+
+
 def test_mi_self_equals_h1():
     rng = np.random.default_rng(4)
     codes = rng.integers(0, 16, size=5000)
     ch = prebinned("x", codes, 16)
     h1 = profile(pmf_of(codes)).h1
-    assert mutual_information(ch, ch) == pytest.approx(h1, abs=1e-9)
+    assert PairStats([ch]).mi("x", "x") == pytest.approx(h1, abs=1e-9)
 
 
 def test_mi_independent_fair_bits_analytic():
     # all four joint cells equally occupied: exact zero
     a = prebinned("a", np.array([0, 0, 1, 1]), 2)
     b = prebinned("b", np.array([0, 1, 0, 1]), 2)
-    assert mutual_information(a, b) == 0.0
+    assert _mi(a, b) == 0.0
 
 
 def test_mi_binary_noise_channel():
@@ -75,7 +80,7 @@ def test_mi_binary_noise_channel():
     x = rng.integers(0, 2, size=n)
     flips = rng.random(n) < 0.25
     y = np.where(flips, 1 - x, x)
-    mi = mutual_information(prebinned("x", x, 2), prebinned("y", y, 2))
+    mi = _mi(prebinned("x", x, 2), prebinned("y", y, 2))
     assert mi == pytest.approx(1.0 - binary_entropy(0.25), abs=0.01)
 
 
@@ -83,16 +88,21 @@ def test_mi_against_dict_oracle():
     rng = np.random.default_rng(7)
     x = rng.integers(0, 5, size=3000)
     y = (x + rng.integers(0, 3, size=3000)) % 5
-    got = mutual_information(prebinned("x", x, 5), prebinned("y", y, 5))
+    got = _mi(prebinned("x", x, 5), prebinned("y", y, 5))
     want = dict_mi(list(zip(x.tolist(), y.tolist())))
     assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_mi_empty_overlap():
-    a = prebinned("a", np.array([0, -1]), 2)
-    b = prebinned("b", np.array([-1, 1]), 2)
-    with pytest.raises(DataError, match="empty overlap"):
-        mutual_information(a, b)
+    rows = np.array([[0.0, np.nan, 1.0], [np.nan, 1.0, 0.0]])
+    table = SampleTable(("a", "b", "c"), rows, "test")
+    binned = [prebinned("a", np.array([0, -1]), 2),
+              prebinned("b", np.array([-1, 1]), 2),
+              prebinned("c", np.array([1, 0]), 2)]
+    dm = matrix(table, binned, "mi")
+    assert dm.missing == (("a", "b", "empty overlap"),)
+    assert math.isnan(dm.values[0, 1]) and math.isnan(dm.values[1, 0])
+    assert dm.values[0, 2] == dm.values[1, 2] == 0.0
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(10, 400))
@@ -101,8 +111,8 @@ def test_mi_symmetry_and_bound(seed, bins, n):
     rng = np.random.default_rng(seed)
     a = prebinned("a", rng.integers(0, bins, size=n), bins)
     b = prebinned("b", rng.integers(0, bins, size=n), bins)
-    ab = mutual_information(a, b)
-    ba = mutual_information(b, a)
+    ab = _mi(a, b)
+    ba = _mi(b, a)
     assert abs(ab - ba) <= 1e-9
     ha = profile(pmf_of(a.codes)).h1
     hb = profile(pmf_of(b.codes)).h1

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from entroscope import entropy
 from entroscope.entropy import (
     EntropyProfile,
+    JointCounts,
     _shannon_bits_grouped,
     _shannon_bits_of_counts,
     joint_direct,
@@ -114,13 +115,54 @@ def test_permutation_invariance(size, seed):
         assert renyi(a, alpha) == pytest.approx(renyi(b, alpha), abs=1e-9)
 
 
+@pytest.mark.parametrize("bins", [
+    (5,), (5000,),  # one column: dense, sorted
+    (4, 6), (60, 70),  # two columns: dense, sorted
+    (3, 4, 5), (30, 40, 50),  # three columns: dense, sorted
+    (40, 50),  # a sorted base merged densely
+])
+@pytest.mark.parametrize("split", [None, 0, 400, 3000])
+def test_joint_counts_match_unique(bins, split):
+    # 3000 rows: the counts are dense exactly where the cells are no more
+    rng = np.random.default_rng(len(bins) * 100 + bins[0])
+    rows = 3000
+    cols = [rng.integers(0, b, size=rows) for b in bins]
+    cols[0][cols[0] == 1] = 2  # an empty bin inside the range
+    before = [c.copy() for c in cols]
+    if split is None:
+        got = JointCounts(cols, list(bins))
+    else:
+        # the first split rows in the base, the rest merged into it
+        base = JointCounts([c[:split] for c in cols], list(bins))
+        base_before = base.keys.copy(), base.counts.copy()
+        got = JointCounts([c[split:] for c in cols], list(bins), base)
+        for g, w in zip((base.keys, base.counts), base_before):
+            assert np.array_equal(g, w)  # the base is never written to
+        assert base.n == split
+    for g, w in zip(cols, before):
+        assert np.array_equal(g, w)
+    tuples, counts = np.unique(np.stack(cols, axis=1), axis=0, return_counts=True)
+    assert got.n == rows
+    assert got.bins == bins
+    assert np.array_equal(got.keys, np.ravel_multi_index(tuples.T, bins))
+    assert np.array_equal(got.counts, counts)
+    p = counts / rows
+    assert got.shannon.hex() == (-math.fsum((p * np.log2(p)).tolist())).hex()
+
+
+def test_joint_counts_of_no_rows():
+    empty = np.zeros(0, dtype=np.int64)
+    for base in (None, JointCounts([empty, empty], [3, 4])):
+        got = JointCounts([empty, empty], [3, 4], base)
+        assert got.n == 0
+        assert got.keys.size == got.counts.size == 0
+
+
 def test_joint_direct_independent_bits():
     codes_a = np.array([0, 0, 1, 1], dtype=np.int64)
     codes_b = np.array([0, 1, 0, 1], dtype=np.int64)
-    codes, counts = joint_direct(
+    counts = joint_direct(
         [prebinned("a", codes_a, 2), prebinned("b", codes_b, 2)])
-    assert codes.dtype == np.int64
-    assert codes.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
     assert counts.tolist() == [1, 1, 1, 1]
     assert profile_joint(counts) == EntropyProfile(2.0, 2.0, 2.0, 2.0)
 
@@ -129,8 +171,10 @@ def test_joint_direct_duplicated_channel():
     rng = np.random.default_rng(9)
     codes = rng.integers(0, 8, size=2000)
     ch = prebinned("x", codes, 8)
-    tuples, counts = joint_direct([ch, ch])
-    assert np.array_equal(tuples[:, 0], tuples[:, 1])
+    counts = joint_direct([ch, ch])
+    # the occupied tuples are (x, x), counted as often as x
+    per_code = np.bincount(codes)
+    assert np.array_equal(counts, per_code[per_code > 0])
     single = profile(pmf_of(codes))
     dup = profile_joint(counts)
     assert dup.h1 == pytest.approx(single.h1, abs=1e-9)
@@ -140,9 +184,9 @@ def test_joint_direct_duplicated_channel():
 def test_joint_direct_skips_incomplete_rows():
     a = prebinned("a", np.array([0, -1, 1, 0]), 2)
     b = prebinned("b", np.array([1, 1, -1, 0]), 2)
-    codes, counts = joint_direct([a, b])
-    assert codes.tolist() == [[0, 0], [0, 1]]
-    assert counts.tolist() == [1, 1]
+    assert joint_direct([a, b]).tolist() == [1, 1]
+    b = prebinned("b", np.array([1, 1, -1, 1]), 2)
+    assert joint_direct([a, b]).tolist() == [2]
 
 
 def test_joint_direct_orders_alike_past_fused_keys():
@@ -151,10 +195,12 @@ def test_joint_direct_orders_alike_past_fused_keys():
     rows = rng.integers(0, 3, size=(500, 3)) * 2 ** 19
     wide = [prebinned(f"w{i}", rows[:, i], 2 ** 21) for i in range(3)]
     narrow = [prebinned(f"n{i}", rows[:, i] // 2 ** 19, 3) for i in range(3)]
-    wide_codes, wide_counts = joint_direct(wide)
-    codes, counts = joint_direct(narrow)
-    assert np.array_equal(wide_codes, codes * 2 ** 19)
-    assert np.array_equal(wide_counts, counts)
+    counts = joint_direct(narrow)
+    assert np.array_equal(joint_direct(wide), counts)
+    codes = rows // 2 ** 19
+    _, want = np.unique(codes[:, 0] * 9 + codes[:, 1] * 3 + codes[:, 2],
+                        return_counts=True)
+    assert np.array_equal(counts, want)
     assert counts.sum() == 500
 
 
@@ -181,7 +227,7 @@ def test_joint_direct_h1_adds_for_independent():
     rng = np.random.default_rng(12)
     a = prebinned("a", rng.integers(0, 4, size=200_000), 4)
     b = prebinned("b", rng.integers(0, 8, size=200_000), 8)
-    jp = profile_joint(joint_direct([a, b])[1])
+    jp = profile_joint(joint_direct([a, b]))
     ha = profile(pmf_of(a.codes)).h1
     hb = profile(pmf_of(b.codes)).h1
     assert jp.h1 == pytest.approx(ha + hb, abs=0.01)
