@@ -12,19 +12,23 @@ The counts a tree needs, of each channel and each pair, are JointCounts,
 the package's one count primitive, which merges rows into an empty table or
 into shared counts; conditional tables and MI are worked out from them here.
 One class holds them (PairStats): a sweep's PairStats counts the rows
-complete in every channel, and a subset with leftover rows complete across
-it fits on a child that merges in only those rows; any other subset fits on
-the sweep's PairStats. The MI matrix reads its cells from PairStats too.
+complete in every channel, and the subsets that keep the same leftover rows
+(the same missing patterns of those rows avoid them: leftover_key) fit on
+one child over the union of their channels that merges in only those rows;
+any subset without leftover rows fits on the sweep's PairStats. The MI
+matrix reads its cells from PairStats too.
 
 Each message a pass sends is cached on the PairStats the tree was fitted on
 (see _upward), so in a sweep a message is computed once for all the trees
-without leftover rows that send it; a child's cache dies with it. Each
-cache holds at most _CACHE_BYTES of messages, dropping the oldest first, so
-memory stays bounded however many subsets a sweep visits.
+without leftover rows that send it, and once for all the trees of a group
+that send it; a child's cache dies with it. Each cache holds at most
+_CACHE_BYTES of messages, dropping the oldest first, so memory stays
+bounded however many subsets a sweep visits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -182,8 +186,10 @@ class PairStats:
     the others, to lend to subsets. With a parent, a root over a superset of
     the channels, its rows are the parent's plus the parent's leftover rows
     complete across the channels: it counts only the latter and merges them
-    into the parent's counts. The cache holds the messages of the trees
-    fitted on it (see _upward).
+    into the parent's counts. Those are the rows of every subset of its
+    channels with the same leftover_key, so the trees of all such subsets
+    fit on it. The cache holds the messages of the trees fitted on it (see
+    _upward).
     """
 
     def __init__(self, channels: list[BinnedChannel],
@@ -209,6 +215,7 @@ class PairStats:
         self._joints: dict[tuple[str, ...], JointCounts] = {}
         self._tables: dict[tuple[str, str], ConditionalTable] = {}
         self._marginals: dict[str, Pmf] = {}
+        self._mis: dict[tuple[str, str], float] = {}  # keyed as _joints
 
     def _joint(self, names: tuple[str, ...]) -> JointCounts:
         """The joint counts of the named channels on these rows, in that
@@ -227,6 +234,33 @@ class PairStats:
             return self._parent._pair(a, b)
         return (b, a) if (b, a) in self._joints else (a, b)
 
+    @functools.cached_property
+    def _patterns(self) -> tuple[dict[str, int], np.ndarray]:
+        """Each channel's position, and which channels each distinct missing
+        pattern of the leftover rows misses: one row per channel, one column
+        per pattern. A child keeps no leftover rows, so it has no pattern."""
+        names = list(self.channels)
+        index = {name: i for i, name in enumerate(names)}
+        if self._parent is not None or not names:
+            return index, np.zeros((len(names), 0), bool)
+        missing = np.array([self._leftover[name].codes < 0 for name in names])
+        # sorted, each column that differs from the one before is a new
+        # pattern (np.unique by axis would load numpy.ma for this)
+        missing = missing[:, np.lexsort(missing)]
+        fresh = np.ones(missing.shape[1], bool)
+        fresh[1:] = (missing[:, 1:] != missing[:, :-1]).any(axis=0)
+        return index, missing[:, fresh]
+
+    def leftover_key(self, names) -> bytes:
+        """Which missing patterns of the leftover rows avoid all the named
+        channels, one byte per pattern. Those patterns' rows are the
+        leftover rows complete across the channels, so two channel sets
+        keep the same leftover rows exactly when their keys are equal, and
+        none when the key has no nonzero byte."""
+        index, patterns = self._patterns
+        rows = [index[name] for name in names]
+        return (~patterns[rows].any(axis=0)).tobytes()
+
     def marginal(self, name: str) -> Pmf:
         """The channel's pmf on these rows, built once, so the trees rooted
         at the channel do not each rebuild it from the counts."""
@@ -242,9 +276,14 @@ class PairStats:
 
     def mi(self, a: str, b: str) -> float:
         """Plug-in I(a;b) = H(a) + H(b) - H(a,b) on these rows, in bits,
-        clamped at 0."""
-        joint = self._joint(self._pair(a, b))
-        return max(0.0, self.entropy(a) + self.entropy(b) - joint.shannon)
+        clamped at 0, worked out once per pair (float addition commutes, so
+        either order gives the same bits)."""
+        names = self._pair(a, b)
+        mi = self._mis.get(names)
+        if mi is None:
+            mi = self._mis[names] = max(0.0, self.entropy(a) + self.entropy(b)
+                                        - self._joint(names).shannon)
+        return mi
 
     def conditional(self, parent: str, child: str) -> ConditionalTable:
         """p(child | parent) on these rows, built once."""
@@ -271,19 +310,25 @@ def build_tree(channels: list[BinnedChannel],
 
     Weight ties break toward the lexicographically smallest name pair; the
     root is the first channel in input order. Both choices exist purely so
-    repeated runs produce the identical model. Pair counts come from a
-    PairStats over these channels, whose parent, when given, is shared: a
-    PairStats over these channels and possibly more; without rows beyond
-    shared's, the subset fits on shared itself. The model is the same
-    either way.
+    repeated runs produce the identical model. Pair counts come from shared
+    when given, a PairStats over these channels and possibly more. If it
+    keeps leftover rows complete across them (its leftover_key), a child
+    over these channels merges those in; otherwise the tree fits on shared
+    itself, whose rows must then be the ones complete across the channels
+    (a child keeps no leftover rows, so give it only to subsets whose rows
+    it holds). Without shared, from a PairStats over these channels alone.
+    The model is the same either way.
     """
     if len(channels) < 2:
         raise DataError("tree needs at least 2 channels")
     names = [ch.name for ch in channels]
     if len(set(names)) != len(names):
         raise DataError("duplicate channel names")
-    stats = PairStats(channels, shared)
-    if shared is not None and stats.n == shared.n:
+    if shared is None:
+        stats = PairStats(channels)
+    elif any(shared.leftover_key(names)):
+        stats = PairStats(channels, shared)
+    else:
         stats = shared
     if stats.n == 0:
         raise DataError("no complete rows")

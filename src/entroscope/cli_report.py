@@ -520,7 +520,10 @@ def build_parser() -> _Parser:
                        help="pairwise dependence matrix")
     p.add_argument("--kind", choices=("pearson", "mi"), default="mi")
     p = sub.add_parser("sensitivity", parents=[data, out],
-                       help="joint profile vs bin count for one subset")
+                       help="joint profile vs bin count for one subset",
+                       description="Joint profile of one subset at each bin "
+                                   "count of the grid. --bins is ignored: the "
+                                   "curve bins at the grid's fixed counts.")
     p.add_argument("--subset", required=True, metavar="A,B,...", type=_names)
     p.add_argument("--grid", metavar="N1,N2,...", type=_grid,
                    help="bin counts to test (default 5..2048 geometric)")

@@ -1,12 +1,14 @@
 """Exhaustive sensor-subset sweeps, min-entropy ranking, bin sensitivity.
 
-Subsets stream in canonical order (size ascending, then lexicographic over
-channel positions), every channel is binned once and shared, every pair is
-counted once on the rows complete in every channel, and each subset counts
-only the other rows it keeps and merges them in. One loop consumes the
-subset outcomes in canonical order, whether they come from a plain map or
-from a fork pool's in-order imap, so the output is identical no matter how
-many workers ran or in what order they finished.
+Subsets enumerate in canonical order (size ascending, then lexicographic
+over channel positions), every channel is binned once and shared, and every
+pair is counted once on the rows complete in every channel. The subsets
+that keep the same other rows form a group, fitted on one child that counts
+only those rows and merges them in; a table without gaps is one group, fitted
+on the shared counts. Subsets run group by group, each group in canonical
+order, from a plain map or from a fork pool's in-order imap, and one loop
+puts every outcome back at its canonical position, so the output is
+identical no matter how many workers ran or in what order they finished.
 """
 
 from __future__ import annotations
@@ -83,18 +85,58 @@ def enumerate_subsets(channels, min_size: int = 2, max_size: int | None = None):
 # sweep returns
 _SHARED: PairStats | None = None
 _UNBINNED: dict[str, str] = {}
+# (channels, PairStats) of the group of the last subset this process fitted,
+# kept for the next subset of the group; the sweep holds the child, never
+# _SHARED, so no cycle keeps either alive past it
+_LIVE: tuple[tuple[str, ...] | None, PairStats] | None = None
 
 
-def _profile_subset(subset):
-    """(profile, None) for one subset, or (None, reason) when it fails."""
+def _stats_of(names: tuple[str, ...] | None) -> PairStats:
+    """The child over the named channels, or _SHARED for None; one at a time."""
+    global _LIVE
+    if _LIVE is None or _LIVE[0] != names:
+        _LIVE = None  # the last group's child goes before the next is made
+        _LIVE = (names, _SHARED if names is None else PairStats(
+            [_SHARED.channels[name] for name in names], _SHARED))
+    return _LIVE[1]
+
+
+def _profile_subset(task):
+    """(profile, None) for one (group channels, subset), or (None, reason)
+    when it fails."""
+    group, subset = task
     for name in subset:
         if name in _UNBINNED:
             return None, f"channel {name!r} not binned: {_UNBINNED[name]}"
     try:
         chans = [_SHARED.channels[name] for name in subset]
-        return tree_profile(build_tree(chans, _SHARED)), None
+        return tree_profile(build_tree(chans, _stats_of(group))), None
     except EntroscopeError as exc:
         return None, str(exc)
+
+
+def _grouped(shared: PairStats, subsets) -> tuple[list[int], list]:
+    """Positions of the subsets grouped by the leftover rows each keeps, and
+    each subset's group channels.
+
+    Groups come in order of first appearance, each in canonical order. A
+    group's channels are the union of its subsets' binned ones, ordered as
+    in shared, or None when they keep no leftover row and so fit on shared
+    itself. The union keeps the group's rows, as no row of theirs misses any
+    of its channels, and no other group has the same union. A subset with an
+    unbinned channel goes by its binned ones.
+    """
+    keys = []
+    unions: dict[bytes, set[str]] = {}
+    for subset in subsets:
+        names = [name for name in subset if name in shared.channels]
+        keys.append(shared.leftover_key(names))
+        unions.setdefault(keys[-1], set()).update(names)
+    first = {key: i for i, key in enumerate(unions)}
+    channels = {key: tuple(n for n in shared.channels if n in union)
+                if any(key) else None for key, union in unions.items()}
+    order = sorted(range(len(subsets)), key=lambda i: first[keys[i]])
+    return order, [channels[key] for key in keys]
 
 
 def run_sweep(table: SampleTable, rule, min_size: int = 2,
@@ -120,30 +162,33 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
     subsets = list(enumerate_subsets(table.channels, min_size, max_size))
     total = len(subsets)
     report_every = max(1, total // 10)
-    results: list[SubsetResult] = []
 
-    global _SHARED, _UNBINNED
+    global _SHARED, _UNBINNED, _LIVE
     _SHARED, _UNBINNED = PairStats(binned), unbinned
     try:
         # every pair lies in some subset of every size, so counting them all up
         # front wastes nothing, and forked workers inherit the counts instead
         # of each counting the pairs it needs
         _SHARED.count_all()
+        if binned and _SHARED.n < binned[0].codes.size:
+            order, groups = _grouped(_SHARED, subsets)
+        else:  # no leftover rows: every subset fits on _SHARED
+            order, groups = range(total), [None] * total
+        tasks = [(groups[i], subsets[i]) for i in order]
+        outcomes: list = [None] * total
         started = time.monotonic()
         with contextlib.ExitStack() as stack:
             if workers == 1 or total <= 1:
-                outcomes = map(_profile_subset, subsets)
+                done_in_order = map(_profile_subset, tasks)
             else:
                 ctx = multiprocessing.get_context("fork")
                 pool = stack.enter_context(ctx.Pool(processes=workers))
-                # imap yields in input order, whatever order workers finish in
-                outcomes = pool.imap(_profile_subset, subsets,
-                                     max(1, total // (workers * 4)))
-            for done, (subset, (prof, reason)) in enumerate(zip(subsets, outcomes), 1):
-                if reason is None:
-                    results.append(SubsetResult(subset, prof))
-                elif errors is not None:
-                    errors.append((subset, reason))
+                # imap yields in input order, whatever order workers finish
+                # in; each chunk is a slice of the grouped order
+                done_in_order = pool.imap(_profile_subset, tasks,
+                                          max(1, total // (workers * 4)))
+            for done, (i, outcome) in enumerate(zip(order, done_in_order), 1):
+                outcomes[i] = outcome
                 if done % report_every == 0 or done == total:
                     elapsed = time.monotonic() - started
                     eta = elapsed / done * (total - done)
@@ -153,7 +198,13 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
                         file=sys.stderr,
                     )
     finally:
-        _SHARED, _UNBINNED = None, {}
+        _SHARED, _UNBINNED, _LIVE = None, {}, None
+    results: list[SubsetResult] = []
+    for subset, (prof, reason) in zip(subsets, outcomes):
+        if reason is None:
+            results.append(SubsetResult(subset, prof))
+        elif errors is not None:
+            errors.append((subset, reason))
     return results
 
 

@@ -320,6 +320,12 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_sensitivity_help_says_bins_is_ignored(capsys):
+    assert run(["sensitivity", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--bins is ignored: the curve bins at the grid's fixed counts" in out
+
+
 def test_single_synthetic_markdown(capsys):
     assert run(["single", "--synthetic", "--rows", "2000"]) == 0
     out = capsys.readouterr().out

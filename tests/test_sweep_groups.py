@@ -1,0 +1,212 @@
+"""Subsets that keep the same leftover rows fit on one child PairStats.
+
+A sweep groups its subsets by the leftover rows each keeps (the rows past
+the ones complete in every channel), fits each group on one child over the
+union of its channels, and still returns every profile, error and progress
+count in canonical order, bit for bit what a fresh fit of each subset gives.
+"""
+
+import contextlib
+import importlib.util
+import io
+import itertools
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from entroscope import sweep
+from entroscope.chowliu import PairStats, build_tree, tree_profile
+from entroscope.ingest import SampleTable, add_magnitude
+from entroscope.quantize import bin_channel
+from entroscope.sweep import MAX_JOINT_BINS, enumerate_subsets, run_sweep
+from oracles import prebinned
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bits(prof):
+    return tuple(v.hex() for v in (prof.h0, prof.h1, prof.h2, prof.hmin))
+
+
+def _mask(chans, names):
+    return np.logical_and.reduce([chans[name].codes >= 0 for name in names])
+
+
+def _dropout_table(rows=3000, seed=31):
+    """Two three-axis sensors that drop out whole, an accelerometer
+    magnitude, a channel with holes of its own and a constant one."""
+    rng = np.random.default_rng(seed)
+    latent = rng.normal(size=(rows, 2))
+    data = latent @ rng.normal(size=(2, 7)) + rng.normal(size=(rows, 7))
+    data[400:700, 0:3] = np.nan  # the accelerometer drops out
+    data[1500:1600, 3:6] = np.nan  # the gyroscope drops out
+    data[2000:2100, 0:6] = np.nan  # both, as on a file that maps neither
+    data[rng.random(rows) < 0.03, 6] = np.nan
+    data[rng.random(rows) < 0.01, 1] = np.nan  # the magnitude misses these too
+    names = ("acc.x", "acc.y", "acc.z", "gyr.x", "gyr.y", "gyr.z", "baro")
+    table = SampleTable(names, data, "unit")
+    table = add_magnitude(table, "acc.x", "acc.y", "acc.z", "acc.mag")
+    const = np.full((rows, 1), 2.0)  # FD cannot bin it
+    return SampleTable(table.channels + ("flat",),
+                       np.column_stack([table.rows, const]), "unit")
+
+
+@pytest.fixture(scope="module")
+def dropouts():
+    table = _dropout_table()
+    chans = {}
+    for name in table.channels[:-1]:
+        chans[name] = bin_channel(table.column(name), "fd", name=name,
+                                  max_bins=MAX_JOINT_BINS)
+    subsets = list(enumerate_subsets(table.channels, 2, 4))
+    return table, chans, subsets
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grouped_sweep_matches_fresh_fits_in_canonical_order(dropouts, workers):
+    table, chans, subsets = dropouts
+    errors = []
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        results = run_sweep(table, "fd", max_size=4, workers=workers,
+                            errors=errors)
+    fitted = [s for s in subsets if "flat" not in s]
+    assert [r.subset for r in results] == fitted
+    for r in results:
+        want = tree_profile(build_tree([chans[name] for name in r.subset]))
+        assert _bits(r.profile) == _bits(want), r.subset
+    assert [subset for subset, _ in errors] == [s for s in subsets if "flat" in s]
+    assert all("'flat' not binned" in msg for _, msg in errors)
+    total = len(subsets)
+    progress = [line.split()[1] for line in err.getvalue().splitlines()]
+    assert progress == [f"{done}/{total}" for done in range(1, total + 1)
+                        if done % (total // 10) == 0 or done == total]
+    assert sweep._SHARED is None and sweep._LIVE is None
+    assert sweep._UNBINNED == {}
+
+
+def test_dropout_subsets_share_children(dropouts):
+    table, chans, subsets = dropouts
+    root = PairStats(list(chans.values()))
+    order, groups = sweep._grouped(root, subsets)
+    # the whole-sensor dropouts leave far fewer row sets than subsets
+    runs = [group for i, group in enumerate(groups[j] for j in order)
+            if i == 0 or group != groups[order[i - 1]]]
+    assert len(runs) == len(set(runs)) < len(subsets) // 4
+    assert sorted(order) == list(range(len(subsets)))
+    firsts = []
+    for group in runs:  # each group in canonical order
+        members = [i for i in order if groups[i] == group]
+        assert members == sorted(members)
+        firsts.append(members[0])
+    assert firsts == sorted(firsts)  # groups in order of first appearance
+    for group, subset in zip(groups, subsets):
+        names = [name for name in subset if name in chans]
+        if group is None:
+            assert not any(root.leftover_key(names))
+        else:
+            assert set(names) <= set(group)
+            assert PairStats([chans[n] for n in group], root).n == (
+                np.count_nonzero(_mask(chans, names)))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 6),
+       st.floats(0.0, 0.6), st.integers(1, 40))
+@settings(max_examples=80, deadline=None)
+def test_subsets_share_a_child_exactly_when_their_rows_match(seed, k, share, rows):
+    rng = np.random.default_rng(seed)
+    chans = {}
+    for i in range(k):
+        codes = rng.integers(0, 3, size=rows)
+        # per-channel holes, and some rows where the first half drop together
+        codes[rng.random(rows) < share * rng.random()] = -1
+        chans[f"c{i}"] = prebinned(f"c{i}", codes, 3)
+    together = rng.random(rows) < share / 2
+    for i in range(k // 2):
+        chans[f"c{i}"].codes[together] = -1
+    root = PairStats(list(chans.values()))
+    subsets = list(enumerate_subsets(chans))
+    _, groups = sweep._grouped(root, subsets)
+    clean = _mask(chans, chans)
+    for (gi, si), (gj, sj) in itertools.combinations(zip(groups, subsets), 2):
+        same = np.array_equal(_mask(chans, si), _mask(chans, sj))
+        assert (gi == gj) == same, (si, sj)
+    for group, subset in zip(groups, subsets):
+        keeps_none = np.array_equal(_mask(chans, subset), clean)
+        assert (group is None) == keeps_none, subset
+        if group is not None:  # the union keeps the subset's rows
+            assert np.array_equal(_mask(chans, group), _mask(chans, subset)), subset
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while it runs
+    sys.modules[spec.name] = module
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:  # no __pycache__ under bench/
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+        del sys.modules[spec.name]
+    return module
+
+
+def _children_built(monkeypatch, table, rule):
+    """How many children run_sweep builds."""
+    children = []
+
+    class Counting(PairStats):
+        def __init__(self, channels, parent=None):
+            super().__init__(channels, parent)
+            if parent is not None:
+                children.append(self)
+
+    monkeypatch.setattr(sweep, "PairStats", Counting)
+    with contextlib.redirect_stderr(io.StringIO()):
+        run_sweep(table, rule)
+    return len(children)
+
+
+def test_one_child_per_leftover_row_set(monkeypatch, tmp_path):
+    wl = _workloads()
+    table = wl.csv_table(wl.csv_generate(3, tmp_path))
+    chans = {name: bin_channel(table.column(name), "fd", name=name,
+                               max_bins=MAX_JOINT_BINS)
+             for name in table.channels}
+    subsets = list(enumerate_subsets(table.channels))
+    masks = {_mask(chans, subset).tobytes() for subset in subsets}
+    assert len(subsets) == 120 and len(masks) == 57
+    children = _children_built(monkeypatch, table, "fd")
+    # one row set is the clean rows', which fits on the sweep's own counts
+    assert children == 56
+    assert len(masks) == children + int(
+        _mask(chans, table.channels).tobytes() in masks)
+
+
+def test_no_child_on_a_complete_table(monkeypatch):
+    rng = np.random.default_rng(32)
+    table = SampleTable(("a", "b", "c", "d"), rng.normal(size=(500, 4)), "unit")
+    assert _children_built(monkeypatch, table, 8) == 0
+
+
+def test_mi_is_worked_out_once_per_pair_and_matches_a_fresh_count(dropouts):
+    _, chans, _ = dropouts
+    root = PairStats(list(chans.values()))
+    child = PairStats([chans["acc.x"], chans["baro"], chans["gyr.y"]], root)
+    assert child.n > root.n
+    for stats in (root, child):
+        for a, b in itertools.combinations(stats.channels, 2):
+            first = stats.mi(b, a)
+            assert stats.mi(a, b) is first  # cached, whichever way asked
+            assert stats._mis[stats._pair(a, b)] is first
+            rows = _mask(chans, stats.channels)
+            for x, y in ((a, b), (b, a)):
+                fresh = PairStats([prebinned(n, chans[n].codes[rows],
+                                             chans[n].spec.bin_count)
+                                   for n in (x, y)])
+                assert fresh.mi(x, y).hex() == first.hex(), (x, y)
