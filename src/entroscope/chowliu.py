@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +48,8 @@ from .quantize import BinnedChannel, Pmf
 _FLOAT64_EXACT = 2 ** 53
 # support counts whose float64 total stays below this run in int64
 _INT64_SAFE = 2 ** 62
-# most bytes of message values and picks one cache holds, over all passes;
-# past it the oldest entries go
+# most bytes of messages one cache holds, over all passes; past it the
+# oldest entries go
 _CACHE_BYTES = 64 * 2 ** 20
 
 
@@ -79,24 +78,13 @@ class ConditionalTable:
             raise DataError("conditional rows must each sum to 1")
 
 
-class _Message(NamedTuple):
-    """What one node sends its parent in an upward pass."""
-
-    values: np.ndarray  # by parent bin
-    picks: np.ndarray | None  # max-product: the node's code by parent bin
-
-    @property
-    def nbytes(self) -> int:
-        return self.values.nbytes + (0 if self.picks is None else self.picks.nbytes)
-
-
 class MessageCache(dict):
     """Messages by key (see _upward), at most _CACHE_BYTES of them; past
     that the oldest go first."""
 
     nbytes = 0
 
-    def remember(self, key, msg: _Message) -> _Message:
+    def remember(self, key, msg: np.ndarray) -> np.ndarray:
         self[key] = msg
         self.nbytes += msg.nbytes
         while self.nbytes > _CACHE_BYTES:
@@ -334,19 +322,13 @@ def build_tree(channels: list[BinnedChannel],
         raise DataError("no complete rows")
     bins = {ch.name: ch.spec.bin_count for ch in channels}
 
-    weights: dict[tuple[str, str], float] = {}
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            a, b = names[i], names[j]
-            weights[_edge_key(a, b)] = stats.mi(a, b)
-
     # Prim from the root: each step adopts the cheapest edge from the tree to
     # a node outside it under the strict key (-MI, name pair). A strict total
     # order has one minimum spanning tree, so these are the edges Kruskal
-    # takes, and the edge that adopts a node names its parent.
+    # takes, and the edge that adopts a node names its parent. Each pair's MI
+    # is read once, when the first of its two nodes joins the tree.
     def key(a: str, b: str) -> tuple[float, tuple[str, str]]:
-        edge = _edge_key(a, b)
-        return -weights[edge], edge
+        return -stats.mi(a, b), _edge_key(a, b)
 
     root = names[0]
     parent: dict[str, str] = {}
@@ -354,9 +336,9 @@ def build_tree(channels: list[BinnedChannel],
     best = {name: key(root, name) for name in names[1:]}
     while best:
         node = min(best, key=best.__getitem__)
-        _, edge = best.pop(node)
+        neg_mi, edge = best.pop(node)
         parent[node] = edge[0] if edge[1] == node else edge[1]
-        tree_weights[edge] = weights[edge]
+        tree_weights[edge] = -neg_mi
         for other in best:
             best[other] = min(best[other], key(node, other))
 
@@ -382,9 +364,8 @@ def _upward(model: ChowLiuModel, tag, weights, combine, reduce, zero):
     Children come before their parents. A node's terms start as
     weights(probs) of its table; each child's message, read at the table's
     child bins, is folded in with combine, in child order; reduce(table,
-    terms) collapses each parent row to one value and, for max-product, the
-    child bin it picked; the message to the parent holds those values at the
-    row's parent bins and zero elsewhere.
+    terms) collapses each parent row to one value; the message to the parent
+    holds those values at the row's parent bins and zero elsewhere.
 
     A message depends only on the semiring (tag) and the node's subtree,
     whose shape is (parent name, node name, *its children's shapes). Within
@@ -392,10 +373,9 @@ def _upward(model: ChowLiuModel, tag, weights, combine, reduce, zero):
     so the model's cache keeps each message under (tag, shape), and a tree
     fitted on the PairStats of earlier trees computes only the messages it
     is first to need. Returns the root's terms (weights of the root marginal,
-    children folded in) and the messages by node; the root's own reduction
-    is left to the caller.
+    children folded in); the root's own reduction is left to the caller.
     """
-    sent: dict[str, _Message] = {}
+    sent: dict[str, np.ndarray] = {}
     shapes: dict[str, tuple] = {}
     for node in reversed(model.order[1:]):
         cond = model.conditionals[node]
@@ -407,20 +387,16 @@ def _upward(model: ChowLiuModel, tag, weights, combine, reduce, zero):
             size = model.bin_counts[model.parent[node]]
             terms = weights(cond.probs)
             for child in kids:
-                terms = combine(terms, sent[child].values[cond.child_bins])
-            rows, picks = reduce(cond, terms)
-            values = np.full(size, zero, dtype=rows.dtype)
-            values[cond.parent_bins] = rows
-            if picks is not None:
-                dense_picks = np.zeros(size, dtype=np.int64)
-                dense_picks[cond.parent_bins] = picks
-                picks = dense_picks
-            msg = model.cache.remember((tag, shape), _Message(values, picks))
+                terms = combine(terms, sent[child][cond.child_bins])
+            rows = reduce(cond, terms)
+            msg = np.full(size, zero, dtype=rows.dtype)
+            msg[cond.parent_bins] = rows
+            msg = model.cache.remember((tag, shape), msg)
         sent[node] = msg
     terms = weights(model.root_marginal.p)
     for child in model.children[model.root]:
-        terms = combine(terms, sent[child].values[model.root_marginal.bins])
-    return terms, sent
+        terms = combine(terms, sent[child][model.root_marginal.bins])
+    return terms
 
 
 def tree_shannon(model: ChowLiuModel) -> float:
@@ -431,10 +407,9 @@ def tree_shannon(model: ChowLiuModel) -> float:
     t at x), the expected log2-probability of its subtree given v. H1 is
     minus the same expectation at the root.
     """
-    terms, _ = _upward(
+    terms = _upward(
         model, "shannon", np.log2, np.add,
-        lambda cond, t: (np.add.reduceat(cond.probs * t, cond.indptr[:-1]), None),
-        0.0)
+        lambda cond, t: np.add.reduceat(cond.probs * t, cond.indptr[:-1]), 0.0)
     return -math.fsum((model.root_marginal.p * terms).tolist())
 
 
@@ -452,41 +427,29 @@ def tree_power_sum(model: ChowLiuModel, alpha: float) -> float:
         starts = cond.indptr[:-1]
         peak = np.maximum.reduceat(terms, starts)
         spread = np.exp2(terms - np.repeat(peak, np.diff(cond.indptr)))
-        return peak + np.log2(np.add.reduceat(spread, starts)), None
+        return peak + np.log2(np.add.reduceat(spread, starts))
 
-    terms, _ = _upward(model, ("pow", alpha), lambda p: alpha * np.log2(p),
-                       np.add, log_sum_rows, -np.inf)
+    terms = _upward(model, ("pow", alpha), lambda p: alpha * np.log2(p),
+                    np.add, log_sum_rows, -np.inf)
     peak = float(terms.max())
     return peak + math.log2(float(np.sum(np.exp2(terms - peak))))
 
 
-def _first_max(cond: ConditionalTable, terms: np.ndarray):
-    """Each row's largest term and the child bin of its first occurrence;
-    bins ascend within a row, so ties go to the smallest bin."""
-    starts = cond.indptr[:-1]
-    peak = np.maximum.reduceat(terms, starts)
-    at_peak = terms == np.repeat(peak, np.diff(cond.indptr))
-    best = np.minimum.reduceat(
-        np.where(at_peak, np.arange(terms.size), terms.size), starts)
-    return terms[best], cond.child_bins[best]
-
-
-def tree_max_prob(model: ChowLiuModel) -> tuple[float, tuple[int, ...]]:
-    """Max-product pass: (log2 of the modal probability, argmax code tuple)."""
-    terms, sent = _upward(model, "max", np.log2, np.add, _first_max, -np.inf)
-    best = int(np.argmax(terms))
-    code = {model.root: int(model.root_marginal.bins[best])}
-    for node in model.order[1:]:
-        code[node] = int(sent[node].picks[code[model.parent[node]]])
-    return float(terms[best]), tuple(code[name] for name in model.nodes)
+def tree_max_prob(model: ChowLiuModel) -> float:
+    """log2 of the modal probability of the tree distribution (H-infinity is
+    minus it), by upward max-product in log2 domain: a node sends, for each
+    parent bin v, the largest log2-probability of its subtree given v."""
+    terms = _upward(
+        model, "max", np.log2, np.add,
+        lambda cond, t: np.maximum.reduceat(t, cond.indptr[:-1]), -np.inf)
+    return float(terms.max())
 
 
 def _count_pass(model: ChowLiuModel, dtype):
     """Upward sum-product over the support indicator: the total."""
-    terms, _ = _upward(
+    terms = _upward(
         model, ("count", dtype), lambda p: np.ones(p.size, dtype=dtype),
-        np.multiply,
-        lambda cond, w: (np.add.reduceat(w, cond.indptr[:-1]), None), 0)
+        np.multiply, lambda cond, w: np.add.reduceat(w, cond.indptr[:-1]), 0)
     return terms.sum()
 
 
@@ -515,7 +478,7 @@ def tree_profile(model: ChowLiuModel) -> EntropyProfile:
         h0=math.log2(tree_support_count(model)),
         h1=tree_shannon(model),
         h2=-tree_power_sum(model, 2.0),
-        hmin=-tree_max_prob(model)[0],
+        hmin=-tree_max_prob(model),
     )
 
 

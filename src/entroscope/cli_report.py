@@ -390,7 +390,8 @@ def _cmd_matrix(args) -> Report:
             {"a": a, "b": b, "reason": reason} for a, b, reason in dm.missing
         ],
     }
-    return Report("dependence_matrix", payload, _metadata(table.source, args.bins))
+    rule = "n/a" if args.kind == "pearson" else args.bins  # pearson bins nothing
+    return Report("dependence_matrix", payload, _metadata(table.source, rule))
 
 
 def _cmd_sensitivity(args) -> Report:

@@ -55,11 +55,17 @@ class DatasetManifest:
                 raise ManifestError(f"magnitude name {spec.name!r} is already taken")
             taken.add(spec.name)
         for fs in self.files:
+            mapped = set()
             for channel in fs.columns.values():
                 if channel not in self.channels:
                     raise ManifestError(
                         f"file {fs.path!r} maps onto undeclared channel {channel!r}"
                     )
+                if channel in mapped:
+                    raise ManifestError(
+                        f"file {fs.path!r} maps two columns onto channel {channel!r}"
+                    )
+                mapped.add(channel)
 
 
 def load_manifest(path) -> DatasetManifest:

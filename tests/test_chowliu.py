@@ -294,9 +294,8 @@ def test_max_prob_point_mass():
         edge_weights={("a", "b"): 0.0},
         bin_counts={"a": 3, "b": 6},
     )
-    logp, arg = tree_max_prob(model)
+    logp = tree_max_prob(model)
     assert logp == 0.0
-    assert arg == (2, 5)
     prof = tree_profile(model)
     assert prof == pytest.approx((0.0, 0.0, 0.0, 0.0)) or prof.h0 == 0.0
 
@@ -319,10 +318,8 @@ def test_max_prob_hand_joint():
         edge_weights={("a", "b"): 0.0},
         bin_counts={"a": 2, "b": 2},
     )
-    logp, arg = tree_max_prob(model)
+    logp = tree_max_prob(model)
     assert 2.0 ** logp == pytest.approx(0.375, abs=1e-12)
-    assert arg in ((0, 0), (0, 1))  # both cells hold 0.375; first max wins
-    assert arg == (0, 0)
 
 
 def _point_root_model(root_bin, table, child_bins):
@@ -346,10 +343,9 @@ def test_max_prob_ties_pick_smallest_bin_in_every_row():
         np.array([1, 2, 4, 0, 3, 0, 2, 3, 4]),
         np.array([0.25, 0.375, 0.375, 0.5, 0.5, 0.125, 0.125, 0.375, 0.375]),
     )
-    want = {0: (2, 0.375), 1: (0, 0.5), 3: (3, 0.375)}
-    for root_bin, (child, p) in want.items():
-        logp, arg = tree_max_prob(_point_root_model(root_bin, table, 5))
-        assert arg == (root_bin, child)
+    want = {0: 0.375, 1: 0.5, 3: 0.375}
+    for root_bin, p in want.items():
+        logp = tree_max_prob(_point_root_model(root_bin, table, 5))
         assert logp == math.log2(p)
 
 
@@ -371,36 +367,29 @@ def test_max_prob_tie_through_child_message():
         edge_weights={("a", "b"): 0.0, ("b", "c"): 0.0},
         bin_counts={"a": 1, "b": 3, "c": 4},
     )
-    logp, arg = tree_max_prob(model)
+    logp = tree_max_prob(model)
     assert logp == -2.0
-    assert arg == (0, 0, 2)
 
 
 def _max_prob_row_loop(model):
-    """Max-product with one argmax per conditional row, as a reference."""
+    """Max-product with one max per conditional row, as a reference: the
+    log2 modal probability."""
     kids, order = _top_down(model)
-    messages, choices = {}, {}
+    messages = {}
     for node in reversed(order[1:]):
         cond = model.conditionals[node]
         terms = np.log2(cond.probs)
         for child in kids[node]:
             terms = terms + messages[child][cond.child_bins]
         msg = np.full(model.bin_counts[model.parent[node]], -np.inf)
-        pick = np.zeros(model.bin_counts[model.parent[node]], dtype=np.int64)
         for r in range(cond.parent_bins.size):
             lo, hi = int(cond.indptr[r]), int(cond.indptr[r + 1])
-            best = lo + int(np.argmax(terms[lo:hi]))
-            msg[cond.parent_bins[r]] = terms[best]
-            pick[cond.parent_bins[r]] = cond.child_bins[best]
-        messages[node], choices[node] = msg, pick
+            msg[cond.parent_bins[r]] = terms[lo:hi].max()
+        messages[node] = msg
     terms = np.log2(model.root_marginal.p)
     for child in kids[model.root]:
         terms = terms + messages[child][model.root_marginal.bins]
-    best = int(np.argmax(terms))
-    code = {model.root: int(model.root_marginal.bins[best])}
-    for node in order[1:]:
-        code[node] = int(choices[node][code[model.parent[node]]])
-    return float(terms[best]), tuple(code[name] for name in model.nodes)
+    return float(terms.max())
 
 
 def test_max_prob_matches_row_loop_on_fitted_models():
@@ -563,7 +552,6 @@ def test_passes_on_model_with_children_listed_before_parents():
     assert (got.h0, got.h1, got.h2, got.hmin) == pytest.approx(
         profile_of_dict(joint), abs=1e-12)
     assert tree_max_prob(model) == _max_prob_row_loop(model)
-    assert tree_max_prob(model)[1] == max(joint, key=joint.get)
 
 
 def test_tree_shape_errors():

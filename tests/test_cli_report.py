@@ -406,6 +406,19 @@ def test_matrix_maps_nan_to_null(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("kind, binning", [("pearson", "n/a"), ("mi", "7")])
+def test_matrix_records_the_binning_it_used(tmp_path, capsys, kind, binning):
+    # a Pearson matrix bins nothing, so --bins does not describe it
+    path = tmp_path / "matrix.json"
+    code = run([
+        "matrix", "--synthetic", "--rows", "2000", "--kind", kind,
+        "--bins", "7", "--format", "structured", "--out", str(path),
+    ])
+    assert code == 0
+    capsys.readouterr()
+    assert parse_report(path.read_bytes()).metadata["binning"] == binning
+
+
 def test_topk_ranks_by_hmin(tmp_path, capsys):
     path = tmp_path / "topk.json"
     code = run([

@@ -169,6 +169,24 @@ def test_manifest_validation_errors(tmp_path):
         load_manifest(tmp_path / "nofields.yaml")
 
 
+def test_manifest_rejects_two_columns_on_one_channel(tmp_path):
+    # loading would keep one of the two columns and silently drop the other
+    write(tmp_path / "a.csv", "ax,ax2,ay\n1,2,3\n4,5,6\n")
+    write(tmp_path / "m.yaml", """\
+        name: twice
+        channels: [Acc.X, Acc.Y]
+        files:
+          - path: a.csv
+            columns: {ax: Acc.X, ax2: Acc.X, ay: Acc.Y}
+    """)
+    with pytest.raises(ManifestError,
+                       match="file 'a.csv' maps two columns onto channel 'Acc.X'"):
+        load_manifest(tmp_path / "m.yaml")
+    # two files may each map a column onto the same channel: rows pool
+    DatasetManifest("x", (FileSpec("a.csv", {"ax": "A"}),
+                          FileSpec("b.csv", {"bx": "A"})), ("A",))
+
+
 def test_empty_manifest_rejected(tmp_path):
     write(tmp_path / "m.yaml", """\
         name: hollow

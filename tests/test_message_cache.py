@@ -34,11 +34,10 @@ def _profile_bits(prof):
 
 
 def _passes(model):
-    """Every pass's value, floats as hex, with the max-product argmax."""
-    logp, code = tree_max_prob(model)
+    """Every pass's value, floats as hex."""
     return (tree_support_count(model), tree_shannon(model).hex(),
             tree_power_sum(model, 2.0).hex(), tree_power_sum(model, 0.5).hex(),
-            logp.hex(), code)
+            tree_max_prob(model).hex())
 
 
 def _latent_table(rows, k, seed, holes=()):
@@ -110,6 +109,21 @@ def test_caches_past_a_small_byte_bound_change_no_value(monkeypatch):
     def want(subset, model):
         sub = [chans[n] for n in subset]
         assert _passes(model) == _passes(build_tree(sub)), subset
+
+    _fits_within(monkeypatch, 2048, table, chans, want)
+
+
+def test_cache_counts_exactly_the_bytes_it_holds_under_eviction(monkeypatch):
+    table = _latent_table(1500, 6, seed=22)
+    chans = _binned(table, "fd")
+
+    def want(subset, model):
+        tree_profile(model)
+        tree_power_sum(model, 0.5)
+        cache = model.cache
+        assert all(isinstance(v, np.ndarray) and v.ndim == 1
+                   for v in cache.values()), subset
+        assert cache.nbytes == sum(v.nbytes for v in cache.values()), subset
 
     _fits_within(monkeypatch, 2048, table, chans, want)
 
