@@ -4,12 +4,21 @@ A manifest names the dataset, lists the files to pool (each with a source
 column to channel mapping), and declares which triaxial channels get a
 synthesized vector-magnitude column. Values stay in raw physical units; the
 loader never converts anything.
+
+Manifests and data files are read as UTF-8; bytes that do not decode are a
+data error naming the file. A data file is read once as bytes. When its body
+has no quote or carriage return, the body is cut into line-aligned blocks of
+about a mebibyte and each ASCII block is parsed in one np.loadtxt pass; a
+block with a non-ASCII byte or a cell that pass rejects, and a file it
+declines, go through a per-cell csv parse with the same rules, the only one
+that names a bad cell's file:line.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,11 +77,36 @@ class DatasetManifest:
                 mapped.add(channel)
 
 
+class _ManifestLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a mapping with a repeated key, which PyYAML
+    would otherwise resolve silently to the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=True)
+            try:
+                repeated = key in seen
+            except TypeError:  # unhashable: SafeLoader reports it
+                break
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    problem=f"duplicate key {key!r} at line {key_node.start_mark.line + 1}")
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_manifest(path) -> DatasetManifest:
     """Parse and validate a manifest file."""
-    text = Path(path).read_text()
     try:
-        doc = yaml.safe_load(text)
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"manifest {path} is not UTF-8 text: {exc.reason} "
+                            f"at byte {exc.start}") from None
+    try:
+        doc = yaml.load(text, Loader=_ManifestLoader)
     except yaml.YAMLError as exc:
         raise ManifestError(f"cannot parse manifest {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -139,10 +173,42 @@ class SampleTable:
         return self.rows[:, i]
 
 
-def _parse_rows(rows: list[list[str]], positions: list[tuple[int, int]],
-                width: int, fpath: Path) -> np.ndarray:
-    """Per-cell parse of csv records, for files the one-pass parse cannot
-    take exactly; it alone names a bad cell's file:line."""
+_BLOCK_BYTES = 1 << 20  # the byte path hands np.loadtxt about this much per call
+_EOL = re.compile(rb"\r\n?|\n")  # where a file opened with newline="" ends a line
+_NL = ord("\n")
+_NAN = np.frombuffer(b"nan", np.uint8)
+
+
+def _decode(raw: bytes, fpath: Path, offset: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{fpath} is not UTF-8 text: {exc.reason} at byte "
+                        f"{offset + exc.start}") from None
+
+
+def _read_header(data: bytes, delimiter: str, fpath: Path) -> tuple[list[str] | None, int]:
+    """The file's first csv record, and the offset of the byte after it."""
+    end = 0
+
+    def lines():
+        nonlocal end
+        while end < len(data):
+            eol = _EOL.search(data, end)
+            start, end = end, eol.end() if eol else len(data)
+            yield _decode(data[start:end], fpath, start)
+
+    return next(csv.reader(lines(), delimiter=delimiter), None), end
+
+
+def _parse_rows(data: bytes, start: int, end: int, first: int, delimiter: str,
+                positions: list[tuple[int, int]], width: int,
+                fpath: Path) -> np.ndarray:
+    """Per-cell parse of the csv records in data[start:end], whose first is
+    body record `first`, for text the byte path cannot take exactly; it alone
+    names a bad cell's file:line."""
+    text = _decode(data[start:end], fpath, start)
+    rows = list(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter))
     block = np.full((len(rows), width), np.nan)
     for r, row in enumerate(rows):
         for src_i, ch_i in positions:
@@ -155,70 +221,94 @@ def _parse_rows(rows: list[list[str]], positions: list[tuple[int, int]],
                 block[r, ch_i] = float(cell)
             except ValueError:
                 raise DataError(
-                    f"non-numeric cell {cell!r} at {fpath}:{r + 2}") from None
+                    f"non-numeric cell {cell!r} at {fpath}:{first + r + 2}") from None
     return block
 
 
-def _parse_fast(body: str, delimiter: str,
-                usecols: list[int]) -> np.ndarray | None:
-    """Parse the data lines in one C pass, or None where it may not be exact.
+def _fill_empty(block: np.ndarray, delimiter: int, rest: np.ndarray) -> np.ndarray:
+    """Write "nan" into each empty cell of a block of whole lines, and a
+    full row of them into each blank line: "nan", then `rest`, which is the
+    delimiter and "nan" once per further column."""
+    sep = (block == delimiter) | (block == _NL)
+    # a cell is empty where a separator follows a separator; the block ends
+    # in a newline, so wrapping round (roll, at - 1) puts one before its
+    # first byte, as before every line start
+    at = np.flatnonzero(sep & np.roll(sep, 1))
+    if not at.size:
+        return block
+    blank = at[(block[at] == _NL) & (block[at - 1] == _NL)]
+    # np.insert keeps the given order among equal indices: "nan" before rest
+    return np.insert(block, np.concatenate([np.repeat(at, _NAN.size),
+                                            np.repeat(blank, rest.size)]),
+                     np.concatenate([np.tile(_NAN, at.size), np.tile(rest, blank.size)]))
 
-    With no quote or carriage return in the text, csv splits each line on the
+
+def _parse_blocks(data: bytes, start: int, delimiter: str,
+                  positions: list[tuple[int, int]], width: int,
+                  fpath: Path) -> np.ndarray:
+    """Parse the body data[start:] in line-aligned blocks of about
+    _BLOCK_BYTES, each in one np.loadtxt pass where that is exact.
+
+    The body has no quote or carriage return, so csv splits each line on the
     delimiter alone, which is also all np.loadtxt does. Empty cells and blank
     lines become "nan" (so the delimiter may not be one of its letters).
     Every cell np.loadtxt then accepts reads to the float that float() gives;
-    it rejects some cells float() takes (1_0, non-ASCII digits), and those,
-    short rows and whitespace-only cells raise ValueError and go to the
-    per-cell path.
+    it rejects some cells float() takes (1_0), and a block with such a
+    cell, a short row, a whitespace-only cell or a non-ASCII byte goes to the
+    per-cell path instead.
     """
-    d = delimiter
-    if d.isspace() or d in '"an' or '"' in body or "\r" in body:
-        return None
-    text = "\n" + body if body.endswith("\n") else "\n" + body + "\n"
-    blank = d.join(["nan"] * (max(usecols) + 1))
-    # a pattern that is absent costs one scan and no copy; a first pass over
-    # a run of delimiters or blank lines leaves a pair only where the run was
-    # three or longer, and a second pass fills those; no fill makes another's
-    # pattern, so their order does not matter
-    fills = ((d + d, d + "nan" + d, 2), ("\n\n", "\n" + blank + "\n", 2),
-             ("\n" + d, "\nnan" + d, 1), (d + "\n", d + "nan\n", 1))
-    for old, new, passes in fills:
-        for _ in range(passes):
-            if old not in text:
-                break
-            text = text.replace(old, new)
-    try:
-        return np.loadtxt(io.StringIO(text[1:]), delimiter=d, usecols=usecols,
-                          comments=None, ndmin=2, dtype=float)
-    except ValueError:
-        return None
+    d = ord(delimiter)
+    usecols = [src for src, _ in positions]
+    cols = [ch for _, ch in positions]
+    rest = np.frombuffer((delimiter + "nan").encode() * max(usecols), np.uint8)
+    buf = np.frombuffer(data, np.uint8)
+    out = np.full((data.count(b"\n", start) + (data[-1] != _NL), width), np.nan)
+    r = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(data)
+        block = buf[start:end]
+        rows = None
+        if block.max() < 0x80:
+            if block[-1] != _NL:
+                block = np.append(block, np.uint8(_NL))
+            text = io.BytesIO(_fill_empty(block, d, rest))
+            try:
+                rows = np.loadtxt(text, delimiter=delimiter, usecols=usecols,
+                                  comments=None, ndmin=2, dtype=float,
+                                  encoding="latin1")
+            except ValueError:
+                pass
+        if rows is not None:
+            out[r:r + len(rows), cols] = rows
+        else:
+            rows = _parse_rows(data, start, end, r, delimiter, positions, width, fpath)
+            out[r:r + len(rows)] = rows
+        r += len(rows)
+        start = end
+    return out
 
 
 def _load_file(fs: FileSpec, root: Path, channels: tuple[str, ...]) -> np.ndarray:
     fpath = root / fs.path
     if not fpath.is_file():
         raise DataError(f"missing file {fpath}")
-    with open(fpath, newline="") as fh:
-        header = next(csv.reader(fh, delimiter=fs.delimiter), None)
-        if header is None:
-            raise DataError(f"{fpath} has no header row")
-        header = [h.strip() for h in header]
-        positions: list[tuple[int, int]] = []  # (source index, channel index)
-        for src, channel in fs.columns.items():
-            if src not in header:
-                raise DataError(f"column {src!r} not found in {fpath}")
-            positions.append((header.index(src), channels.index(channel)))
-        body = fh.read()
+    data = fpath.read_bytes()
+    d = fs.delimiter
+    header, start = _read_header(data, d, fpath)
+    if header is None:
+        raise DataError(f"{fpath} has no header row")
+    header = [h.strip() for h in header]
+    positions: list[tuple[int, int]] = []  # (source index, channel index)
+    for src, channel in fs.columns.items():
+        if src not in header:
+            raise DataError(f"column {src!r} not found in {fpath}")
+        positions.append((header.index(src), channels.index(channel)))
 
-    usecols = [src for src, _ in positions]
-    parsed = _parse_fast(body, fs.delimiter, usecols) if body and usecols else None
-    if parsed is None:
-        rows = list(csv.reader(io.StringIO(body, newline=""), delimiter=fs.delimiter))
-        return _parse_rows(rows, positions, len(channels), fpath)
-    block = np.full((parsed.shape[0], len(channels)), np.nan)
-    for k, (_, ch_i) in enumerate(positions):
-        block[:, ch_i] = parsed[:, k]
-    return block
+    if (positions and start < len(data) and d.isascii() and not d.isspace()
+            and d not in '"an' and data.find(b'"', start) < 0
+            and data.find(b"\r", start) < 0):
+        return _parse_blocks(data, start, d, positions, len(channels), fpath)
+    return _parse_rows(data, start, len(data), 0, d, positions, len(channels), fpath)
 
 
 def load_table(manifest: DatasetManifest, root) -> SampleTable:

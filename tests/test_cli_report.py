@@ -290,6 +290,17 @@ def test_exit_code_for_data_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bytes_that_are_not_utf8_exit_2(tmp_path, capsys):
+    (tmp_path / "d.csv").write_bytes(b"a,b\n1,2\n3,\xff\n")
+    manifest = b"name: %s\nchannels: [A, B]\nfiles:\n  - {path: d.csv, columns: {a: A, b: B}}\n"
+    (tmp_path / "m.yaml").write_bytes(manifest % b"d")
+    assert run(["single", "--manifest", str(tmp_path / "m.yaml")]) == 2
+    assert "d.csv is not UTF-8 text" in capsys.readouterr().err
+    (tmp_path / "m.yaml").write_bytes(manifest % b"d\xff")
+    assert run(["single", "--manifest", str(tmp_path / "m.yaml")]) == 2
+    assert "m.yaml is not UTF-8 text" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fields, named", [
     ({"delimiter": '";;"'}, "delimiter"),
     ({"delimiter": '""'}, "delimiter"),

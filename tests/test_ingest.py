@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from entroscope import ingest
 from entroscope.errors import DataError, ManifestError
 from entroscope.ingest import (
     DatasetManifest,
@@ -306,13 +307,8 @@ def outcome(load):
         return "error", str(exc)
 
 
-@given(csv_files())
-@example(("x,y\n1,\n,2\n\n3,4", ",", {"x": "V0", "y": "V1"}, ("V0", "V1", "V2")))
-@example(("x,y\n1,2\n3,oops\n", ",", {"x": "V0", "y": "V1"}, ("V0", "V1", "V2")))
-@settings(max_examples=300, deadline=None)
-def test_load_table_matches_per_cell_reference(tmp_path_factory, case):
+def check_against_reference(root, case):
     text, delimiter, columns, channels = case
-    root = tmp_path_factory.mktemp("csv")
     (root / "d.csv").write_text(text, newline="")
     manifest = DatasetManifest(
         "prop", (FileSpec("d.csv", columns, delimiter),), channels)
@@ -320,3 +316,149 @@ def test_load_table_matches_per_cell_reference(tmp_path_factory, case):
     want = outcome(lambda: reference_rows(
         root / "d.csv", columns, channels, delimiter))
     assert got == want
+
+
+@given(csv_files())
+@example(("x,y\n1,\n,2\n\n3,4", ",", {"x": "V0", "y": "V1"}, ("V0", "V1", "V2")))
+@example(("x,y\n1,2\n3,oops\n", ",", {"x": "V0", "y": "V1"}, ("V0", "V1", "V2")))
+@settings(max_examples=300, deadline=None)
+def test_load_table_matches_per_cell_reference(tmp_path_factory, case):
+    check_against_reference(tmp_path_factory.mktemp("csv"), case)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 5])
+@given(csv_files())
+@example(("x,y\n1,\n,2\n\n3,4", ",", {"x": "V0", "y": "V1"}, ("V0", "V1", "V2")))
+@example(("x,y\n1,2\n3,oops\n", ",", {"x": "V0", "y": "V1"}, ("V0", "V1", "V2")))
+@settings(max_examples=300, deadline=None)
+def test_load_table_matches_reference_in_tiny_blocks(tmp_path_factory, block_bytes, case):
+    # at these sizes most files span many blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        check_against_reference(tmp_path_factory.mktemp("csv"), case)
+
+
+def load_one(root, text, columns, channels, delimiter=","):
+    (root / "d.csv").write_bytes(text.encode() if isinstance(text, str) else text)
+    manifest = DatasetManifest(
+        "blocks", (FileSpec("d.csv", columns, delimiter),), channels)
+    return load_table(manifest, root).rows
+
+
+XY = ({"x": "X", "y": "Y"}, ("X", "Y"))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 4, 5, 8, 1 << 20])
+@pytest.mark.parametrize("text, want", [
+    # "1,2\n" fills the first block of 4 bytes: the next starts with an empty
+    # cell, and "4," ends one
+    ("x,y\n1,2\n,3\n4,\n", [[1, 2], [math.nan, 3], [4, math.nan]]),
+    # blank lines at the start, the middle and the end of blocks
+    ("x,y\n1,2\n\n3,4\n\n\n5,6\n\n", [[1, 2], [math.nan] * 2, [3, 4],
+                                      [math.nan] * 2, [math.nan] * 2, [5, 6],
+                                      [math.nan] * 2]),
+    # the last line has no newline, alone in the last block
+    ("x,y\n1,2\n3,", [[1, 2], [3, math.nan]]),
+    ("x,y\n1,2\n,", [[1, 2], [math.nan, math.nan]]),
+    ("x,y\n1,2\n\n", [[1, 2], [math.nan, math.nan]]),
+])
+def test_block_boundaries(tmp_path, monkeypatch, block_bytes, text, want):
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    got = load_one(tmp_path, text, *XY)
+    np.testing.assert_array_equal(got, np.array(want, dtype=float))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 4, 1 << 20])
+def test_bad_cell_in_last_block_names_its_line(tmp_path, monkeypatch, block_bytes):
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    with pytest.raises(DataError, match=r"non-numeric cell 'oops' at .*d\.csv:5$"):
+        load_one(tmp_path, "x,y\n1,2\n3,4\n\n5,oops\n", *XY)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 6, 1 << 20])
+def test_non_ascii_unmapped_column_gives_the_same_table(tmp_path, monkeypatch,
+                                                        block_bytes):
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    columns = {"x": "X", "y": "Y"}, ("X", "Y", "Z")
+    lines = ["1,cafe,2", "3,,", ",tea,4", "", "5,x,6"]
+    plain = load_one(tmp_path, "x,what,y\n" + "\n".join(lines), *columns)
+    lines[0] = "1,café,2"
+    accented = load_one(tmp_path, "x,what,y\n" + "\n".join(lines), *columns)
+    assert accented.tobytes() == plain.tobytes()
+    assert accented.tobytes() == reference_rows(
+        tmp_path / "d.csv", *columns, ",").tobytes()
+
+
+@pytest.mark.parametrize("block_bytes", [1, 4, 1 << 20])
+def test_plain_blocks_never_take_the_per_cell_path(tmp_path, monkeypatch, block_bytes):
+    def per_cell(*args):
+        raise AssertionError("per-cell parse of a plain block")
+
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(ingest, "_parse_rows", per_cell)
+    # a non-ASCII header does not keep the body from the byte path
+    got = load_one(tmp_path, "x,y,z (m/s²)\n\n1,,3\n,2,\n\n\n4,5,6\n,", *XY)
+    want = [[math.nan] * 2, [1, math.nan], [math.nan, 2], [math.nan] * 2,
+            [math.nan] * 2, [4, 5], [math.nan] * 2]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_csv_that_is_not_utf8_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match=r"d\.csv is not UTF-8 text: .* at byte 8"):
+        load_one(tmp_path, b"x,y\n1,2\n\xff,3\n", *XY)
+    with pytest.raises(DataError, match=r"d\.csv is not UTF-8 text: .* at byte 2"):
+        load_one(tmp_path, b"x,\xff\n1,2\n", *XY)
+    # in a column no channel reads, too
+    with pytest.raises(DataError, match=r"d\.csv is not UTF-8 text"):
+        load_one(tmp_path, b"x,y,z\n1,2,\xff\n", *XY)
+
+
+def test_manifest_that_is_not_utf8_is_a_manifest_error(tmp_path):
+    (tmp_path / "m.yaml").write_bytes(
+        b"name: d\xff\nchannels: [V]\nfiles:\n  - {path: a.csv, columns: {v: V}}\n")
+    with pytest.raises(ManifestError, match=r"m\.yaml is not UTF-8 text"):
+        load_manifest(tmp_path / "m.yaml")
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("""\
+        name: twice
+        channels: [X, Y]
+        files:
+          - path: a.csv
+            columns: {ax: X, ax: Y}
+    """, "ax", 5),
+    ("""\
+        name: first
+        channels: [X]
+        name: second
+        files:
+          - path: a.csv
+            columns: {ax: X}
+    """, "name", 3),
+    ("""\
+        name: twice
+        channels: [X]
+        files:
+          - path: a.csv
+            columns: {ax: X}
+        channels: [Y]
+    """, "channels", 6),
+])
+def test_manifest_rejects_repeated_keys(tmp_path, text, key, line):
+    write(tmp_path / "m.yaml", text)
+    with pytest.raises(ManifestError, match=f"duplicate key '{key}' at line {line}"):
+        load_manifest(tmp_path / "m.yaml")
+
+
+def test_manifest_merge_key_may_be_overridden(tmp_path):
+    write(tmp_path / "m.yaml", """\
+        shared: &csv {path: a.csv, delimiter: ";"}
+        name: merged
+        channels: [X]
+        files:
+          - <<: *csv
+            delimiter: ","
+            columns: {ax: X}
+    """)
+    assert load_manifest(tmp_path / "m.yaml").files[0].delimiter == ","
