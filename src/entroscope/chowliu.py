@@ -13,17 +13,17 @@ the package's one count primitive, which merges rows into an empty table or
 into shared counts; conditional tables and MI are worked out from them here.
 One class holds them (PairStats): a sweep's PairStats counts the rows
 complete in every channel, and the subsets that keep the same leftover rows
-(the same missing patterns of those rows avoid them: leftover_key) fit on
-one child over the union of their channels that merges in only those rows;
-any subset without leftover rows fits on the sweep's PairStats. The MI
-matrix reads its cells from PairStats too.
+have the same row set (the channels present on all of those rows: row_set)
+and fit on one child over it that merges in only those rows; any subset
+without leftover rows fits on the sweep's PairStats. The MI matrix reads
+its cells from PairStats too.
 
 Each message a pass sends is cached on the PairStats the tree was fitted on
 (see _upward), so in a sweep a message is computed once for all the trees
-without leftover rows that send it, and once for all the trees of a group
-that send it; a child's cache dies with it. Each cache holds at most
-_CACHE_BYTES of messages, dropping the oldest first, so memory stays
-bounded however many subsets a sweep visits.
+without leftover rows that send it, and once for all the trees fitted on one
+child that send it; a child's cache dies with it. Each cache holds at most
+_CACHE_BYTES of messages, dropping the oldest first, so memory stays bounded
+however many subsets a sweep visits.
 """
 
 from __future__ import annotations
@@ -168,15 +168,15 @@ class PairStats:
 
     Each channel and each pair is counted at most once, however many trees
     ask for it, into one dict of JointCounts keyed by name tuple: 1-tuples
-    for channels, 2-tuples for pairs in the orientation the root PairStats
-    was first asked for. Without a parent a PairStats is a root: it counts
-    its rows itself and keeps every channel's codes on the leftover rows,
-    the others, to lend to subsets. With a parent, a root over a superset of
-    the channels, its rows are the parent's plus the parent's leftover rows
+    for channels, sorted 2-tuples (_edge_key) for pairs, whichever way a
+    pair is asked for. Without a parent a PairStats is a root: it counts its
+    rows itself and keeps every channel's codes on the leftover rows, the
+    others, to lend to subsets. With a parent, a root over a superset of the
+    channels, its rows are the parent's plus the parent's leftover rows
     complete across the channels: it counts only the latter and merges them
-    into the parent's counts. Those are the rows of every subset of its
-    channels with the same leftover_key, so the trees of all such subsets
-    fit on it. The cache holds the messages of the trees fitted on it (see
+    into the parent's counts. Over a row set (row_set) those are the rows of
+    every subset with that row set, so the trees of all such subsets fit on
+    it. The cache holds the messages of the trees fitted on it (see
     _upward).
     """
 
@@ -216,12 +216,6 @@ class PairStats:
                 [self.channels[name].spec.bin_count for name in names], base)
         return joint
 
-    def _pair(self, a: str, b: str) -> tuple[str, str]:
-        """(a, b) or (b, a), whichever way the root counts the pair."""
-        if self._parent is not None:
-            return self._parent._pair(a, b)
-        return (b, a) if (b, a) in self._joints else (a, b)
-
     @functools.cached_property
     def _patterns(self) -> tuple[dict[str, int], np.ndarray]:
         """Each channel's position, and which channels each distinct missing
@@ -239,15 +233,21 @@ class PairStats:
         fresh[1:] = (missing[:, 1:] != missing[:, :-1]).any(axis=0)
         return index, missing[:, fresh]
 
-    def leftover_key(self, names) -> bytes:
-        """Which missing patterns of the leftover rows avoid all the named
-        channels, one byte per pattern. Those patterns' rows are the
-        leftover rows complete across the channels, so two channel sets
-        keep the same leftover rows exactly when their keys are equal, and
-        none when the key has no nonzero byte."""
+    def row_set(self, names) -> tuple[str, ...] | None:
+        """The channels, in order, present on every leftover row complete
+        across the named ones, or None when no leftover row is.
+
+        It holds the named channels, and the leftover rows complete across
+        it are theirs, so two channel sets keep the same rows exactly when
+        their row sets are equal, and a child over it counts their rows."""
         index, patterns = self._patterns
-        rows = [index[name] for name in names]
-        return (~patterns[rows].any(axis=0)).tobytes()
+        if not patterns.size:  # no leftover rows
+            return None
+        kept = ~patterns[[index[name] for name in names]].any(axis=0)
+        if not kept.any():
+            return None
+        present = ~patterns[:, kept].any(axis=1)
+        return tuple(name for name, keep in zip(index, present) if keep)
 
     def marginal(self, name: str) -> Pmf:
         """The channel's pmf on these rows, built once, so the trees rooted
@@ -266,7 +266,7 @@ class PairStats:
         """Plug-in I(a;b) = H(a) + H(b) - H(a,b) on these rows, in bits,
         clamped at 0, worked out once per pair (float addition commutes, so
         either order gives the same bits)."""
-        names = self._pair(a, b)
+        names = _edge_key(a, b)
         mi = self._mis.get(names)
         if mi is None:
             mi = self._mis[names] = max(0.0, self.entropy(a) + self.entropy(b)
@@ -277,7 +277,7 @@ class PairStats:
         """p(child | parent) on these rows, built once."""
         table = self._tables.get((parent, child))
         if table is None:
-            names = self._pair(parent, child)
+            names = _edge_key(parent, child)
             table = self._tables[(parent, child)] = _conditional(
                 self._joint(names), names[0] == child)
         return table
@@ -300,12 +300,14 @@ def build_tree(channels: list[BinnedChannel],
     root is the first channel in input order. Both choices exist purely so
     repeated runs produce the identical model. Pair counts come from shared
     when given, a PairStats over these channels and possibly more. If it
-    keeps leftover rows complete across them (its leftover_key), a child
-    over these channels merges those in; otherwise the tree fits on shared
-    itself, whose rows must then be the ones complete across the channels
-    (a child keeps no leftover rows, so give it only to subsets whose rows
-    it holds). Without shared, from a PairStats over these channels alone.
-    The model is the same either way.
+    keeps leftover rows complete across them (its row_set is not None), a
+    child over these channels merges those in; otherwise the tree fits on
+    shared itself, whose rows must then be the ones complete across the
+    channels (a child keeps no leftover rows, so give it only to subsets
+    whose rows it holds: those whose row set it is over). Without shared,
+    from a PairStats over these channels alone. Each pair's counts are
+    keyed by sorted names, and p(child | parent) reads them either way to
+    the same table, so the model is the same whichever way it is fitted.
     """
     if len(channels) < 2:
         raise DataError("tree needs at least 2 channels")
@@ -314,7 +316,7 @@ def build_tree(channels: list[BinnedChannel],
         raise DataError("duplicate channel names")
     if shared is None:
         stats = PairStats(channels)
-    elif any(shared.leftover_key(names)):
+    elif shared.row_set(names) is not None:
         stats = PairStats(channels, shared)
     else:
         stats = shared

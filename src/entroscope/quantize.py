@@ -121,7 +121,14 @@ def scott_width(values) -> float:
     return 3.5 * sigma * n ** (-1.0 / 3.0)
 
 
+# refuse to materialize edge arrays past this without an explicit cap
+_MAX_AUTO_BINS = 50_000_000
+
+
 def _canonical_rule(rule) -> tuple[str, int | None]:
+    """The rule's kind and, for a fixed count, the count, which may be no
+    more than _MAX_AUTO_BINS."""
+    count = None
     if isinstance(rule, str):
         key = rule.strip().lower().replace("-", "_")
         if key in ("fd", "freedman_diaconis"):
@@ -129,14 +136,15 @@ def _canonical_rule(rule) -> tuple[str, int | None]:
         if key == "scott":
             return "scott", None
         if key.isdigit():
-            return "fixed_count", int(key)
+            count = int(key)
     elif isinstance(rule, (int, np.integer)) and not isinstance(rule, bool):
-        return "fixed_count", int(rule)
-    raise DataError(f"unknown binning rule {rule!r}")
-
-
-# refuse to materialize edge arrays past this without an explicit cap
-_MAX_AUTO_BINS = 50_000_000
+        count = int(rule)
+    if count is None:
+        raise DataError(f"unknown binning rule {rule!r}")
+    if count > _MAX_AUTO_BINS:
+        raise DataError(f"fixed count {count} is over the {_MAX_AUTO_BINS} "
+                        "bin limit")
+    return "fixed_count", count
 
 
 def _width_edges(vmin: float, vmax: float, width: float) -> np.ndarray:

@@ -3,12 +3,15 @@
 Subsets enumerate in canonical order (size ascending, then lexicographic
 over channel positions), every channel is binned once and shared, and every
 pair is counted once on the rows complete in every channel. The subsets
-that keep the same other rows form a group, fitted on one child that counts
-only those rows and merges them in; a table without gaps is one group, fitted
-on the shared counts. Subsets run group by group, each group in canonical
-order, from a plain map or from a fork pool's in-order imap, and one loop
-puts every outcome back at its canonical position, so the output is
-identical no matter how many workers ran or in what order they finished.
+that keep the same other rows have the same row set (PairStats.row_set):
+each chunk of them is fitted on one child over it that counts only those
+rows and merges them in, and subsets that keep no other row, every subset of
+a table without gaps, on the shared counts. A subset with a channel that
+could not be binned is answered before any fit. Chunks run row set by row
+set, each in canonical order, one chunk per row set serially and smaller
+ones from a fork pool's in-order imap, and every outcome goes back to its
+canonical position, so the output is identical no matter how many workers
+ran or in what order they finished.
 """
 
 from __future__ import annotations
@@ -80,63 +83,26 @@ def enumerate_subsets(channels, min_size: int = 2, max_size: int | None = None):
 
 
 # shared state for forked workers: the sweep's binned channels with their pair
-# counts on the rows complete in all of them, and why each other channel could
-# not be binned; set immediately before the pool starts and cleared when the
-# sweep returns
+# counts on the rows complete in all of them; set immediately before the pool
+# starts and cleared when the sweep returns
 _SHARED: PairStats | None = None
-_UNBINNED: dict[str, str] = {}
-# (channels, PairStats) of the group of the last subset this process fitted,
-# kept for the next subset of the group; the sweep holds the child, never
-# _SHARED, so no cycle keeps either alive past it
-_LIVE: tuple[tuple[str, ...] | None, PairStats] | None = None
 
 
-def _stats_of(names: tuple[str, ...] | None) -> PairStats:
-    """The child over the named channels, or _SHARED for None; one at a time."""
-    global _LIVE
-    if _LIVE is None or _LIVE[0] != names:
-        _LIVE = None  # the last group's child goes before the next is made
-        _LIVE = (names, _SHARED if names is None else PairStats(
-            [_SHARED.channels[name] for name in names], _SHARED))
-    return _LIVE[1]
-
-
-def _profile_subset(task):
-    """(profile, None) for one (group channels, subset), or (None, reason)
-    when it fails."""
-    group, subset = task
-    for name in subset:
-        if name in _UNBINNED:
-            return None, f"channel {name!r} not binned: {_UNBINNED[name]}"
-    try:
-        chans = [_SHARED.channels[name] for name in subset]
-        return tree_profile(build_tree(chans, _stats_of(group))), None
-    except EntroscopeError as exc:
-        return None, str(exc)
-
-
-def _grouped(shared: PairStats, subsets) -> tuple[list[int], list]:
-    """Positions of the subsets grouped by the leftover rows each keeps, and
-    each subset's group channels.
-
-    Groups come in order of first appearance, each in canonical order. A
-    group's channels are the union of its subsets' binned ones, ordered as
-    in shared, or None when they keep no leftover row and so fit on shared
-    itself. The union keeps the group's rows, as no row of theirs misses any
-    of its channels, and no other group has the same union. A subset with an
-    unbinned channel goes by its binned ones.
-    """
-    keys = []
-    unions: dict[bytes, set[str]] = {}
+def _profile_chunk(chunk):
+    """(profile, None) for each subset of one (row set, subsets) chunk, or
+    (None, reason) when it fails, all fitted on one PairStats: _SHARED for
+    the row set None, else a child over it made for the chunk."""
+    names, subsets = chunk
+    stats = _SHARED if names is None else PairStats(
+        [_SHARED.channels[name] for name in names], _SHARED)
+    outcomes = []
     for subset in subsets:
-        names = [name for name in subset if name in shared.channels]
-        keys.append(shared.leftover_key(names))
-        unions.setdefault(keys[-1], set()).update(names)
-    first = {key: i for i, key in enumerate(unions)}
-    channels = {key: tuple(n for n in shared.channels if n in union)
-                if any(key) else None for key, union in unions.items()}
-    order = sorted(range(len(subsets)), key=lambda i: first[keys[i]])
-    return order, [channels[key] for key in keys]
+        try:
+            model = build_tree([_SHARED.channels[name] for name in subset], stats)
+            outcomes.append((tree_profile(model), None))
+        except EntroscopeError as exc:
+            outcomes.append((None, str(exc)))
+    return outcomes
 
 
 def run_sweep(table: SampleTable, rule, min_size: int = 2,
@@ -162,43 +128,57 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
     subsets = list(enumerate_subsets(table.channels, min_size, max_size))
     total = len(subsets)
     report_every = max(1, total // 10)
+    outcomes: list = [None] * total
+    done = 0
 
-    global _SHARED, _UNBINNED, _LIVE
-    _SHARED, _UNBINNED = PairStats(binned), unbinned
+    def finished(i: int, outcome) -> None:
+        nonlocal done
+        outcomes[i] = outcome
+        done += 1
+        if done % report_every == 0 or done == total:
+            elapsed = time.monotonic() - started
+            eta = elapsed / done * (total - done)
+            print(f"sweep: {done}/{total} subsets, {elapsed:.1f}s elapsed, "
+                  f"~{eta:.0f}s left", file=sys.stderr)
+
+    global _SHARED
+    _SHARED = PairStats(binned)
     try:
         # every pair lies in some subset of every size, so counting them all up
         # front wastes nothing, and forked workers inherit the counts instead
         # of each counting the pairs it needs
         _SHARED.count_all()
-        if binned and _SHARED.n < binned[0].codes.size:
-            order, groups = _grouped(_SHARED, subsets)
-        else:  # no leftover rows: every subset fits on _SHARED
-            order, groups = range(total), [None] * total
-        tasks = [(groups[i], subsets[i]) for i in order]
-        outcomes: list = [None] * total
         started = time.monotonic()
-        with contextlib.ExitStack() as stack:
-            if workers == 1 or total <= 1:
-                done_in_order = map(_profile_subset, tasks)
+        # the subsets that keep the same rows, by row set in order of first
+        # appearance, each in canonical order; one with an unbinned channel is
+        # answered here
+        groups: dict[tuple[str, ...] | None, list[int]] = {}
+        for i, subset in enumerate(subsets):
+            name = next((name for name in subset if name in unbinned), None)
+            if name is None:
+                groups.setdefault(_SHARED.row_set(subset), []).append(i)
             else:
+                finished(i, (None, f"channel {name!r} not binned: {unbinned[name]}"))
+        pool = workers > 1 and total - done > 1
+        size = max(1, total // (workers * 4)) if pool else total
+        chunks = [(names, members[at:at + size])
+                  for names, members in groups.items()
+                  for at in range(0, len(members), size)]
+        tasks = [(names, [subsets[i] for i in members])
+                 for names, members in chunks]
+        with contextlib.ExitStack() as stack:
+            if pool:
                 ctx = multiprocessing.get_context("fork")
-                pool = stack.enter_context(ctx.Pool(processes=workers))
-                # imap yields in input order, whatever order workers finish
-                # in; each chunk is a slice of the grouped order
-                done_in_order = pool.imap(_profile_subset, tasks,
-                                          max(1, total // (workers * 4)))
-            for done, (i, outcome) in enumerate(zip(order, done_in_order), 1):
-                outcomes[i] = outcome
-                if done % report_every == 0 or done == total:
-                    elapsed = time.monotonic() - started
-                    eta = elapsed / done * (total - done)
-                    print(
-                        f"sweep: {done}/{total} subsets, {elapsed:.1f}s "
-                        f"elapsed, ~{eta:.0f}s left",
-                        file=sys.stderr,
-                    )
+                # imap yields in input order, whatever order workers finish in
+                done_in_order = stack.enter_context(
+                    ctx.Pool(processes=workers)).imap(_profile_chunk, tasks)
+            else:
+                done_in_order = map(_profile_chunk, tasks)
+            for (_, members), chunk in zip(chunks, done_in_order):
+                for i, outcome in zip(members, chunk):
+                    finished(i, outcome)
     finally:
-        _SHARED, _UNBINNED, _LIVE = None, {}, None
+        _SHARED = None
     results: list[SubsetResult] = []
     for subset, (prof, reason) in zip(subsets, outcomes):
         if reason is None:

@@ -2,6 +2,7 @@ import json
 import math
 import textwrap
 
+import numpy as np
 import pytest
 
 from entroscope import __version__, cli_report
@@ -150,6 +151,26 @@ def test_exit_codes_for_usage_errors(capsys):
     assert run(["guesswork"]) == 1
     err = capsys.readouterr().err
     assert "usage" in err
+
+
+def test_fixed_counts_past_the_bin_limit_allocate_nothing(monkeypatch, capsys):
+    linspace = np.linspace
+
+    def small_linspace(start, stop, num=50, **kwargs):
+        if num > 10 ** 6:
+            raise AssertionError(f"np.linspace asked for {num} points")
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", small_linspace)
+    big = "1000000000"
+    assert run(["single", "--synthetic", "--rows", "200", "--bins", big]) == 1
+    err = capsys.readouterr().err
+    assert f"fixed count {big} is over the 50000000 bin limit" in err
+    assert "usage: entroscope single " in err
+    assert run(["sensitivity", "--synthetic", "--rows", "200",
+                "--subset", "Acc.X", "--grid", f"4,{big}"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: fixed count {big} is over the 50000000 bin limit" in err
 
 
 def test_usage_names_the_failing_subcommand(capsys):

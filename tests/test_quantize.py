@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from entroscope.errors import DataError, DegenerateSpreadError
 from entroscope.quantize import (
+    _MAX_AUTO_BINS,
     MISSING,
     _bin_codes,
+    _canonical_rule,
     bin_channel,
     fd_width,
     pmf_of,
@@ -137,6 +139,23 @@ def test_bin_channel_cap_falls_back_to_fixed():
 def test_bin_channel_unknown_rule():
     with pytest.raises(DataError):
         bin_channel(np.arange(10.0), "sturges")
+
+
+@pytest.mark.parametrize("rule", [_MAX_AUTO_BINS + 1, str(_MAX_AUTO_BINS + 1),
+                                  np.int64(10 ** 12)])
+def test_fixed_count_past_the_bin_limit_is_refused_before_any_edge(
+        monkeypatch, rule):
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("np.linspace called")
+
+    monkeypatch.setattr(np, "linspace", no_linspace)
+    with pytest.raises(DataError, match="over the 50000000 bin limit"):
+        bin_channel(np.arange(10.0), rule)
+
+
+def test_fixed_count_at_the_bin_limit_is_a_rule():
+    assert _canonical_rule(_MAX_AUTO_BINS) == ("fixed_count", _MAX_AUTO_BINS)
+    assert _canonical_rule(str(_MAX_AUTO_BINS)) == ("fixed_count", _MAX_AUTO_BINS)
 
 
 def test_equal_width_interior_bins():

@@ -145,7 +145,7 @@ def test_run_sweep_error_ledger(workers):
     assert len(errors) == 3  # every subset touching the constant channel
     assert all("bad" in subset for subset, _ in errors)
     assert all("not binned" in msg for _, msg in errors)
-    assert sweep._SHARED is None and sweep._UNBINNED == {}
+    assert sweep._SHARED is None
 
 
 def test_progress_counts_every_subset_alike_serial_and_pooled(capsys):

@@ -1,15 +1,18 @@
 """Subsets that keep the same leftover rows fit on one child PairStats.
 
 A sweep groups its subsets by the leftover rows each keeps (the rows past
-the ones complete in every channel), fits each group on one child over the
-union of its channels, and still returns every profile, error and progress
-count in canonical order, bit for bit what a fresh fit of each subset gives.
+the ones complete in every channel), named by their row set: the channels
+present on all of those rows. It fits each chunk of a group on one child
+over the row set, answers the subsets with an unbinned channel without a
+fit, and still returns every profile, error and progress count in canonical
+order, bit for bit what a fresh fit of each subset gives.
 """
 
 import contextlib
 import importlib.util
 import io
 import itertools
+import json
 import sys
 from pathlib import Path
 
@@ -84,33 +87,25 @@ def test_grouped_sweep_matches_fresh_fits_in_canonical_order(dropouts, workers):
     progress = [line.split()[1] for line in err.getvalue().splitlines()]
     assert progress == [f"{done}/{total}" for done in range(1, total + 1)
                         if done % (total // 10) == 0 or done == total]
-    assert sweep._SHARED is None and sweep._LIVE is None
-    assert sweep._UNBINNED == {}
+    assert sweep._SHARED is None
 
 
 def test_dropout_subsets_share_children(dropouts):
     table, chans, subsets = dropouts
     root = PairStats(list(chans.values()))
-    order, groups = sweep._grouped(root, subsets)
+    binned = [s for s in subsets if "flat" not in s]
+    row_sets = [root.row_set(subset) for subset in binned]
     # the whole-sensor dropouts leave far fewer row sets than subsets
-    runs = [group for i, group in enumerate(groups[j] for j in order)
-            if i == 0 or group != groups[order[i - 1]]]
-    assert len(runs) == len(set(runs)) < len(subsets) // 4
-    assert sorted(order) == list(range(len(subsets)))
-    firsts = []
-    for group in runs:  # each group in canonical order
-        members = [i for i in order if groups[i] == group]
-        assert members == sorted(members)
-        firsts.append(members[0])
-    assert firsts == sorted(firsts)  # groups in order of first appearance
-    for group, subset in zip(groups, subsets):
-        names = [name for name in subset if name in chans]
-        if group is None:
-            assert not any(root.leftover_key(names))
+    assert len(set(row_sets)) < len(binned) // 4
+    assert None in row_sets  # some subsets keep only the clean rows
+    for names, subset in zip(row_sets, binned):
+        rows = np.count_nonzero(_mask(chans, subset))
+        if names is None:
+            assert rows == root.n
         else:
-            assert set(names) <= set(group)
-            assert PairStats([chans[n] for n in group], root).n == (
-                np.count_nonzero(_mask(chans, names)))
+            assert set(subset) <= set(names)
+            assert list(names) == [n for n in chans if n in names]
+            assert PairStats([chans[n] for n in names], root).n == rows
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 6),
@@ -129,16 +124,19 @@ def test_subsets_share_a_child_exactly_when_their_rows_match(seed, k, share, row
         chans[f"c{i}"].codes[together] = -1
     root = PairStats(list(chans.values()))
     subsets = list(enumerate_subsets(chans))
-    _, groups = sweep._grouped(root, subsets)
+    row_sets = [root.row_set(subset) for subset in subsets]
     clean = _mask(chans, chans)
-    for (gi, si), (gj, sj) in itertools.combinations(zip(groups, subsets), 2):
+    for (ri, si), (rj, sj) in itertools.combinations(zip(row_sets, subsets), 2):
         same = np.array_equal(_mask(chans, si), _mask(chans, sj))
-        assert (gi == gj) == same, (si, sj)
-    for group, subset in zip(groups, subsets):
-        keeps_none = np.array_equal(_mask(chans, subset), clean)
-        assert (group is None) == keeps_none, subset
-        if group is not None:  # the union keeps the subset's rows
-            assert np.array_equal(_mask(chans, group), _mask(chans, subset)), subset
+        assert (ri == rj) == same, (si, sj)
+    for names, subset in zip(row_sets, subsets):
+        mask = _mask(chans, subset)
+        assert (names is None) == np.array_equal(mask, clean), subset
+        if names is not None:
+            assert set(subset) <= set(names), subset
+            assert root.row_set(names) == names, subset
+            child = PairStats([chans[n] for n in names], root)
+            assert child.n == np.count_nonzero(mask), subset
 
 
 def _workloads():
@@ -188,6 +186,56 @@ def test_one_child_per_leftover_row_set(monkeypatch, tmp_path):
         _mask(chans, table.channels).tobytes() in masks)
 
 
+_profile_chunk = sweep._profile_chunk
+_chunk_log = None  # the file _logged_chunk appends to
+
+
+def _logged_chunk(chunk):
+    """sweep._profile_chunk that first appends its chunk to _chunk_log, one
+    JSON line per call, from whichever process runs it."""
+    with open(_chunk_log, "a") as fh:
+        fh.write(json.dumps(chunk) + "\n")
+    return _profile_chunk(chunk)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_unbinned_subset_reaches_a_worker(dropouts, monkeypatch, tmp_path,
+                                             workers):
+    table, chans, subsets = dropouts
+    log = tmp_path / "chunks.jsonl"
+    monkeypatch.setattr(sys.modules[__name__], "_chunk_log", log)
+    # a module-level function, so the pool pickles it by name
+    monkeypatch.setattr(sweep, "_profile_chunk", _logged_chunk)
+    errors = []
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        results = run_sweep(table, "fd", max_size=4, workers=workers,
+                            errors=errors)
+    # in dispatch order when serial, in completion order from the pool
+    chunks = [json.loads(line) for line in log.read_text().splitlines()]
+    sent = [tuple(s) for _, chunk in chunks for s in chunk]
+    fitted = [s for s in subsets if "flat" not in s]
+    assert sorted(sent) == sorted(fitted)
+    assert [r.subset for r in results] == fitted
+    root = PairStats(list(chans.values()))
+    for names, chunk in chunks:
+        want = root.row_set(chunk[0])
+        assert names == (None if want is None else list(want))
+        assert all(root.row_set(s) == want for s in chunk)
+        assert chunk == sorted(chunk, key=lambda s: subsets.index(tuple(s)))
+    row_sets = [None if names is None else tuple(names) for names, _ in chunks]
+    if workers == 1:  # one chunk per row set, in order of first appearance
+        assert len(row_sets) == len(set(row_sets))
+        assert row_sets == list(dict.fromkeys(root.row_set(s) for s in fitted))
+    else:
+        assert max(len(chunk) for _, chunk in chunks) <= len(subsets) // 8
+    # the subsets with the unbinned channel keep their errors and count
+    assert [subset for subset, _ in errors] == [s for s in subsets if "flat" in s]
+    assert all("channel 'flat' not binned" in msg for _, msg in errors)
+    total = len(subsets)
+    assert err.getvalue().splitlines()[-1].split()[1] == f"{total}/{total}"
+
+
 def test_no_child_on_a_complete_table(monkeypatch):
     rng = np.random.default_rng(32)
     table = SampleTable(("a", "b", "c", "d"), rng.normal(size=(500, 4)), "unit")
@@ -203,7 +251,7 @@ def test_mi_is_worked_out_once_per_pair_and_matches_a_fresh_count(dropouts):
         for a, b in itertools.combinations(stats.channels, 2):
             first = stats.mi(b, a)
             assert stats.mi(a, b) is first  # cached, whichever way asked
-            assert stats._mis[stats._pair(a, b)] is first
+            assert stats._mis[tuple(sorted((a, b)))] is first
             rows = _mask(chans, stats.channels)
             for x, y in ((a, b), (b, a)):
                 fresh = PairStats([prebinned(n, chans[n].codes[rows],
