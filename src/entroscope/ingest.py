@@ -7,11 +7,11 @@ loader never converts anything.
 
 Manifests and data files are read as UTF-8; bytes that do not decode are a
 data error naming the file. A data file is read once as bytes. When its body
-has no quote and no carriage return outside a CRLF line end, the body is cut
-into line-aligned blocks of about a mebibyte and each ASCII block is parsed
-in one np.loadtxt pass; a block with a non-ASCII byte or a cell that pass
-rejects, and a file it declines, go through a per-cell csv parse with the
-same rules, the only one that names a bad cell's file:line.
+has no quote or carriage return, the body is cut into line-aligned blocks of
+about a mebibyte and each ASCII block is parsed in one np.loadtxt pass; a
+block with a non-ASCII byte or a cell that pass rejects, and a file it
+declines, go through a per-cell csv parse with the same rules, the only one
+that names a bad cell's file:line.
 """
 
 from __future__ import annotations
@@ -176,7 +176,6 @@ class SampleTable:
 _BLOCK_BYTES = 1 << 20  # the byte path hands np.loadtxt about this much per call
 _EOL = re.compile(rb"\r\n?|\n")  # where a file opened with newline="" ends a line
 _NL = ord("\n")
-_CR = ord("\r")
 _NAN = np.frombuffer(b"nan", np.uint8)
 
 
@@ -250,11 +249,9 @@ def _parse_blocks(data: bytes, start: int, delimiter: str,
     """Parse the body data[start:] in line-aligned blocks of about
     _BLOCK_BYTES, each in one np.loadtxt pass where that is exact.
 
-    The body has no quote, and a carriage return only before a newline, so
-    csv splits each line on the delimiter alone, which is also all
-    np.loadtxt does, a space or a tab included; the carriage returns are
-    dropped from each block. Empty cells and blank lines become "nan" (so the
-    delimiter may not be one of its letters).
+    The body has no quote or carriage return, so csv splits each line on the
+    delimiter alone, which is also all np.loadtxt does. Empty cells and blank
+    lines become "nan" (so the delimiter may not be one of its letters).
     Every cell np.loadtxt then accepts reads to the float that float() gives;
     it rejects some cells float() takes (1_0), and a block with such a
     cell, a short row, a whitespace-only cell or a non-ASCII byte goes to the
@@ -265,7 +262,6 @@ def _parse_blocks(data: bytes, start: int, delimiter: str,
     cols = [ch for _, ch in positions]
     rest = np.frombuffer((delimiter + "nan").encode() * max(usecols), np.uint8)
     buf = np.frombuffer(data, np.uint8)
-    crlf = data.find(b"\r", start) >= 0
     out = np.full((data.count(b"\n", start) + (data[-1] != _NL), width), np.nan)
     r = 0
     while start < len(data):
@@ -273,8 +269,6 @@ def _parse_blocks(data: bytes, start: int, delimiter: str,
         block = buf[start:end]
         rows = None
         if block.max() < 0x80:
-            if crlf:
-                block = block[block != _CR]
             if block[-1] != _NL:
                 block = np.append(block, np.uint8(_NL))
             text = io.BytesIO(_fill_empty(block, d, rest))
@@ -310,10 +304,9 @@ def _load_file(fs: FileSpec, root: Path, channels: tuple[str, ...]) -> np.ndarra
             raise DataError(f"column {src!r} not found in {fpath}")
         positions.append((header.index(src), channels.index(channel)))
 
-    if (positions and start < len(data) and d.isascii()
-            and (d in " \t" or not d.isspace()) and d not in '"an'
-            and data.find(b'"', start) < 0
-            and data.count(b"\r", start) == data.count(b"\r\n", start)):
+    if (positions and start < len(data) and d.isascii() and not d.isspace()
+            and d not in '"an' and data.find(b'"', start) < 0
+            and data.find(b"\r", start) < 0):
         return _parse_blocks(data, start, d, positions, len(channels), fpath)
     return _parse_rows(data, start, len(data), 0, d, positions, len(channels), fpath)
 
