@@ -5,9 +5,10 @@ information, grown by Prim from the first channel, with plug-in tables. All
 four entropy orders come out of message passes over the tree, never from
 expanding the joint state space. The four passes are one upward walk
 (_upward), each in its own semiring: sum-product over the support indicator
-for the support count (float64, int64 or Python integers, whichever keeps
-the count exact), the expectation semiring for Shannon entropy, sum-product
-in log2 domain for the power sums, max-product for the modal probability.
+for the support count (in float64: exact below 2**53, its log2 within 1 ulp
+beyond, refused past float64's range), the expectation semiring for Shannon
+entropy, sum-product in log2 domain for the power sums, max-product for the
+modal probability.
 The counts a tree needs, of each channel and each pair, are JointCounts,
 the package's one count primitive, which merges rows into an empty table or
 into shared counts; conditional tables and MI are worked out from them here.
@@ -44,10 +45,6 @@ from .entropy import (
 from .errors import DataError
 from .quantize import BinnedChannel, Pmf
 
-# support counts whose float64 total stays below this are exact as they are
-_FLOAT64_EXACT = 2 ** 53
-# support counts whose float64 total stays below this run in int64
-_INT64_SAFE = 2 ** 62
 # most bytes of messages one cache holds, over all passes; past it the
 # oldest entries go
 _CACHE_BYTES = 64 * 2 ** 20
@@ -391,7 +388,7 @@ def _upward(model: ChowLiuModel, tag, weights, combine, reduce, zero):
             for child in kids:
                 terms = combine(terms, sent[child][cond.child_bins])
             rows = reduce(cond, terms)
-            msg = np.full(size, zero, dtype=rows.dtype)
+            msg = np.full(size, zero)
             msg[cond.parent_bins] = rows
             msg = model.cache.remember((tag, shape), msg)
         sent[node] = msg
@@ -447,31 +444,27 @@ def tree_max_prob(model: ChowLiuModel) -> float:
     return float(terms.max())
 
 
-def _count_pass(model: ChowLiuModel, dtype):
-    """Upward sum-product over the support indicator: the total."""
-    terms = _upward(
-        model, ("count", dtype), lambda p: np.ones(p.size, dtype=dtype),
-        np.multiply, lambda cond, w: np.add.reduceat(w, cond.indptr[:-1]), 0)
-    return terms.sum()
+def tree_support_count(model: ChowLiuModel) -> float:
+    """Number of code tuples with positive tree probability, as a float.
 
-
-def tree_support_count(model: ChowLiuModel) -> int:
-    """Exact number of code tuples with positive tree probability.
-
-    The pass runs in float64 first. Its values are nonnegative integers,
-    every intermediate that reaches the total is at most the total (the rest
-    are multiplied by zero, or leave it inf or NaN) and rounding is monotone,
-    so a total below _FLOAT64_EXACT is exact. Otherwise the float total, a
-    few ulps per step off, picks a second pass: int64 below _INT64_SAFE,
-    Python integers beyond. int64 wraps modulo 2**64, which sums and products
-    respect, so it is exact for any count below 2**63, however large a
-    message gets.
+    Upward sum-product over the support indicator, in float64. Its values
+    are nonnegative integers, every intermediate that reaches the total is
+    at most the total (the rest are multiplied by zero) and rounding is
+    monotone, so a total below 2**53 is exact. Beyond, a relative error of k
+    ulps in the total moves its log2 (53 or more) by at most k/44 of an ulp
+    of that log2, so log2 of the total is within 1 ulp of log2 of the exact
+    count unless the rounding of the pass piles up past about 20 ulps. Past
+    float64's range (about 2**1024) the total is inf, or NaN where an
+    overflowed message met a zero: the count is refused with DataError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _count_pass(model, np.float64)
-    if total < _FLOAT64_EXACT:
-        return int(total)
-    return int(_count_pass(model, np.int64 if total < _INT64_SAFE else object))
+        total = _upward(
+            model, "count", np.ones_like, np.multiply,
+            lambda cond, w: np.add.reduceat(w, cond.indptr[:-1]), 0.0).sum()
+    if not math.isfinite(total):
+        raise DataError("support count exceeds float64's range (about "
+                        "2**1024 code tuples); use fewer channels")
+    return float(total)
 
 
 def tree_profile(model: ChowLiuModel) -> EntropyProfile:

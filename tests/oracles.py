@@ -6,7 +6,8 @@ message-pass result is checked against, so it deliberately shares no code
 with the tree routines. as_chowliu hands the same tables to those routines,
 and prebinned wraps sampled codes as channels. chain_rule_shannon and
 exact_chain_rule_shannon are references for tree_shannon on any tree, fitted
-ones included, and dump renders a fitted tree's structure for comparison.
+ones included, exact_support_count for tree_support_count, and dump renders a
+fitted tree's structure for comparison.
 percentile_fd_width is the reference for quantize.fd_width's quartiles.
 """
 
@@ -270,6 +271,31 @@ def exact_chain_rule_shannon(model: ChowLiuModel):
                     below[cb] = below.get(cb, mpmath.mpf(0)) + weight * p
             marginals[child] = below
         return +total
+
+
+def exact_support_count(model: ChowLiuModel) -> int:
+    """Number of code tuples with positive tree probability, in Python
+    integers, one conditional row at a time."""
+    messages: dict[str, dict[int, int]] = {}
+
+    def ways(node, codes):
+        # completions of the subtree below node, summed over node's codes
+        total = 0
+        for code in codes:
+            count = 1
+            for child in model.children[node]:
+                count *= messages[child].get(code, 0)
+            total += count
+        return total
+
+    for node in reversed(model.order[1:]):
+        cond = model.conditionals[node]
+        messages[node] = {
+            parent_bin: ways(node, cond.child_bins[
+                int(cond.indptr[r]):int(cond.indptr[r + 1])].tolist())
+            for r, parent_bin in enumerate(cond.parent_bins.tolist())
+        }
+    return ways(model.root, model.root_marginal.bins.tolist())
 
 
 def ulps(value: float, reference) -> float:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entroscope import chowliu
 from entroscope.chowliu import (
     ChowLiuModel,
     ConditionalTable,
@@ -33,6 +32,7 @@ from oracles import (
     chain_rule_shannon,
     dump,
     exact_chain_rule_shannon,
+    exact_support_count,
     prebinned,
     random_tree_model,
     sample,
@@ -419,7 +419,8 @@ def test_support_count_independent_and_duplicated():
 
 
 def test_support_count_big_integer_path():
-    # nine 200-bin channels: 200^9 states overflows the int64 fast path
+    # nine 200-bin channels, all tuples allowed: 200^9 = 2^27 * 5^18 is past
+    # 2^62 yet a float64, so the count is exact
     bins = 200
     codes = np.arange(bins)
     marg = Pmf(codes, np.full(bins, 1.0 / bins))
@@ -441,7 +442,7 @@ def test_support_count_big_integer_path():
         },
         bin_counts={n: bins for n in names},
     )
-    assert tree_support_count(model) == bins ** 9  # 5.1e20 > 2^62 bound/200
+    assert tree_support_count(model) == bins ** 9
     prof = tree_profile(model)
     assert prof.h0 == pytest.approx(9 * math.log2(bins), rel=1e-12)
 
@@ -471,38 +472,53 @@ def test_support_count_small_support_past_int64_state_bound():
         bin_counts={n: bins for n in names},
     )
     assert math.prod(model.bin_counts.values()) > 2 ** 62
-    count = tree_support_count(model)
-    assert count == bins
-    assert type(count) is int
+    assert tree_support_count(model) == exact_support_count(model) == bins
 
 
-def _support_count_row_loop(model):
-    """Support count in Python integers, one conditional row at a time."""
-    kids, order = _top_down(model)
-    messages = {}
+def _log2_ulps(count, exact):
+    """How far log2 of a float count is from log2 of the exact count, in
+    ulps."""
+    return ulps(math.log2(count), math.log2(exact))
 
-    def ways(node, codes):
-        # completions of the subtree below node, summed over node's codes
-        total = 0
-        for code in codes:
-            count = 1
-            for child in kids[node]:
-                count *= messages[child].get(code, 0)
-            total += count
-        return total
 
-    for node in reversed(order[1:]):
-        cond = model.conditionals[node]
-        messages[node] = {
-            parent_bin: ways(node, cond.child_bins[
-                int(cond.indptr[r]):int(cond.indptr[r + 1])].tolist())
-            for r, parent_bin in enumerate(cond.parent_bins.tolist())
-        }
-    return ways(model.root, model.root_marginal.bins.tolist())
+def _sparse_tree(rng):
+    """A random hand-built tree of 5 to 40 nodes over up to 2,048 bins each.
+    Only a few codes of each node (live) have rows in its children's tables;
+    an inner node's rows pick among its live codes, a leaf's rows up to all
+    of its bins, so counts run past 2**128 on few table entries."""
+    k = int(rng.integers(5, 41))
+    names = [f"s{i}" for i in range(k)]
+    bins = [int(b) for b in rng.integers(2, 2049, size=k)]
+    up = {i: int(rng.integers(0, i)) for i in range(1, k)}
+    inner = set(up.values())
+    live = [np.sort(rng.choice(b, size=min(b, int(rng.integers(1, 17))),
+                               replace=False)) for b in bins]
+
+    def row(i):
+        pool, most = (live[i], live[i].size) if i in inner else (bins[i], bins[i])
+        return np.sort(rng.choice(pool, size=int(rng.integers(1, most + 1)),
+                                  replace=False))
+
+    conditionals = {}
+    for i, p in up.items():
+        rows = live[p][rng.random(live[p].size) < 0.9]  # some rows missing
+        rows = rows if rows.size else live[p][:1]
+        child = [row(i) for _ in rows]
+        widths = np.array([c.size for c in child])
+        conditionals[names[i]] = ConditionalTable(
+            rows, np.r_[0, np.cumsum(widths)], np.concatenate(child),
+            np.repeat(1 / widths, widths))
+    parent = {names[i]: names[p] for i, p in up.items()}
+    return ChowLiuModel(
+        nodes=tuple(names), root=names[0], parent=parent,
+        root_marginal=Pmf(live[0], np.full(live[0].size, 1 / live[0].size)),
+        conditionals=conditionals,
+        edge_weights={tuple(sorted(e)): 0.0 for e in parent.items()},
+        bin_counts=dict(zip(names, bins)))
 
 
 def test_support_count_matches_python_int_pass_on_random_trees():
-    # counts below 2**53 come straight from the float64 run
+    # fitted trees: counts below 2**53, which the float64 pass gets exactly
     rng = np.random.default_rng(53)
     for trial in range(20):
         k = int(rng.integers(2, 7))
@@ -510,9 +526,20 @@ def test_support_count_matches_python_int_pass_on_random_trees():
         n = int(rng.integers(5, 400))
         rows = np.stack([rng.integers(0, b, size=n) for b in bins], axis=1)
         model = build_tree(chans_from(rows, bins))
-        count = tree_support_count(model)
-        assert count == _support_count_row_loop(model), trial
-        assert type(count) is int
+        assert tree_support_count(model) == exact_support_count(model), trial
+    # sparse hand-built trees, with counts up to past 2**128: log2 within an
+    # ulp
+    rng = np.random.default_rng(2026)
+    exacts = []
+    for trial in range(40):
+        model = _sparse_tree(rng)
+        count, exact = tree_support_count(model), exact_support_count(model)
+        if exact < 2 ** 53:
+            assert count == exact, trial
+        else:
+            assert _log2_ulps(count, exact) <= 1, trial
+        exacts.append(exact)
+    assert max(exacts) > 2 ** 128
 
 
 def _scrambled_model():
@@ -572,23 +599,11 @@ def test_tree_shape_errors():
                      parent={"a": "c", "e": "c", "d": "a"}, **fields)
 
 
-def _support_count_dtypes(monkeypatch, model):
-    """tree_support_count(model) and the dtypes of the passes it ran."""
-    real, dtypes = chowliu._count_pass, []
-
-    def count_pass(model, dtype):
-        dtypes.append(dtype)
-        return real(model, dtype)
-
-    monkeypatch.setattr(chowliu, "_count_pass", count_pass)
-    return tree_support_count(model), dtypes
-
-
 @pytest.mark.parametrize("widths", [[64] * 8 + [32], [64] * 9, [64] * 10 + [3]])
-def test_support_count_exact_between_float64_and_int64_limits(widths, monkeypatch):
+def test_support_count_log2_between_float64_and_int64_limits(widths):
     # root bin 0 allows w codes on each leaf, root bin 1 one code: prod(w) + 1
     # tuples, 2**53 + 1, 2**54 + 1 and 3 * 2**60 + 1, which float64 rounds
-    # down by one
+    # down by one, a rounding far below an ulp of log2
     leaves = tuple(f"l{i}" for i in range(len(widths)))
     conditionals = {
         leaf: ConditionalTable(
@@ -610,10 +625,8 @@ def test_support_count_exact_between_float64_and_int64_limits(widths, monkeypatc
     )
     want = math.prod(widths) + 1
     assert 2 ** 53 < want < 2 ** 62 and float(want) != want
-    count, dtypes = _support_count_dtypes(monkeypatch, model)
-    assert dtypes == [np.float64, np.int64]
-    assert count == want == chowliu._count_pass(model, object)
-    assert type(count) is int
+    assert exact_support_count(model) == want
+    assert _log2_ulps(tree_support_count(model), want) <= 1
 
 
 def _uniform_rows(rows):
@@ -625,7 +638,17 @@ def _uniform_rows(rows):
         np.concatenate([np.full(len(rows[p]), 1 / len(rows[p])) for p in parents]))
 
 
-def test_support_count_in_int64_past_a_message_beyond_int64(monkeypatch):
+def _tree_of(parent, conditionals, bin_counts, root="r"):
+    """A model rooted at root's one bin, with zero edge weights."""
+    return ChowLiuModel(
+        nodes=(root, *parent), root=root, parent=parent,
+        root_marginal=Pmf(np.array([0]), np.array([1.0])),
+        conditionals=conditionals,
+        edge_weights={tuple(sorted(e)): 0.0 for e in parent.items()},
+        bin_counts=bin_counts)
+
+
+def test_support_count_past_a_message_beyond_int64():
     # r -> x -> {c, d}; c's six children allow 2047 codes each at c = 0, so
     # c sends 2047**6 > 2**64 at x = 0, where d's table has no row: that
     # message is multiplied by zero. The count is c's 1 at x = 1 times d's
@@ -642,20 +665,38 @@ def test_support_count_in_int64_past_a_message_beyond_int64(monkeypatch):
     }
     parent = {"x": "r", "c": "x", "d": "x", **dict.fromkeys(kids_c, "c"),
               **dict.fromkeys(kids_d, "d")}
-    model = ChowLiuModel(
-        nodes=("r", "x", "c", "d", *kids_c, *kids_d), root="r", parent=parent,
-        root_marginal=Pmf(np.array([0]), np.array([1.0])),
-        conditionals=conditionals,
-        edge_weights={tuple(sorted(e)): 0.0 for e in parent.items()},
-        bin_counts={"r": 1, "x": 2, "c": 2, "d": 1, **dict.fromkeys(kids_c, 2047),
-                    **dict(zip(kids_d, widths))},
-    )
+    model = _tree_of(parent, conditionals, {
+        "r": 1, "x": 2, "c": 2, "d": 1, **dict.fromkeys(kids_c, 2047),
+        **dict(zip(kids_d, widths))})
     want = math.prod(widths)
     assert 2 ** 53 <= want < 2 ** 62 and 2047 ** 6 > 2 ** 64
-    count, dtypes = _support_count_dtypes(monkeypatch, model)
-    assert dtypes == [np.float64, np.int64]
-    assert count == want == chowliu._count_pass(model, object)
-    assert count == _support_count_row_loop(model)
+    assert exact_support_count(model) == want
+    assert _log2_ulps(tree_support_count(model), want) <= 1
+
+
+def test_support_count_refused_past_float64_range():
+    # a star of 94 leaves that allow 2048 codes each: 2**1034 tuples, so the
+    # total is inf
+    leaves = [f"l{i}" for i in range(94)]
+    star = _tree_of(dict.fromkeys(leaves, "r"),
+                    dict.fromkeys(leaves, _uniform_rows({0: np.arange(2048)})),
+                    {"r": 1, **dict.fromkeys(leaves, 2048)})
+    # the same leaves under c = 0 in r -> x -> {c, d}: c sends inf at x = 0,
+    # where d has no row, so the total is NaN though only one tuple is allowed
+    parent = {"x": "r", "c": "x", "d": "x", **dict.fromkeys(leaves, "c")}
+    hidden = _tree_of(parent, {
+        "x": _uniform_rows({0: [0, 1]}),
+        "c": _uniform_rows({0: [0], 1: [1]}),
+        "d": _uniform_rows({1: [0]}),
+        **dict.fromkeys(leaves, _uniform_rows({0: np.arange(2048), 1: [0]})),
+    }, {"r": 1, "x": 2, "c": 2, "d": 1, **dict.fromkeys(leaves, 2048)})
+    assert exact_support_count(star) == 2 ** 1034
+    assert exact_support_count(hidden) == 1
+    for model in (star, hidden):
+        with pytest.raises(DataError, match="float64's range"):
+            tree_support_count(model)
+        with pytest.raises(DataError, match="float64's range"):
+            tree_profile(model)
 
 
 def _bits(codes):

@@ -35,7 +35,7 @@ def _profile_bits(prof):
 
 def _passes(model):
     """Every pass's value, floats as hex."""
-    return (tree_support_count(model), tree_shannon(model).hex(),
+    return (tree_support_count(model).hex(), tree_shannon(model).hex(),
             tree_power_sum(model, 2.0).hex(), tree_power_sum(model, 0.5).hex(),
             tree_max_prob(model).hex())
 
