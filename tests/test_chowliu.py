@@ -600,10 +600,11 @@ def test_tree_shape_errors():
 
 
 @pytest.mark.parametrize("widths", [[64] * 8 + [32], [64] * 9, [64] * 10 + [3]])
-def test_support_count_log2_between_float64_and_int64_limits(widths):
+def test_support_count_exact_between_float64_and_int64_limits(widths):
     # root bin 0 allows w codes on each leaf, root bin 1 one code: prod(w) + 1
     # tuples, 2**53 + 1, 2**54 + 1 and 3 * 2**60 + 1, which float64 rounds
-    # down by one, a rounding far below an ulp of log2
+    # down by one, a rounding far below an ulp of log2: the oracle is exact,
+    # the float64 count's log2 within 1 ulp
     leaves = tuple(f"l{i}" for i in range(len(widths)))
     conditionals = {
         leaf: ConditionalTable(
@@ -648,11 +649,11 @@ def _tree_of(parent, conditionals, bin_counts, root="r"):
         bin_counts=bin_counts)
 
 
-def test_support_count_past_a_message_beyond_int64():
+def test_support_count_in_int64_past_a_message_beyond_int64():
     # r -> x -> {c, d}; c's six children allow 2047 codes each at c = 0, so
     # c sends 2047**6 > 2**64 at x = 0, where d's table has no row: that
     # message is multiplied by zero. The count is c's 1 at x = 1 times d's
-    # five children's widths, between 2**53 and 2**62
+    # five children's widths, between 2**53 and 2**62 (in int64's range)
     widths = [2047, 2039, 2029, 2017, 2011]
     kids_c = [f"c{i}" for i in range(6)]
     kids_d = [f"d{i}" for i in range(5)]
