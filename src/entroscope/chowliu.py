@@ -12,16 +12,16 @@ modal probability.
 The counts a tree needs, of each channel and each pair, are JointCounts,
 the package's one count primitive, which merges rows into an empty table or
 into shared counts; conditional tables and MI are worked out from them here.
-One class holds them (PairStats): a sweep's PairStats counts the rows
-complete in every channel, and the subsets that keep the same leftover rows
-have the same row set (the channels present on all of those rows: row_set)
-and fit on one child over it that merges in only those rows; any subset
-without leftover rows fits on the sweep's PairStats. The MI matrix reads
-its cells from PairStats too.
+One class holds them (PairStats): a root counts every channel and pair on
+its clean rows when it is built, and over(names) gives the statistics on
+the rows complete across any channel set, the root's or a child's that
+merges in the root's leftover rows complete across the set. Channel sets
+that keep the same leftover rows share a row set (row_set) and so one
+child. Sweeps and the MI matrix read all their statistics through over.
 
 Each message a pass sends is cached on the PairStats the tree was fitted on
 (see _upward), so in a sweep a message is computed once for all the trees
-without leftover rows that send it, and once for all the trees fitted on one
+fitted on the root that send it, and once for all the trees fitted on one
 child that send it; a child's cache dies with it. Each cache holds at most
 _CACHE_BYTES of messages, dropping the oldest first, so memory stays bounded
 however many subsets a sweep visits.
@@ -167,20 +167,22 @@ class PairStats:
     ask for it, into one dict of JointCounts keyed by name tuple: 1-tuples
     for channels, sorted 2-tuples (_edge_key) for pairs, whichever way a
     pair is asked for. Without a parent a PairStats is a root: it counts its
-    rows itself and keeps every channel's codes on the leftover rows, the
-    others, to lend to subsets. With a parent, a root over a superset of the
-    channels, its rows are the parent's plus the parent's leftover rows
-    complete across the channels: it counts only the latter and merges them
-    into the parent's counts. Over a row set (row_set) those are the rows of
-    every subset with that row set, so the trees of all such subsets fit on
-    it. The cache holds the messages of the trees fitted on it (see
-    _upward).
+    rows, and every channel and pair on them, when it is built, so forked
+    workers inherit the counts, and it keeps every channel's codes on the
+    leftover rows, the others, to lend to children. With a parent, a root
+    over a superset of the channels, it is a child: its rows are the
+    parent's plus the parent's leftover rows complete across the channels,
+    and it counts only the latter, merging them into the parent's counts on
+    first use. over(names) picks or makes the PairStats for any channel set.
+    The cache holds the messages of the trees fitted on it (see _upward).
     """
 
     def __init__(self, channels: list[BinnedChannel],
                  parent: PairStats | None = None):
         self.channels = {ch.name: ch for ch in channels}
         self._parent = parent
+        # the row set whose rows it holds (None for a root), for over()
+        self._made_over = None if parent is None else tuple(self.channels)
         # the channels on the rows it may count: all rows, or the parent's
         # leftover rows; it counts those complete across the channels
         source = channels if parent is None else [
@@ -191,16 +193,21 @@ class PairStats:
         # each channel's codes on the rows counted here; no copy if all are
         self._cols = {ch.name: ch.codes if own == rows.size else ch.codes[rows]
                       for ch in source}
-        if parent is None:  # a child lends to no one, so keeps no leftovers
-            leftover = np.flatnonzero(~rows)
-            self._leftover = {ch.name: BinnedChannel(ch.name, ch.spec,
-                                                     ch.codes[leftover])
-                              for ch in channels}
         self.cache = MessageCache()
         self._joints: dict[tuple[str, ...], JointCounts] = {}
         self._tables: dict[tuple[str, str], ConditionalTable] = {}
         self._marginals: dict[str, Pmf] = {}
         self._mis: dict[tuple[str, str], float] = {}  # keyed as _joints
+        if parent is None:  # a child lends to no one, so keeps no leftovers
+            leftover = np.flatnonzero(~rows)
+            self._leftover = {ch.name: BinnedChannel(ch.name, ch.spec,
+                                                     ch.codes[leftover])
+                              for ch in channels}
+            names = list(self.channels)
+            for i, a in enumerate(names):
+                self.entropy(a)
+                for b in names[i + 1:]:
+                    self.mi(a, b)
 
     def _joint(self, names: tuple[str, ...]) -> JointCounts:
         """The joint counts of the named channels on these rows, in that
@@ -214,21 +221,23 @@ class PairStats:
         return joint
 
     @functools.cached_property
-    def _patterns(self) -> tuple[dict[str, int], np.ndarray]:
-        """Each channel's position, and which channels each distinct missing
-        pattern of the leftover rows misses: one row per channel, one column
-        per pattern. A child keeps no leftover rows, so it has no pattern."""
+    def _patterns(self) -> tuple[int, dict[str, int]]:
+        """The distinct missing patterns of a root's leftover rows, one bit
+        each: every pattern's bit, and for each channel the bits of those it
+        is present on."""
         names = list(self.channels)
-        index = {name: i for i, name in enumerate(names)}
-        if self._parent is not None or not names:
-            return index, np.zeros((len(names), 0), bool)
+        if not names:
+            return 0, {}
         missing = np.array([self._leftover[name].codes < 0 for name in names])
         # sorted, each column that differs from the one before is a new
         # pattern (np.unique by axis would load numpy.ma for this)
         missing = missing[:, np.lexsort(missing)]
         fresh = np.ones(missing.shape[1], bool)
         fresh[1:] = (missing[:, 1:] != missing[:, :-1]).any(axis=0)
-        return index, missing[:, fresh]
+        missing = missing[:, fresh]
+        return (1 << missing.shape[1]) - 1, {
+            name: int.from_bytes(np.packbits(~row, bitorder="little"), "little")
+            for name, row in zip(names, missing)}
 
     def row_set(self, names) -> tuple[str, ...] | None:
         """The channels, in order, present on every leftover row complete
@@ -236,15 +245,15 @@ class PairStats:
 
         It holds the named channels, and the leftover rows complete across
         it are theirs, so two channel sets keep the same rows exactly when
-        their row sets are equal, and a child over it counts their rows."""
-        index, patterns = self._patterns
-        if not patterns.size:  # no leftover rows
+        their row sets are equal, and a child over it counts their rows. A
+        child answers for its root."""
+        kept, present = (self._parent or self)._patterns
+        for name in names:  # the patterns that miss none of them
+            kept &= present[name]
+        if not kept:
             return None
-        kept = ~patterns[[index[name] for name in names]].any(axis=0)
-        if not kept.any():
-            return None
-        present = ~patterns[:, kept].any(axis=1)
-        return tuple(name for name, keep in zip(index, present) if keep)
+        return tuple(name for name, bits in present.items()
+                     if bits & kept == kept)
 
     def marginal(self, name: str) -> Pmf:
         """The channel's pmf on these rows, built once, so the trees rooted
@@ -279,14 +288,17 @@ class PairStats:
                 self._joint(names), names[0] == child)
         return table
 
-    def count_all(self) -> None:
-        """Count every channel and pair, and work out every entropy and MI,
-        now rather than on first use, so forked workers inherit them."""
-        names = list(self.channels)
-        for i, a in enumerate(names):
-            self.entropy(a)
-            for b in names[i + 1:]:
-                self.mi(a, b)
+    def over(self, names) -> PairStats:
+        """The statistics on the rows complete across the named channels:
+        this PairStats if its row set is theirs, the root if they keep no
+        leftover row, else a new child over their row set."""
+        names = self.row_set(names)
+        if names == self._made_over:
+            return self
+        root = self._parent or self
+        if names is None:
+            return root
+        return PairStats([root.channels[name] for name in names], root)
 
 
 def build_tree(channels: list[BinnedChannel],
@@ -295,28 +307,19 @@ def build_tree(channels: list[BinnedChannel],
 
     Weight ties break toward the lexicographically smallest name pair; the
     root is the first channel in input order. Both choices exist purely so
-    repeated runs produce the identical model. Pair counts come from shared
-    when given, a PairStats over these channels and possibly more. If it
-    keeps leftover rows complete across them (its row_set is not None), a
-    child over these channels merges those in; otherwise the tree fits on
-    shared itself, whose rows must then be the ones complete across the
-    channels (a child keeps no leftover rows, so give it only to subsets
-    whose rows it holds: those whose row set it is over). Without shared,
-    from a PairStats over these channels alone. Each pair's counts are
-    keyed by sorted names, and p(child | parent) reads them either way to
-    the same table, so the model is the same whichever way it is fitted.
+    repeated runs produce the identical model. Pair counts come from
+    shared.over(channels) when shared is given, a PairStats, root or child,
+    whose root holds these channels and possibly more; without it, from a
+    PairStats over these channels alone. Each pair's counts are keyed by
+    sorted names, and p(child | parent) reads them either way to the same
+    table, so the model is the same whichever way it is fitted.
     """
     if len(channels) < 2:
         raise DataError("tree needs at least 2 channels")
     names = [ch.name for ch in channels]
     if len(set(names)) != len(names):
         raise DataError("duplicate channel names")
-    if shared is None:
-        stats = PairStats(channels)
-    elif shared.row_set(names) is not None:
-        stats = PairStats(channels, shared)
-    else:
-        stats = shared
+    stats = (shared or PairStats(channels)).over(names)
     if stats.n == 0:
         raise DataError("no complete rows")
     bins = {ch.name: ch.spec.bin_count for ch in channels}

@@ -5,7 +5,8 @@ Each matrix cell uses pairwise-complete rows for its own pair, so no cell
 throws away data because some third channel is missing. MI cells and the
 entropy diagonal are read from PairStats: one over all binned channels
 counts each pair once on the rows complete in every binned channel, and
-each cell merges in the leftover rows complete across its own pair.
+each cell reads its channels' statistics from its over(), which merges in
+the leftover rows complete across them; a table without gaps has none.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ def matrix(table, binned: list[BinnedChannel], kind: str) -> DependenceMatrix:
     names = list(table.channels)
     if len(names) < 2:
         raise DataError("matrix needs at least 2 channels")
-    by_name = {ch.name: ch for ch in binned}
     shared = PairStats(binned)
     n = len(names)
     values = np.full((n, n), np.nan)
@@ -80,10 +80,10 @@ def matrix(table, binned: list[BinnedChannel], kind: str) -> DependenceMatrix:
     for i, name in enumerate(names):
         if kind == KIND_PEARSON:
             values[i, i] = 1.0
-        elif name not in by_name:
+        elif name not in shared.channels:
             missing.append((name, name, "channel not binned"))
         else:
-            stats = PairStats([by_name[name]], shared)
+            stats = shared.over([name])
             values[i, i] = stats.entropy(name) if stats.n else np.nan
 
     for i in range(n):
@@ -92,10 +92,9 @@ def matrix(table, binned: list[BinnedChannel], kind: str) -> DependenceMatrix:
                 if kind == KIND_PEARSON:
                     cell = pearson(table.column(names[i]), table.column(names[j]))
                 else:
-                    if names[i] not in by_name or names[j] not in by_name:
+                    if not {names[i], names[j]} <= shared.channels.keys():
                         raise DataError("channel not binned")
-                    stats = PairStats([by_name[names[i]], by_name[names[j]]],
-                                      shared)
+                    stats = shared.over([names[i], names[j]])
                     if stats.n == 0:
                         raise DataError("empty overlap")
                     cell = stats.mi(names[i], names[j])

@@ -30,7 +30,8 @@ DEFAULT_JOINT_BUDGET = 5e7
 
 @dataclass(frozen=True)
 class EntropyProfile:
-    """The four orders in bits. Construction enforces hmin <= h2 <= h1 <= h0."""
+    """The four orders in bits. Construction enforces hmin <= h2 <= h1 <= h0
+    and turns -0.0 into 0.0, so no report shows a negative zero."""
 
     h0: float
     h1: float
@@ -38,6 +39,8 @@ class EntropyProfile:
     hmin: float
 
     def __post_init__(self):
+        for name in ("h0", "h1", "h2", "hmin"):
+            object.__setattr__(self, name, getattr(self, name) + 0.0)
         seq = (self.hmin, self.h2, self.h1, self.h0)
         for lo, hi in zip(seq, seq[1:]):
             if lo > hi + _ORDER_TOL:

@@ -20,15 +20,16 @@ _H_BELOW = 86400.0
 
 
 def expected_guesses(hmin: float) -> float:
-    if not math.isfinite(hmin) or hmin < 0:
-        raise DataError("hmin must be finite and non-negative")
+    if not 0 <= hmin < 1025:  # 2 ** 1024 is past float64's range
+        raise DataError("hmin must be in [0, 1025) bits, so that its guess "
+                        "count fits in a float64")
     return 2.0 ** (hmin - 1.0)
 
 
 def time_to_success(hmin: float, rate: float) -> float:
     """Expected seconds to hit the secret at `rate` guesses per second."""
-    if not rate > 0:
-        raise DataError("guess rate must be positive")
+    if not (math.isfinite(rate) and rate > 0):
+        raise DataError("guess rate must be finite and positive")
     return expected_guesses(hmin) / rate
 
 

@@ -126,8 +126,8 @@ _MAX_AUTO_BINS = 50_000_000
 
 
 def _canonical_rule(rule) -> tuple[str, int | None]:
-    """The rule's kind and, for a fixed count, the count, which may be no
-    more than _MAX_AUTO_BINS."""
+    """The rule's kind and, for a fixed count, the count, which must be at
+    least 1 and no more than _MAX_AUTO_BINS."""
     count = None
     if isinstance(rule, str):
         key = rule.strip().lower().replace("-", "_")
@@ -141,6 +141,8 @@ def _canonical_rule(rule) -> tuple[str, int | None]:
         count = int(rule)
     if count is None:
         raise DataError(f"unknown binning rule {rule!r}")
+    if count < 1:
+        raise DataError("fixed_count needs at least 1 bin")
     if count > _MAX_AUTO_BINS:
         raise DataError(f"fixed count {count} is over the {_MAX_AUTO_BINS} "
                         "bin limit")
@@ -194,8 +196,6 @@ def _binning_spec(v: np.ndarray, rule, name: str,
 
     kind, k = _canonical_rule(rule)
     if kind == "fixed_count":
-        if k < 1:
-            raise DataError("fixed_count needs at least 1 bin")
         if vmax == vmin:
             if k != 1:
                 raise DataError("constant channel supports only fixed_count(1)")

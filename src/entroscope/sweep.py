@@ -1,17 +1,17 @@
 """Exhaustive sensor-subset sweeps, min-entropy ranking, bin sensitivity.
 
 Subsets enumerate in canonical order (size ascending, then lexicographic
-over channel positions), every channel is binned once and shared, and every
-pair is counted once on the rows complete in every channel. The subsets
-that keep the same other rows have the same row set (PairStats.row_set):
-each chunk of them is fitted on one child over it that counts only those
-rows and merges them in, and subsets that keep no other row, every subset of
-a table without gaps, on the shared counts. A subset with a channel that
-could not be binned is answered before any fit. Chunks run row set by row
-set, each in canonical order, one chunk per row set serially and smaller
-ones from a fork pool's in-order imap, and every outcome goes back to its
-canonical position, so the output is identical no matter how many workers
-ran or in what order they finished.
+over channel positions), every channel is binned once and shared, and the
+sweep's PairStats counts every pair once, on the rows complete in every
+channel, before any fit. The subsets that keep the same other rows have the
+same row set (PairStats.row_set), so PairStats.over gives them one
+PairStats: the sweep's own for the subsets that keep no other row, every
+subset of a table without gaps, else a child over the row set, one per
+chunk. A subset with a channel that could not be binned is answered before
+any fit. Chunks run row set by row set, each in canonical order, one chunk
+per row set serially and smaller ones from a fork pool's in-order imap, and
+every outcome goes back to its canonical position, so the output is
+identical no matter how many workers ran or in what order they finished.
 """
 
 from __future__ import annotations
@@ -88,13 +88,10 @@ def enumerate_subsets(channels, min_size: int = 2, max_size: int | None = None):
 _SHARED: PairStats | None = None
 
 
-def _profile_chunk(chunk):
-    """(profile, None) for each subset of one (row set, subsets) chunk, or
-    (None, reason) when it fails, all fitted on one PairStats: _SHARED for
-    the row set None, else a child over it made for the chunk."""
-    names, subsets = chunk
-    stats = _SHARED if names is None else PairStats(
-        [_SHARED.channels[name] for name in names], _SHARED)
+def _profile_chunk(subsets):
+    """(profile, None) for each of the subsets, which share one row set, or
+    (None, reason) when it fails, all fitted on _SHARED.over(the first)."""
+    stats = _SHARED.over(subsets[0])
     outcomes = []
     for subset in subsets:
         try:
@@ -144,10 +141,6 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
     global _SHARED
     _SHARED = PairStats(binned)
     try:
-        # every pair lies in some subset of every size, so counting them all up
-        # front wastes nothing, and forked workers inherit the counts instead
-        # of each counting the pairs it needs
-        _SHARED.count_all()
         started = time.monotonic()
         # the subsets that keep the same rows, by row set in order of first
         # appearance, each in canonical order; one with an unbinned channel is
@@ -161,11 +154,9 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
                 finished(i, (None, f"channel {name!r} not binned: {unbinned[name]}"))
         pool = workers > 1 and total - done > 1
         size = max(1, total // (workers * 4)) if pool else total
-        chunks = [(names, members[at:at + size])
-                  for names, members in groups.items()
+        chunks = [members[at:at + size] for members in groups.values()
                   for at in range(0, len(members), size)]
-        tasks = [(names, [subsets[i] for i in members])
-                 for names, members in chunks]
+        tasks = [[subsets[i] for i in members] for members in chunks]
         with contextlib.ExitStack() as stack:
             if pool:
                 ctx = multiprocessing.get_context("fork")
@@ -174,7 +165,7 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
                     ctx.Pool(processes=workers)).imap(_profile_chunk, tasks)
             else:
                 done_in_order = map(_profile_chunk, tasks)
-            for (_, members), chunk in zip(chunks, done_in_order):
+            for members, chunk in zip(chunks, done_in_order):
                 for i, outcome in zip(members, chunk):
                     finished(i, outcome)
     finally:

@@ -806,11 +806,9 @@ def test_pair_stats_with_parent_match_direct_counting(seed, rows, bin_range, hol
             codes = np.where(rng.random(rows) < 0.5, chans[0].codes % bins, codes)
         codes[rng.random(rows) < share] = -1
         chans.append(prebinned(f"c{i}", codes, bins))
-    shared = PairStats(chans)
-    if seed % 2:
-        shared.count_all()  # asks each pair in channel order first
-    # otherwise each pair is first asked reversed, for even seeds; neither
-    # order may change a count or a table
+    shared = PairStats(chans)  # counts each pair in channel order when built
+    # a child's pairs are first asked in channel order for odd seeds and
+    # reversed for even ones; neither order may change a count or a table
     flips = (False, True) if seed % 2 else (True, False)
     leftover_subsets = 0
     for size in range(2, len(chans) + 1):
@@ -876,7 +874,6 @@ def test_pair_stats_children_never_write_into_their_parent():
         codes[rng.random(400) < 0.08 * i] = -1
         chans.append(prebinned(f"c{i}", codes, bins))
     parent = PairStats(chans)
-    parent.count_all()
     for ch in chans:
         parent.marginal(ch.name)
     before, n = _snapshot(parent), parent.n
@@ -884,7 +881,8 @@ def test_pair_stats_children_never_write_into_their_parent():
     for size in range(2, len(chans) + 1):
         for subset in map(list, itertools.combinations(chans, size)):
             child = PairStats(subset, parent)
-            child.count_all()
+            for x, y in itertools.combinations(subset, 2):
+                child.mi(x.name, y.name)
             merged += child.n > n
             for ch in subset:
                 child.marginal(ch.name)
@@ -926,7 +924,6 @@ def test_pair_stats_without_clean_rows():
     b[n // 2:] = -1
     chans = [prebinned("a", a, 4), prebinned("b", b, 4), prebinned("c", c, 4)]
     shared = PairStats(chans)
-    shared.count_all()
     assert shared.n == 0
     for x, y in (("a", "c"), ("c", "b")):
         subset = [ch for ch in chans if ch.name in (x, y)]
@@ -938,9 +935,7 @@ def test_pair_stats_without_clean_rows():
 
 
 def test_pair_stats_of_no_channels():
-    shared = PairStats([])
-    shared.count_all()
-    assert shared.n == 0
+    assert PairStats([]).n == 0
 
 
 def test_profile_matches_expansion_on_fitted_models():

@@ -148,6 +148,7 @@ def test_exit_codes_for_usage_errors(capsys):
     assert run(["no-such-command"]) == 1
     assert run(["single"]) == 1  # neither --manifest nor --synthetic
     assert run(["single", "--synthetic", "--bins", "banana"]) == 1
+    assert run(["sweep", "--synthetic", "--bins", "0"]) == 1
     assert run(["guesswork"]) == 1
     err = capsys.readouterr().err
     assert "usage" in err
@@ -363,6 +364,12 @@ def test_single_synthetic_markdown(capsys):
     out = capsys.readouterr().out
     assert out.startswith("| Channel | Bins | H0 | H1 | H2 | Hmin |")
     assert "Acc.X" in out and "Gyro.Mag" in out
+    # a 1-bin channel carries 0 bits, never shown as a negative zero
+    for fmt in ("markdown", "structured"):
+        assert run(["single", "--synthetic", "--rows", "300", "--bins", "1",
+                    "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "0.0" in out and "-0.0" not in out, fmt
 
 
 def test_out_file_and_structured(tmp_path, capsys):
@@ -507,6 +514,11 @@ def test_guesswork_manual_values(capsys):
     assert "65,536" in out  # 2^16 expected guesses at hmin 17
     assert format_duration(time_to_success(17.0, 1.0)) in out
     assert format_duration(time_to_success(17.0, 1000.0)) in out
+    # out of range: an error, not a traceback
+    for args in (["--hmin", "2000"],
+                 ["--hmin", "10", "--rates", "inf", "--format", "structured"]):
+        assert run(["guesswork", *args]) == 2
+        assert capsys.readouterr().err.startswith("error: "), args
 
 
 def test_guesswork_from_report(tmp_path, capsys):

@@ -101,3 +101,8 @@ def test_guesswork_table_degenerate():
         guesswork_table([], [1])
     with pytest.raises(DataError):
         guesswork_table([8], [])
+    with pytest.raises(DataError, match="fits in a float64"):
+        guesswork_table([2000], [1])
+    for rate in (math.inf, math.nan, 0.0):
+        with pytest.raises(DataError, match="finite and positive"):
+            guesswork_table([10], [rate])

@@ -81,7 +81,6 @@ def _fits_within(monkeypatch, bound, table, chans, want):
     and that the first message stored was evicted."""
     monkeypatch.setattr(chowliu, "_CACHE_BYTES", bound)
     stats = PairStats(list(chans.values()))
-    stats.count_all()
     first = None
     for subset in enumerate_subsets(table.channels):
         model = build_tree([chans[n] for n in subset], stats)
@@ -134,7 +133,6 @@ def test_gappy_sweep_mixes_shared_and_merged_tables():
     table = _latent_table(2500, 6, seed=23, holes=(0.0, 0.05, 0.0, 0.1))
     chans = _binned(table, "fd")
     stats = PairStats(list(chans.values()))
-    stats.count_all()
     shared = {False: 0, True: 0}
     for subset in enumerate_subsets(table.channels):
         sub = [chans[n] for n in subset]
@@ -154,7 +152,6 @@ def test_fits_with_leftover_rows_leave_the_shared_cache_alone():
     table = _latent_table(2500, 6, seed=23, holes=(0.0, 0.05, 0.0, 0.1))
     chans = _binned(table, "fd")
     stats = PairStats(list(chans.values()))
-    stats.count_all()
     # c01 and c03 miss rows: a subset holding both has no leftover rows
     tree_profile(build_tree([chans["c01"], chans["c03"], chans["c05"]], stats))
     held = len(stats.cache)
@@ -171,7 +168,6 @@ def test_fits_with_leftover_rows_leave_the_shared_cache_alone():
 def _shared_fits(table, chans):
     """Each subset's tree, fitted from one PairStats over the table."""
     stats = PairStats(list(chans.values()))
-    stats.count_all()
     for subset in enumerate_subsets(table.channels):
         yield subset, build_tree([chans[n] for n in subset], stats)
 
@@ -256,7 +252,6 @@ def test_sweeps_over_interleaved_pair_stats():
                                           rng.integers(0, 4, size=600)), 4)
                  for name in names]
         stats = PairStats(chans)
-        stats.count_all()
         return stats, {ch.name: ch for ch in chans}
 
     sides = [stats_of(31), stats_of(32)]

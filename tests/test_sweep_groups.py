@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from entroscope import sweep
 from entroscope.chowliu import PairStats, build_tree, tree_profile
+from entroscope.errors import DataError
 from entroscope.ingest import SampleTable, add_magnitude
 from entroscope.quantize import bin_channel
 from entroscope.sweep import MAX_JOINT_BINS, enumerate_subsets, run_sweep
@@ -139,6 +140,46 @@ def test_subsets_share_a_child_exactly_when_their_rows_match(seed, k, share, row
             assert child.n == np.count_nonzero(mask), subset
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 5),
+       st.floats(0.0, 0.6), st.integers(1, 60))
+@settings(max_examples=40, deadline=None)
+def test_over_fits_any_subset_on_its_own_rows(seed, k, share, rows):
+    # the root, the child over the subset's row set and the children over
+    # other row sets, or over every channel, that hold the subset all fit it
+    # as a fresh fit does
+    rng = np.random.default_rng(seed)
+    chans = {}
+    for i in range(k):
+        codes = rng.integers(0, 3, size=rows)
+        codes[rng.random(rows) < share * rng.random()] = -1
+        chans[f"c{i}"] = prebinned(f"c{i}", codes, 3)
+    together = rng.random(rows) < share / 2
+    for i in range(k // 2):
+        chans[f"c{i}"].codes[together] = -1
+    root = PairStats(list(chans.values()))
+    subsets = list(enumerate_subsets(chans))
+    row_sets = set(map(root.row_set, subsets)) | {tuple(chans)}
+    for subset in subsets:
+        own = root.row_set(subset)
+        foreign = [names for names in row_sets
+                   if names != own and set(subset) <= set(names or ())]
+        sub = [chans[n] for n in subset]
+        rows_kept = np.count_nonzero(_mask(chans, subset))
+        fresh = tree_profile(build_tree(sub)) if rows_kept else None
+        tried = [(names, root if names is None else PairStats(
+            [chans[n] for n in names], root))
+            for names in dict.fromkeys([None, own, *foreign])]
+        for names, stats in tried:
+            if fresh is None:
+                with pytest.raises(DataError, match="no complete rows"):
+                    build_tree(sub, stats)
+            else:
+                model = build_tree(sub, stats)
+                assert _bits(tree_profile(model)) == _bits(fresh), (subset, names)
+        for names, stats in tried:
+            assert stats.over(subset).n == rows_kept, (subset, names)
+
+
 def _workloads():
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   BENCH / "workloads.py")
@@ -155,16 +196,16 @@ def _workloads():
 
 
 def _children_built(monkeypatch, table, rule):
-    """How many children run_sweep builds."""
+    """How many children run_sweep builds, wherever they are made."""
     children = []
+    init = PairStats.__init__
 
-    class Counting(PairStats):
-        def __init__(self, channels, parent=None):
-            super().__init__(channels, parent)
-            if parent is not None:
-                children.append(self)
+    def counting(self, channels, parent=None):
+        init(self, channels, parent)
+        if parent is not None:
+            children.append(self)
 
-    monkeypatch.setattr(sweep, "PairStats", Counting)
+    monkeypatch.setattr(PairStats, "__init__", counting)
     with contextlib.redirect_stderr(io.StringIO()):
         run_sweep(table, rule)
     return len(children)
@@ -213,22 +254,20 @@ def test_no_unbinned_subset_reaches_a_worker(dropouts, monkeypatch, tmp_path,
                             errors=errors)
     # in dispatch order when serial, in completion order from the pool
     chunks = [json.loads(line) for line in log.read_text().splitlines()]
-    sent = [tuple(s) for _, chunk in chunks for s in chunk]
+    sent = [tuple(s) for chunk in chunks for s in chunk]
     fitted = [s for s in subsets if "flat" not in s]
     assert sorted(sent) == sorted(fitted)
     assert [r.subset for r in results] == fitted
     root = PairStats(list(chans.values()))
-    for names, chunk in chunks:
-        want = root.row_set(chunk[0])
-        assert names == (None if want is None else list(want))
+    row_sets = [root.row_set(chunk[0]) for chunk in chunks]
+    for want, chunk in zip(row_sets, chunks):
         assert all(root.row_set(s) == want for s in chunk)
         assert chunk == sorted(chunk, key=lambda s: subsets.index(tuple(s)))
-    row_sets = [None if names is None else tuple(names) for names, _ in chunks]
     if workers == 1:  # one chunk per row set, in order of first appearance
         assert len(row_sets) == len(set(row_sets))
         assert row_sets == list(dict.fromkeys(root.row_set(s) for s in fitted))
     else:
-        assert max(len(chunk) for _, chunk in chunks) <= len(subsets) // 8
+        assert max(len(chunk) for chunk in chunks) <= len(subsets) // 8
     # the subsets with the unbinned channel keep their errors and count
     assert [subset for subset, _ in errors] == [s for s in subsets if "flat" in s]
     assert all("channel 'flat' not binned" in msg for _, msg in errors)
