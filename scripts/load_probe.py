@@ -10,6 +10,11 @@ parent's peak RSS through fork and exec, so the parent stays small. Prints
 each load's seconds and the loading child's peak RSS, then the median load
 time, the largest peak RSS and the sha256 of the loaded rows, so two
 checkouts that print the same digest loaded the same table bit for bit.
+With --sweep, each child then runs one serial run_sweep of the loaded table
+("fd" rule, every subset) and prints the sweep's tracemalloc peak as a
+multiple of the table's bytes, and the sha256 of its ranking (top_k over
+every subset: names and the hex of the four orders), so two checkouts that
+print the same ranking digest ranked the same profiles bit for bit.
 The entroscope package is taken from src/ next to this script, so each
 checkout measures its own loader. bench/ is only read: no bytecode is
 written there.
@@ -17,10 +22,13 @@ written there.
 Usage, from the repository root:
     python3 scripts/load_probe.py
     python3 scripts/load_probe.py --rows 200000 --repeat 5
+    python3 scripts/load_probe.py --rows 200000 --repeat 1 --sweep
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import resource
 import statistics
@@ -28,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +46,7 @@ sys.dont_write_bytecode = True  # keep __pycache__ out of bench/
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from entroscope import ingest, synth  # noqa: E402
+from entroscope import ingest, sweep, synth  # noqa: E402
 from workloads import CSV_COLUMNS, write_csv  # noqa: E402
 
 
@@ -47,8 +56,29 @@ def write_probe_csv(path: Path, rows: int, empty_share: float, seed: int) -> Non
     write_csv(path, raw, empty)
 
 
-def child(csv_path: str) -> None:
-    """Load one CSV and print its load time, peak RSS and rows digest."""
+def sweep_probe(table) -> dict:
+    """One serial sweep of the table: its seconds, its tracemalloc peak over
+    the table's bytes and the sha256 of its ranking."""
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(io.StringIO()):  # no progress lines
+        results = sweep.run_sweep(table, "fd")
+    seconds = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1] - before
+    tracemalloc.stop()
+    ranking = hashlib.sha256()
+    for r in sweep.top_k(results, len(results)):
+        orders = (r.profile.h0, r.profile.h1, r.profile.h2, r.profile.hmin)
+        ranking.update(f"{' '.join(r.subset)}\t{' '.join(map(float.hex, orders))}"
+                       "\n".encode())
+    return {"sweep_s": seconds, "sweep_peak_x": peak / table.rows.nbytes,
+            "ranking_sha256": ranking.hexdigest()}
+
+
+def child(csv_path: str, then_sweep: bool) -> None:
+    """Load one CSV and print its load time, peak RSS and rows digest, and
+    with then_sweep the figures of one sweep of it."""
     manifest = ingest.DatasetManifest(
         "probe", (ingest.FileSpec(Path(csv_path).name, dict(CSV_COLUMNS)),),
         tuple(CSV_COLUMNS.values()))
@@ -56,12 +86,16 @@ def child(csv_path: str) -> None:
     table = ingest.load_table(manifest, Path(csv_path).parent)
     seconds = time.perf_counter() - start
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-    print(json.dumps({
+    out = {
         "load_s": seconds,
         "peak_rss_mib": peak_kib / 1024,
         "rows": table.rows.shape[0],
+        "table_mib": table.rows.nbytes / 2 ** 20,
         "sha256": hashlib.sha256(table.rows.tobytes()).hexdigest(),
-    }))
+    }
+    if then_sweep:
+        out.update(sweep_probe(table))
+    print(json.dumps(out))
 
 
 def main(argv=None) -> int:
@@ -72,6 +106,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeat", type=int, default=3,
                         help="child processes, one load each")
+    parser.add_argument("--sweep", action="store_true",
+                        help="then run one serial sweep of each loaded table")
     parser.add_argument("--write", help=argparse.SUPPRESS)
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -79,7 +115,7 @@ def main(argv=None) -> int:
         write_probe_csv(Path(args.write), args.rows, args.empty, args.seed)
         return 0
     if args.child:
-        child(args.child)
+        child(args.child, args.sweep)
         return 0
     if args.rows < 2 or not 0 <= args.empty < 1 or args.repeat < 1:
         parser.error("need --rows >= 2, 0 <= --empty < 1 and --repeat >= 1")
@@ -92,15 +128,27 @@ def main(argv=None) -> int:
         print(f"{args.rows} x {len(CSV_COLUMNS)} CSV, "
               f"{csv_path.stat().st_size / 2**20:.1f} MiB", flush=True)
         for _ in range(args.repeat):
-            out = subprocess.run([sys.executable, __file__, "--child", str(csv_path)],
-                                 check=True, capture_output=True, text=True).stdout
-            runs.append(json.loads(out))
-            print(f"load {runs[-1]['load_s']:.3f} s, "
-                  f"peak RSS {runs[-1]['peak_rss_mib']:.1f} MiB", flush=True)
+            out = subprocess.run(
+                [sys.executable, __file__, "--child", str(csv_path)]
+                + ["--sweep"] * args.sweep,
+                check=True, capture_output=True, text=True).stdout
+            run = json.loads(out)
+            runs.append(run)
+            line = (f"load {run['load_s']:.3f} s, "
+                    f"peak RSS {run['peak_rss_mib']:.1f} MiB")
+            if args.sweep:
+                line += (f"; sweep {run['sweep_s']:.3f} s, tracemalloc peak "
+                         f"{run['sweep_peak_x']:.3f}x the "
+                         f"{run['table_mib']:.1f} MiB table")
+            print(line, flush=True)
     digests = {run["sha256"] for run in runs}
     print(f"median load {statistics.median(r['load_s'] for r in runs):.3f} s, "
           f"max peak RSS {max(r['peak_rss_mib'] for r in runs):.1f} MiB, "
           f"{runs[0]['rows']} rows, sha256 {' '.join(sorted(digests))}")
+    if args.sweep:
+        rankings = {run["ranking_sha256"] for run in runs}
+        print(f"max sweep peak {max(r['sweep_peak_x'] for r in runs):.3f}x "
+              f"the table, ranking sha256 {' '.join(sorted(rankings))}")
     return 0
 
 

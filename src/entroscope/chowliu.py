@@ -246,8 +246,14 @@ class PairStats:
         It holds the named channels, and the leftover rows complete across
         it are theirs, so two channel sets keep the same rows exactly when
         their row sets are equal, and a child over it counts their rows. A
-        child answers for its root."""
-        kept, present = (self._parent or self)._patterns
+        child answers for its root. Every leftover row misses one of the
+        root's channels, so the root's own channel set keeps none of them:
+        that is answered without sorting the leftover rows' patterns."""
+        root = self._parent or self
+        names = set(names)
+        if names == root.channels.keys():
+            return None
+        kept, present = root._patterns
         for name in names:  # the patterns that miss none of them
             kept &= present[name]
         if not kept:

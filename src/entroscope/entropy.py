@@ -149,7 +149,9 @@ class JointCounts:
     tables and MI, and the direct joint all derive from these integer
     counts. A cell's key fuses its codes in mixed radix, the first column
     most significant, so ascending keys list the cells in lexicographic code
-    order; the product of bins must stay within int64. The rows of cols
+    order; the product of bins must stay within int64. Codes of any integer
+    type are fused into an int64 copy of the first column, in place, so the
+    keys are the same whatever the codes' type. The rows of cols
     merge into base (the same columns on other rows) or into an empty table,
     exactly as if all were counted at once: through a dense table when it
     has no more cells than there are rows, through a sort of the new rows
@@ -159,9 +161,10 @@ class JointCounts:
 
     def __init__(self, cols: list[np.ndarray], bins: list[int],
                  base: JointCounts | None = None):
-        keys = cols[0]
+        keys = cols[0].astype(np.int64)  # a copy, widened before fusing
         for col, b in zip(cols[1:], bins[1:]):
-            keys = keys * b + col
+            keys *= b
+            keys += col
         self.bins = tuple(bins)
         self.n = keys.size + (0 if base is None else base.n)
         cells = math.prod(bins)

@@ -18,6 +18,12 @@ from .errors import DataError, DegenerateSpreadError
 MISSING = -1
 
 
+def code_dtype(bin_count: int) -> np.dtype:
+    """The narrowest signed type that holds bin_count - 1 and MISSING: int16
+    up to 32,768 bins, int32 above (past any count a rule accepts)."""
+    return np.dtype(np.int16 if bin_count <= 2 ** 15 else np.int32)
+
+
 @dataclass(frozen=True, eq=False)
 class BinningSpec:
     """How one channel was discretized."""
@@ -42,15 +48,18 @@ class BinnedChannel:
 
     name: str
     spec: BinningSpec
-    codes: np.ndarray  # int64; MISSING marks rows with no value
+    codes: np.ndarray  # code_dtype(bin_count); MISSING marks rows with no value
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
-        object.__setattr__(self, "codes", codes)
+        codes = np.asarray(self.codes)
         if codes.ndim != 1:
             raise DataError("codes must be one-dimensional")
-        if codes.size and int(codes.max()) >= self.spec.bin_count:
+        # checked in the caller's type, before the cast, so no code can wrap
+        if codes.size and (int(codes.max()) >= self.spec.bin_count
+                           or int(codes.min()) < MISSING):
             raise DataError("code out of range for bin_count")
+        object.__setattr__(self, "codes", codes.astype(
+            code_dtype(self.spec.bin_count), copy=False))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +187,7 @@ def bin_channel(values, rule, name: str = "channel",
     spec = _binning_spec(v, rule, name, max_bins)
     if complete:
         return BinnedChannel(name, spec, _bin_codes(spec.edges, v))
-    codes = np.full(raw.shape, MISSING, dtype=np.int64)
+    codes = np.full(raw.shape, MISSING, dtype=code_dtype(spec.bin_count))
     codes[finite] = _bin_codes(spec.edges, v)
     return BinnedChannel(name, spec, codes)
 
@@ -227,11 +236,17 @@ def _bin_codes(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
     but a width rule's shorter last one shares, then stepped down while v
     lies below its bin's lower edge and up while v reaches its upper edge,
     comparing against the real edges, so the codes are exact. The outer
-    edges are open (-inf and inf) to clip. Few values need a step.
+    edges are open (-inf and inf) to clip. Few values need a step. The
+    guess is worked out in one float array, cast once to code_dtype(nb).
     """
     nb = edges.size - 1
-    guess = np.floor((v - edges[0]) / (edges[1] - edges[0]))
-    codes = np.fmin(np.fmax(guess, 0), nb - 1).astype(np.int64)
+    guess = np.subtract(v, edges[0])
+    guess /= edges[1] - edges[0]
+    np.floor(guess, out=guess)
+    np.fmax(guess, 0, out=guess)
+    np.fmin(guess, nb - 1, out=guess)
+    codes = guess.astype(code_dtype(nb))
+    del guess  # freed before the steps' temporaries are made
     lower = np.concatenate(([-np.inf], edges[1:-1]))
     upper = np.concatenate((edges[1:-1], [np.inf]))
     at = np.flatnonzero(v < lower[codes])

@@ -708,7 +708,9 @@ def _bits(codes):
 
 
 def _mi_bits(ca, cb, b_bins):
-    return max(0.0, _bits(ca) + _bits(cb) - _bits(ca * b_bins + cb))
+    # fused in int64: narrow codes times b_bins can wrap in their own type
+    return max(0.0, _bits(ca) + _bits(cb)
+               - _bits(ca.astype(np.int64) * b_bins + cb))
 
 
 @pytest.mark.parametrize("a_bins, b_bins", [(6, 7), (60, 70)])

@@ -178,7 +178,8 @@ def test_matrix_mi_bitwise_equals_per_column_counts_with_nans():
             keep = (a.codes >= 0) & (b.codes >= 0)
             ca, cb = a.codes[keep], b.codes[keep]
             want = (_bits_of_codes(ca) + _bits_of_codes(cb)
-                    - _bits_of_codes(ca * b.spec.bin_count + cb))
+                    - _bits_of_codes(ca.astype(np.int64) * b.spec.bin_count
+                                     + cb))
             assert dm.values[i, j] == dm.values[j, i] == max(0.0, want)
 
 

@@ -150,6 +150,42 @@ def test_joint_counts_match_unique(bins, split):
     assert got.shannon.hex() == (-math.fsum((p * np.log2(p)).tolist())).hex()
 
 
+@pytest.mark.parametrize("bins", [
+    (6, 7),  # counted densely
+    (2048, 2048), (2 ** 15, 2 ** 15),  # counted by a sort
+])
+def test_joint_counts_of_narrow_codes_match_int64_copies(bins):
+    rng = np.random.default_rng(bins[0])
+    rows = 3000
+    chans = []
+    for i, b in enumerate(bins):
+        codes = rng.integers(0, b, size=rows)
+        codes[:2] = 0, b - 1  # both ends of the range
+        chans.append(prebinned(f"c{i}", codes, b))
+    narrow = [ch.codes for ch in chans]
+    assert all(c.dtype == np.int16 for c in narrow)
+    before = [c.copy() for c in narrow]
+    wide = [c.astype(np.int64) for c in narrow]
+    for cols in ([narrow[0]], narrow):
+        got = JointCounts(cols, list(bins[:len(cols)]))
+        want = JointCounts([wide[0]] if len(cols) == 1 else wide,
+                           list(bins[:len(cols)]))
+        base = JointCounts([c[:1000] for c in cols], list(bins[:len(cols)]))
+        merged = JointCounts([c[1000:] for c in cols], list(bins[:len(cols)]),
+                             base)
+        for g in (got, merged):
+            for field in ("keys", "counts"):
+                assert getattr(g, field).dtype == np.int64
+                assert (getattr(g, field).tobytes()
+                        == getattr(want, field).tobytes())
+            assert g.shannon.hex() == want.shannon.hex()
+    keys, counts = np.unique(wide[0] * bins[1] + wide[1], return_counts=True)
+    assert np.array_equal(want.keys, keys)
+    assert np.array_equal(want.counts, counts)
+    for g, w in zip(narrow, before):  # fused in place, but never the codes
+        assert g.tobytes() == w.tobytes()
+
+
 def test_joint_counts_of_no_rows():
     empty = np.zeros(0, dtype=np.int64)
     for base in (None, JointCounts([empty, empty], [3, 4])):

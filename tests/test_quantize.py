@@ -10,9 +10,11 @@ from entroscope.errors import DataError, DegenerateSpreadError
 from entroscope.quantize import (
     _MAX_AUTO_BINS,
     MISSING,
+    BinnedChannel,
     _bin_codes,
     _canonical_rule,
     bin_channel,
+    code_dtype,
     fd_width,
     pmf_of,
     scott_width,
@@ -266,6 +268,48 @@ def test_pmf_validation():
 def test_prebinned_range_check():
     with pytest.raises(DataError):
         prebinned("x", np.array([0, 5]), 4)
+
+
+@pytest.mark.parametrize("code", [
+    70_000, -40_000,
+    65_539, -65_537,  # would wrap to 3 and to MISSING in int16
+    2 ** 32 + 3,  # and to 3 in int32
+    -2,  # below MISSING, in range for any type
+])
+def test_out_of_range_codes_are_refused_before_the_cast(code):
+    for dtype in (np.int64, np.uint64) if code > 0 else (np.int64,):
+        with pytest.raises(DataError, match="out of range"):
+            prebinned("x", np.array([0, code, 1], dtype=dtype), 10)
+
+
+@pytest.mark.parametrize("count, dtype", [
+    (1, np.int16), (2 ** 15, np.int16), (2 ** 15 + 1, np.int32),
+    (_MAX_AUTO_BINS, np.int32),
+])
+def test_code_type_is_the_narrowest_that_holds_the_codes(count, dtype):
+    assert code_dtype(count) == dtype
+    info = np.iinfo(dtype)
+    assert info.min <= MISSING and count - 1 <= info.max
+
+
+@pytest.mark.parametrize("count, dtype", [(2 ** 15, np.int16),
+                                          (2 ** 15 + 1, np.int32)])
+def test_codes_are_stored_int16_up_to_32768_bins_then_int32(count, dtype):
+    values = np.linspace(-1.0, 1.0, 3 * count)
+    values[::5] = np.nan
+    ch = bin_channel(values, count)
+    assert ch.codes.dtype == dtype
+    assert ch.codes.min() == MISSING and ch.codes.max() == count - 1
+    finite = np.isfinite(values)
+    want = np.full(values.size, MISSING, dtype=np.int64)
+    want[finite] = _searched(ch.spec.edges, values[finite])
+    assert np.array_equal(ch.codes, want)
+    assert _bin_codes(ch.spec.edges, values[finite]).dtype == dtype
+    # codes handed in, in any integer type, are kept in the same type
+    for given_codes in (want, want.astype(np.int32), ch.codes):
+        kept = BinnedChannel("x", ch.spec, given_codes)
+        assert kept.codes.dtype == dtype
+        assert np.array_equal(kept.codes, want)
 
 
 @given(

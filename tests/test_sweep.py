@@ -1,4 +1,7 @@
+import contextlib
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +306,22 @@ def test_sweep_on_synthetic_table_small():
     assert len(results) == 28  # C(8,2)
     for r in results:
         assert r.profile.h0 > 0
+
+
+def test_sweep_adds_under_three_quarters_of_its_float_table():
+    # int16 codes fused in place in int64 keys: the working set is about
+    # half the float table, where int64 codes alone were all of it (1.41x)
+    table = synth.sensor_table(seed=7, rows=200_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stderr(io.StringIO()):
+            results = run_sweep(table, "fd")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 2 ** 8 - 8 - 1
+    assert peak <= 0.75 * table.rows.nbytes
 
 
 def _binned(table, rule):

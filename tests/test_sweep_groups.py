@@ -21,11 +21,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entroscope import sweep
-from entroscope.chowliu import PairStats, build_tree, tree_profile
+from entroscope.chowliu import PairStats, build_tree, tree_profile, validate
 from entroscope.errors import DataError
 from entroscope.ingest import SampleTable, add_magnitude
 from entroscope.quantize import bin_channel
-from entroscope.sweep import MAX_JOINT_BINS, enumerate_subsets, run_sweep
+from entroscope.sweep import (
+    MAX_JOINT_BINS, enumerate_subsets, run_sweep, sensitivity,
+)
 from oracles import prebinned
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -273,6 +275,33 @@ def test_no_unbinned_subset_reaches_a_worker(dropouts, monkeypatch, tmp_path,
     assert all("channel 'flat' not binned" in msg for _, msg in errors)
     total = len(subsets)
     assert err.getvalue().splitlines()[-1].split()[1] == f"{total}/{total}"
+
+
+def test_the_full_channel_set_keeps_no_leftover_row_unsorted(dropouts,
+                                                           monkeypatch):
+    # a tree over all of its own channels, as build_tree, validate and
+    # sensitivity fit, never sorts the leftover rows' missing patterns
+    table, chans, _ = dropouts
+    sorted_on = []
+    patterns = PairStats._patterns.func
+    monkeypatch.setattr(PairStats, "_patterns", property(
+        lambda self: sorted_on.append(self) or patterns(self)))
+    names = list(chans)
+    sub = [chans[name] for name in ("acc.x", "gyr.y", "baro")]
+    model = build_tree(sub)
+    validate(sub)
+    sensitivity(table, [ch.name for ch in sub], grid=(5, 8))
+    root = PairStats(list(chans.values()))
+    assert root.row_set(names[::-1]) is None
+    assert root.over(names) is root
+    assert root.n < len(table.rows)  # it has leftover rows all the same
+    assert sorted_on == []
+    assert root.row_set(["acc.x", "gyr.y"]) is not None  # a subset sorts them
+    assert sorted_on == [root]
+    rows = _mask(chans, [ch.name for ch in sub])
+    fresh = build_tree([prebinned(ch.name, ch.codes[rows], ch.spec.bin_count)
+                        for ch in sub])
+    assert _bits(tree_profile(model)) == _bits(tree_profile(fresh))
 
 
 def test_no_child_on_a_complete_table(monkeypatch):
