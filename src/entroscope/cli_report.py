@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 from . import __version__, synth
 from .chowliu import validate as validate_subset
 from .dependence import matrix as dependence_matrix
-from .entropy import EntropyProfile, profile
+from .entropy import EntropyProfile, joint_direct, profile_joint
 from .errors import DataError, EntroscopeError, UsageError
 from .guesswork import guesswork_table
 from .ingest import SampleTable, load_manifest, load_table
-from .quantize import _canonical_rule, bin_channel, pmf_of
+from .quantize import _canonical_rule, bin_channel
 from .sweep import (
     DEFAULT_GRID,
     MAX_JOINT_BINS,
@@ -258,7 +258,7 @@ def _channel_table(table: SampleTable, rule: str) -> Report:
             print(f"warning: {name}: {exc}", file=sys.stderr)
             rows.append([name, None, None, None, None, None])
             continue
-        prof = profile(pmf_of(ch.codes))
+        prof = profile_joint(joint_direct([ch]))
         rows.append([name, int(ch.spec.bin_count), *_prof_cells(prof)])
     payload = {
         "columns": ["channel", "bins", "h0", "h1", "h2", "hmin"],

@@ -1,8 +1,9 @@
 """Renyi entropy profiles (orders 0, 1, 2, inf) in bits, and the one count
 primitive, JointCounts: the occupied cells of the joint count table of one
 or more code columns. Channel and pair statistics in tree fits, the MI
-matrix and the direct joint of small channel subsets all count through it;
-joint_direct returns the counts of the occupied code tuples.
+matrix and the direct joint of channel subsets all count through it, a
+single channel's table too: joint_direct returns the counts of the occupied
+code tuples, and profile_joint their profile.
 
 Everything is plug-in estimation on empirical frequencies: no smoothing, no
 bias correction. All logarithms are base 2. Shannon entropy is the correctly
@@ -111,23 +112,9 @@ def _renyi_of_probs(p: np.ndarray, alpha: float) -> float:
     return _power_sum_log2(p, alpha) / (1.0 - alpha)
 
 
-def _profile_of_probs(p: np.ndarray) -> EntropyProfile:
-    return EntropyProfile(
-        h0=_renyi_of_probs(p, 0.0),
-        h1=_shannon_bits(p),
-        h2=_renyi_of_probs(p, 2.0),
-        hmin=-math.log2(float(p.max())),
-    )
-
-
 def renyi(pmf: Pmf, alpha) -> float:
     """Renyi entropy of the given order, in bits."""
     return _renyi_of_probs(pmf.p, float(alpha))
-
-
-def profile(pmf: Pmf) -> EntropyProfile:
-    """All four orders of one pmf."""
-    return _profile_of_probs(pmf.p)
 
 
 def complete_row_mask(channels: list[BinnedChannel]) -> np.ndarray:
@@ -223,5 +210,11 @@ def joint_direct(channels: list[BinnedChannel]) -> np.ndarray:
 
 def profile_joint(counts: np.ndarray) -> EntropyProfile:
     """Entropy profile of the joint whose occupied states have these counts,
-    treated as one flat distribution."""
-    return _profile_of_probs(counts / int(counts.sum()))
+    treated as one flat distribution: of one channel or of several."""
+    p = counts / int(counts.sum())
+    return EntropyProfile(
+        h0=_renyi_of_probs(p, 0.0),
+        h1=_shannon_bits(p),
+        h2=_renyi_of_probs(p, 2.0),
+        hmin=-math.log2(float(p.max())),
+    )

@@ -1,4 +1,4 @@
-"""Channel quantization: bin-width rules, code assignment, empirical pmfs.
+"""Channel quantization: bin-width rules and code assignment.
 
 Bins are half-open [e_i, e_i+1) with the channel maximum folded into the last
 bin. Width rules never fall back silently: zero spread raises so the caller
@@ -64,7 +64,8 @@ class BinnedChannel:
 
 @dataclass(frozen=True, eq=False)
 class Pmf:
-    """Empirical pmf over bin indices. Zero-count bins are never stored."""
+    """A pmf over bin indices, such as a tree's root marginal. Zero-probability
+    bins are never stored."""
 
     bins: np.ndarray  # sorted bin indices
     p: np.ndarray  # matching probabilities, all > 0, total 1 within 1e-9
@@ -259,15 +260,3 @@ def _bin_codes(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
         at = at[v[at] >= upper[codes[at]]]
     return codes
 
-
-def pmf_of(codes) -> Pmf:
-    """Empirical pmf of the non-missing codes: probs[k] = count(k) / n."""
-    c = np.asarray(codes, dtype=np.int64).ravel()
-    if c.size == 0:
-        raise DataError("empty codes")
-    c = c[c >= 0]
-    if c.size == 0:
-        raise DataError("no non-missing codes")
-    counts = np.bincount(c)
-    bins = np.flatnonzero(counts)
-    return Pmf(bins, counts[bins] / c.size)

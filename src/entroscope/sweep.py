@@ -27,12 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chowliu import PairStats, build_tree, tree_profile
-from .entropy import EntropyProfile, profile
+from .entropy import EntropyProfile, joint_direct, profile_joint
 from .errors import DataError, EntroscopeError
 from .ingest import SampleTable
-from .quantize import (
-    BinnedChannel, _binning_spec, _finite_values, bin_channel, pmf_of,
-)
+from .quantize import BinnedChannel, _binning_spec, _finite_values, bin_channel
 
 # per-channel cap for joint analyses; width rules past this rebin equal-width
 MAX_JOINT_BINS = 2048
@@ -53,8 +51,9 @@ class SubsetResult:
 
     @property
     def gap(self) -> float:
-        """h1 - hmin: how far Shannon entropy overstates the worst case."""
-        return self.profile.h1 - self.profile.hmin
+        """h1 - hmin: how far Shannon entropy overstates the worst case; at
+        least 0, though the two orders may round an ulp out of order."""
+        return max(0.0, self.profile.h1 - self.profile.hmin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +228,7 @@ def sensitivity(table: SampleTable, subset, grid=DEFAULT_GRID) -> SensitivityCur
             bin_channel(table.column(name), count, name=name) for name in subset
         ]
         if len(chans) == 1:
-            prof = profile(pmf_of(chans[0].codes))
+            prof = profile_joint(joint_direct(chans))
         else:
             prof = tree_profile(build_tree(chans))
         points.append((count, prof))

@@ -74,3 +74,26 @@ def from_probs(probs):
     """Pmf from a {bin: probability} map, bins in ascending order."""
     items = sorted(probs.items())
     return Pmf(np.array([b for b, _ in items]), np.array([q for _, q in items]))
+
+
+def bincount_pmf(codes):
+    """Pmf of the non-missing codes (those >= 0), counted by one np.bincount:
+    the occupied bins in ascending order, each with count / n."""
+    c = np.asarray(codes, dtype=np.int64).ravel()
+    c = c[c >= 0]
+    counts = np.bincount(c)
+    bins = np.flatnonzero(counts)
+    return Pmf(bins, counts[bins] / c.size)
+
+
+def codes_profile(codes):
+    """(h0, h1, h2, hmin) in bits of bincount_pmf(codes), by the formulas a
+    flat profile is pinned to bit for bit: log2 of the support, the fsum of
+    p log2 p over numpy logs, H2 from the power sum scaled by the largest p,
+    and -log2 of the largest p; every -0.0 becomes 0.0."""
+    p = bincount_pmf(codes).p
+    pmax = float(p.max())
+    power = float(np.sum((p / pmax) ** 2.0))
+    h2 = (2.0 * math.log2(pmax) + math.log2(power)) / (1.0 - 2.0)
+    h1 = -math.fsum((p * np.log2(p)).tolist())
+    return tuple(h + 0.0 for h in (math.log2(p.size), h1, h2, -math.log2(pmax)))

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from entroscope.chowliu import PairStats, build_tree, tree_profile, validate
-from entroscope.entropy import profile, renyi
+from entroscope.entropy import joint_direct, profile_joint, renyi
 from entroscope.guesswork import guesswork_table
 from entroscope.ingest import load_manifest, load_table
-from entroscope.quantize import Pmf, bin_channel, pmf_of
+from entroscope.quantize import Pmf, bin_channel
 from entroscope.sweep import enumerate_subsets, run_sweep
 from entroscope.synth import sensor_table
 from oracles import as_chowliu, brute_profile, prebinned, random_tree_model
@@ -60,8 +60,7 @@ def test_criterion_01_order_monotonicity(capsys):
 def test_criterion_02_uniform_exactness(capsys):
     worst = 0.0
     for k in range(1, 17):
-        pmf = Pmf(np.arange(2 ** k), np.full(2 ** k, 2.0 ** -k))
-        prof = profile(pmf)
+        prof = profile_joint(np.ones(2 ** k))
         for h in (prof.h0, prof.h1, prof.h2, prof.hmin):
             worst = max(worst, abs(h - k))
     ok = worst <= 1e-9
@@ -200,7 +199,7 @@ def test_criterion_08_dataset_reproduction(capsys):
             bin_channel(table.column(name), "fd", name=name, max_bins=2048)
             for name in table.channels
         ]
-        profs = [profile(pmf_of(ch.codes)) for ch in chans]
+        profs = [profile_joint(joint_direct([ch])) for ch in chans]
         mean_h1 = math.fsum(p.h1 for p in profs) / len(profs)
         mean_hmin = math.fsum(p.hmin for p in profs) / len(profs)
         joint_hmin = tree_profile(build_tree(chans)).hmin
@@ -258,7 +257,7 @@ def test_criterion_10_mutual_information_properties(capsys):
 
     mi_ab = PairStats([a, b]).mi("x", "y")
     sym_gap = abs(mi_ab - PairStats([b, a]).mi("y", "x"))
-    self_gap = abs(PairStats([a]).mi("x", "x") - profile(pmf_of(a.codes)).h1)
+    self_gap = abs(PairStats([a]).mi("x", "x") - profile_joint(joint_direct([a])).h1)
     hb = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
     noise_gap = abs(mi_ab - (1.0 - hb))
 

@@ -21,12 +21,11 @@ from entroscope.entropy import (
     JointCounts,
     complete_row_mask,
     joint_direct,
-    profile,
     profile_joint,
 )
 from entroscope.errors import DataError
-from entroscope.quantize import BinnedChannel, Pmf, pmf_of
-from helpers import profile_of_dict
+from entroscope.quantize import BinnedChannel, Pmf
+from helpers import bincount_pmf, codes_profile, profile_of_dict
 from oracles import (
     as_chowliu,
     chain_rule_shannon,
@@ -194,7 +193,7 @@ def test_tree_shannon_independent_sums():
     )
     chans = chans_from(rows, [4, 8])
     model = build_tree(chans)
-    h_sum = sum(profile(pmf_of(c.codes)).h1 for c in chans)
+    h_sum = sum(codes_profile(c.codes)[1] for c in chans)
     # independence holds only statistically; plug-in MI adds a small bias
     assert tree_shannon(model) == pytest.approx(h_sum, abs=0.01)
 
@@ -206,7 +205,7 @@ def test_tree_shannon_duplicated_pair():
         [prebinned("x", codes, 8), prebinned("y", codes, 8)]
     )
     assert tree_shannon(model) == pytest.approx(
-        profile(pmf_of(codes)).h1, abs=1e-9
+        codes_profile(codes)[1], abs=1e-9
     )
 
 
@@ -775,7 +774,7 @@ def _assert_pair_counted_directly(child, chans, a, b):
         assert g is child.conditional(parent, kid)
         for field in ("parent_bins", "indptr", "child_bins", "probs"):
             _same_bits(getattr(g, field), getattr(w, field))
-    for g, w in [(child.marginal(name), pmf_of(by_name[name].codes[mask]))
+    for g, w in [(child.marginal(name), bincount_pmf(by_name[name].codes[mask]))
                  for name in (a, b)]:
         _same_bits(g.bins, w.bins)
         _same_bits(g.p, w.p)

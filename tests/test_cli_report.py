@@ -372,6 +372,20 @@ def test_single_synthetic_markdown(capsys):
         assert "0.0" in out and "-0.0" not in out, fmt
 
 
+def test_ranking_gap_is_never_negative(capsys):
+    # on 3 rows most pairs spread evenly over 3 cells, where the tree passes
+    # can put H1 an ulp below Hmin; the gap is clamped at 0
+    args = ["sweep", "--synthetic", "--rows", "3", "--max-size", "2"]
+    assert run(args + ["--format", "structured"]) == 0
+    rows = parse_report(capsys.readouterr().out.encode()).payload["rows"]
+    assert len(rows) == 28
+    gaps = [row[-1] for row in rows]
+    assert min(gaps) == 0.0 and max(gaps) > 0.0
+    assert run(args) == 0
+    out = capsys.readouterr().out
+    assert "| 0.000 |" in out and "-0.000" not in out
+
+
 def test_out_file_and_structured(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = run([

@@ -12,13 +12,12 @@ from entroscope.entropy import (
     _shannon_bits_grouped,
     _shannon_bits_of_counts,
     joint_direct,
-    profile,
     profile_joint,
     renyi,
 )
 from entroscope.errors import BudgetError, DataError
-from entroscope.quantize import pmf_of
-from helpers import from_probs
+from entroscope.quantize import MISSING
+from helpers import codes_profile, from_probs
 from oracles import prebinned
 
 ALPHAS = (0.0, 0.5, 1.0, 2.0, 5.0, math.inf)
@@ -54,21 +53,13 @@ def test_near_one_routes_to_shannon():
     assert renyi(pmf, 1.0 - 1e-7) == h1
 
 
-def test_profile_hand_case():
-    prof = profile(from_probs({0: 0.5, 1: 0.25, 2: 0.25}))
-    assert prof.h0 == pytest.approx(math.log2(3), abs=1e-12)
-    assert prof.h1 == pytest.approx(1.5, abs=1e-12)
-    assert prof.h2 == pytest.approx(-math.log2(0.375), abs=1e-12)
-    assert prof.hmin == pytest.approx(1.0, abs=1e-12)
-
-
-def test_profile_point_mass():
-    prof = profile(from_probs({3: 1.0}))
+def test_profile_joint_point_mass():
+    prof = profile_joint(np.array([5]))
     assert prof == EntropyProfile(0.0, 0.0, 0.0, 0.0)
 
 
-def test_profile_two_point():
-    prof = profile(from_probs({0: 0.75, 1: 0.25}))
+def test_profile_joint_two_point():
+    prof = profile_joint(np.array([3, 1]))
     assert prof.h0 == pytest.approx(1.0, abs=1e-12)
     assert prof.h1 == pytest.approx(0.8112781244591328, abs=1e-12)
     assert prof.h2 == pytest.approx(-math.log2(0.625), abs=1e-12)
@@ -211,10 +202,10 @@ def test_joint_direct_duplicated_channel():
     # the occupied tuples are (x, x), counted as often as x
     per_code = np.bincount(codes)
     assert np.array_equal(counts, per_code[per_code > 0])
-    single = profile(pmf_of(codes))
+    _, single_h1, _, single_hmin = codes_profile(codes)
     dup = profile_joint(counts)
-    assert dup.h1 == pytest.approx(single.h1, abs=1e-9)
-    assert dup.hmin == pytest.approx(single.hmin, abs=1e-9)
+    assert dup.h1 == pytest.approx(single_h1, abs=1e-9)
+    assert dup.hmin == pytest.approx(single_hmin, abs=1e-9)
 
 
 def test_joint_direct_skips_incomplete_rows():
@@ -264,8 +255,8 @@ def test_joint_direct_h1_adds_for_independent():
     a = prebinned("a", rng.integers(0, 4, size=200_000), 4)
     b = prebinned("b", rng.integers(0, 8, size=200_000), 8)
     jp = profile_joint(joint_direct([a, b]))
-    ha = profile(pmf_of(a.codes)).h1
-    hb = profile(pmf_of(b.codes)).h1
+    ha = codes_profile(a.codes)[1]
+    hb = codes_profile(b.codes)[1]
     assert jp.h1 == pytest.approx(ha + hb, abs=0.01)
 
 
@@ -278,8 +269,53 @@ def test_profile_joint_product_of_uniforms():
 
 def test_profile_joint_hand_case():
     prof = profile_joint(np.array([2, 1, 1]))
+    assert prof.h0 == pytest.approx(math.log2(3), abs=1e-12)
     assert prof.h1 == pytest.approx(1.5, abs=1e-12)
+    assert prof.h2 == pytest.approx(-math.log2(0.375), abs=1e-12)
     assert prof.hmin == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("codes, counts, probs", [
+    ([1, 1, 2, 2], [2, 2], [0.5, 0.5]),
+    ([7], [1], [1.0]),
+    ([0, 0, 0, 1], [3, 1], [0.75, 0.25]),
+    ([0, MISSING, 0, 1], [2, 1], [2 / 3, 1 / 3]),  # the missing row is dropped
+])
+def test_one_channel_joint_hand_cases(codes, counts, probs):
+    got = joint_direct([prebinned("x", np.array(codes), 8)])
+    assert got.tolist() == counts
+    prof = profile_joint(got)
+    assert prof.h0 == pytest.approx(math.log2(len(probs)), abs=1e-12)
+    assert prof.h1 == pytest.approx(
+        -math.fsum(p * math.log2(p) for p in probs), abs=1e-12)
+    assert prof.h2 == pytest.approx(
+        -math.log2(math.fsum(p * p for p in probs)), abs=1e-12)
+    assert prof.hmin == pytest.approx(-math.log2(max(probs)), abs=1e-12)
+
+
+def test_one_channel_joint_of_no_codes():
+    for codes in ([], [MISSING, MISSING]):
+        with pytest.raises(DataError, match="complete"):
+            joint_direct([prebinned("x", np.array(codes, dtype=np.int64), 2)])
+
+
+@given(st.lists(st.integers(MISSING, 30), min_size=1, max_size=500))
+@settings(max_examples=60, deadline=None)
+def test_one_channel_joint_counts_every_present_code(codes):
+    codes = np.array(codes)
+    present = codes[codes >= 0]
+    ch = prebinned("x", codes, 31)
+    if present.size == 0:
+        with pytest.raises(DataError):
+            joint_direct([ch])
+        return
+    counts = joint_direct([ch])
+    per_code = np.bincount(present)
+    assert np.array_equal(counts, per_code[per_code > 0])
+    assert int(counts.sum()) == present.size
+    prof = profile_joint(counts)
+    fields = (prof.h0, prof.h1, prof.h2, prof.hmin)
+    assert [h.hex() for h in fields] == [h.hex() for h in codes_profile(codes)]
 
 
 def _per_cell_bits(counts, n):

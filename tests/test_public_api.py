@@ -6,9 +6,13 @@ bench/ loads it by name, imports it, or reads it as an attribute of a name
 spelled like one of the package's modules (chowliu.build_tree); its own
 definition does not count. An attribute of anything else, such as json.dump
 or model.root, says nothing about the package's names.
+
+The README's library quickstart is run as written, so it cannot keep a
+name the package no longer has.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,3 +60,11 @@ def test_every_public_name_has_a_caller_outside_tests():
     assert not unused, f"public names only tests use: {sorted(unused)}"
     # the allowlist holds nothing that has gained a caller
     assert not ALLOWED & used
+
+
+def test_readme_library_quickstart_runs(capsys):
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    assert "Library quickstart" in text[:text.index(block)]
+    exec(compile(block, "README.md", "exec"), {"__name__": "quickstart"})
+    assert "expected guesses" in capsys.readouterr().out

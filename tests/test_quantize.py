@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entroscope.entropy import joint_direct
 from entroscope.errors import DataError, DegenerateSpreadError
 from entroscope.quantize import (
     _MAX_AUTO_BINS,
@@ -16,7 +17,6 @@ from entroscope.quantize import (
     bin_channel,
     code_dtype,
     fd_width,
-    pmf_of,
     scott_width,
 )
 from helpers import from_probs
@@ -41,9 +41,9 @@ def test_fd_width_uniform_golden():
     ch = bin_channel(values, "fd")
     assert ch.spec.bin_count == golden["bin_count"]
     # near-uniform codes: every bin within a few percent of uniform
-    pmf = pmf_of(ch.codes)
-    assert len(pmf.p) == golden["bin_count"]
-    assert pmf.p.max() < 2.0 / golden["bin_count"]
+    counts = joint_direct([ch])
+    assert counts.size == golden["bin_count"]
+    assert counts.max() / counts.sum() < 2.0 / golden["bin_count"]
 
 
 def _width_or_error(width, values):
@@ -236,28 +236,6 @@ def test_binning_leaves_input_untouched(kind, rule):
     assert values.tobytes() == before.tobytes()
 
 
-def as_dict(pmf):
-    return dict(zip(pmf.bins.tolist(), pmf.p.tolist()))
-
-
-def test_pmf_of_hand_cases():
-    assert as_dict(pmf_of(np.array([1, 1, 2, 2]))) == {1: 0.5, 2: 0.5}
-    assert as_dict(pmf_of(np.array([7]))) == {7: 1.0}
-    assert as_dict(pmf_of(np.array([0, 0, 0, 1]))) == {0: 0.75, 1: 0.25}
-
-
-def test_pmf_of_drops_missing():
-    pmf = pmf_of(np.array([0, MISSING, 0, 1]))
-    assert as_dict(pmf) == {0: 2 / 3, 1: 1 / 3}
-
-
-def test_pmf_of_empty():
-    with pytest.raises(DataError):
-        pmf_of(np.array([], dtype=np.int64))
-    with pytest.raises(DataError):
-        pmf_of(np.array([MISSING, MISSING]))
-
-
 def test_pmf_validation():
     with pytest.raises(DataError):
         from_probs({0: 0.5, 1: 0.4})
@@ -358,10 +336,3 @@ def test_width_scaling_with_n(n, seed):
     # doubling the scale doubles the width; n is held fixed
     assert fd_width(2 * x) == pytest.approx(2 * w, rel=1e-9)
 
-
-@given(st.lists(st.integers(0, 30), min_size=1, max_size=500))
-@settings(max_examples=60, deadline=None)
-def test_pmf_sums_to_one(codes):
-    pmf = pmf_of(np.asarray(codes, dtype=np.int64))
-    assert math.isclose(math.fsum(pmf.p.tolist()), 1.0, abs_tol=1e-9)
-    assert (pmf.p > 0).all()

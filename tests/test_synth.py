@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entroscope import chowliu, synth
-from entroscope.entropy import profile
+from entroscope.entropy import joint_direct, profile_joint
 from entroscope.errors import DataError
-from entroscope.quantize import pmf_of
 from helpers import expand_model_dict, profile_of_dict
 from oracles import (
     TrueModel,
@@ -185,7 +184,7 @@ def test_single_channel_profiles_match_pmf():
     table = synth.sensor_table(seed=7, rows=20_000)
     col = table.column("Gyro.X")
     levels, codes = np.unique(col, return_inverse=True)
-    prof = profile(pmf_of(codes.astype(np.int64)))
+    prof = profile_joint(joint_direct([prebinned("Gyro.X", codes, levels.size)]))
     assert prof.h0 == pytest.approx(math.log2(levels.size), abs=1e-12)
 
 
