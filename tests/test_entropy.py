@@ -53,12 +53,12 @@ def test_near_one_routes_to_shannon():
     assert renyi(pmf, 1.0 - 1e-7) == h1
 
 
-def test_profile_joint_point_mass():
+def test_profile_point_mass():
     prof = profile_joint(np.array([5]))
     assert prof == EntropyProfile(0.0, 0.0, 0.0, 0.0)
 
 
-def test_profile_joint_two_point():
+def test_profile_two_point():
     prof = profile_joint(np.array([3, 1]))
     assert prof.h0 == pytest.approx(1.0, abs=1e-12)
     assert prof.h1 == pytest.approx(0.8112781244591328, abs=1e-12)
@@ -275,28 +275,14 @@ def test_profile_joint_hand_case():
     assert prof.hmin == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("codes, counts, probs", [
-    ([1, 1, 2, 2], [2, 2], [0.5, 0.5]),
-    ([7], [1], [1.0]),
-    ([0, 0, 0, 1], [3, 1], [0.75, 0.25]),
-    ([0, MISSING, 0, 1], [2, 1], [2 / 3, 1 / 3]),  # the missing row is dropped
-])
-def test_one_channel_joint_hand_cases(codes, counts, probs):
-    got = joint_direct([prebinned("x", np.array(codes), 8)])
-    assert got.tolist() == counts
-    prof = profile_joint(got)
-    assert prof.h0 == pytest.approx(math.log2(len(probs)), abs=1e-12)
-    assert prof.h1 == pytest.approx(
-        -math.fsum(p * math.log2(p) for p in probs), abs=1e-12)
-    assert prof.h2 == pytest.approx(
-        -math.log2(math.fsum(p * p for p in probs)), abs=1e-12)
-    assert prof.hmin == pytest.approx(-math.log2(max(probs)), abs=1e-12)
-
-
-def test_one_channel_joint_of_no_codes():
-    for codes in ([], [MISSING, MISSING]):
-        with pytest.raises(DataError, match="complete"):
-            joint_direct([prebinned("x", np.array(codes, dtype=np.int64), 2)])
+def test_profile_hand_case():
+    # one channel with codes 0, 0, 1, 2 (and a missing row): pmf 1/2, 1/4, 1/4
+    ch = prebinned("x", np.array([0, MISSING, 0, 1, 2]), 3)
+    prof = profile_joint(joint_direct([ch]))
+    assert prof.h0 == pytest.approx(math.log2(3), abs=1e-12)
+    assert prof.h1 == pytest.approx(1.5, abs=1e-12)
+    assert prof.h2 == pytest.approx(-math.log2(0.375), abs=1e-12)
+    assert prof.hmin == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.lists(st.integers(MISSING, 30), min_size=1, max_size=500))

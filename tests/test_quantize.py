@@ -236,6 +236,31 @@ def test_binning_leaves_input_untouched(kind, rule):
     assert values.tobytes() == before.tobytes()
 
 
+def one_channel_pmf(codes):
+    """{code: probability} over the complete rows, counted as the reports
+    count one channel: joint_direct's counts come in ascending code order."""
+    codes = np.asarray(codes, dtype=np.int64)
+    counts = joint_direct([prebinned("x", codes, 31)])
+    present = np.unique(codes[codes >= 0])
+    return dict(zip(present.tolist(), (counts / counts.sum()).tolist()))
+
+
+def test_pmf_of_hand_cases():
+    assert one_channel_pmf([1, 1, 2, 2]) == {1: 0.5, 2: 0.5}
+    assert one_channel_pmf([7]) == {7: 1.0}
+    assert one_channel_pmf([0, 0, 0, 1]) == {0: 0.75, 1: 0.25}
+
+
+def test_pmf_of_drops_missing():
+    assert one_channel_pmf([0, MISSING, 0, 1]) == {0: 2 / 3, 1: 1 / 3}
+
+
+def test_pmf_of_empty():
+    for codes in ([], [MISSING, MISSING]):
+        with pytest.raises(DataError, match="complete"):
+            one_channel_pmf(codes)
+
+
 def test_pmf_validation():
     with pytest.raises(DataError):
         from_probs({0: 0.5, 1: 0.4})
@@ -336,3 +361,10 @@ def test_width_scaling_with_n(n, seed):
     # doubling the scale doubles the width; n is held fixed
     assert fd_width(2 * x) == pytest.approx(2 * w, rel=1e-9)
 
+
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=500))
+@settings(max_examples=60, deadline=None)
+def test_pmf_sums_to_one(codes):
+    p = list(one_channel_pmf(codes).values())
+    assert math.isclose(math.fsum(p), 1.0, abs_tol=1e-9)
+    assert all(v > 0 for v in p)
