@@ -49,7 +49,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import workloads  # noqa: E402
 from entroscope import chowliu, cli_report, quantize, sweep, synth  # noqa: E402
-from entroscope.errors import DataError  # noqa: E402
 from oracles import dump  # noqa: E402
 
 ROWS = 6000  # per gappy file
@@ -77,15 +76,10 @@ def report_lines(seeds, workers_list, failed: list):
 
 def tree_digest(table, max_size: int) -> tuple[str, int]:
     """sha256 over every fitted tree of the table, and the tree count."""
-    chans = {}
-    for name in table.channels:
-        try:
-            chans[name] = quantize.bin_channel(
-                table.column(name), "fd", name=name,
-                max_bins=sweep.MAX_JOINT_BINS)
-        except DataError:
-            pass  # a channel the sweep would skip
-    stats = chowliu.PairStats(list(chans.values()))
+    # the channels that do not bin are skipped, as the sweep skips them
+    binned, _ = quantize.bin_table(table, "fd", sweep.MAX_JOINT_BINS)
+    chans = {ch.name: ch for ch in binned}
+    stats = chowliu.PairStats(binned)
     sha = hashlib.sha256()
     trees = 0
     for subset in sweep.enumerate_subsets(

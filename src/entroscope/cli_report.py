@@ -28,7 +28,7 @@ from .entropy import EntropyProfile, joint_direct, profile_joint
 from .errors import DataError, EntroscopeError, UsageError
 from .guesswork import guesswork_table
 from .ingest import SampleTable, load_manifest, load_table
-from .quantize import _canonical_rule, bin_channel
+from .quantize import _canonical_rule, bin_channel, bin_table
 from .sweep import (
     DEFAULT_GRID,
     MAX_JOINT_BINS,
@@ -249,20 +249,22 @@ def _load_input(args) -> SampleTable:
     return load_table(load_manifest(args.manifest), root)
 
 
+def _binned(table: SampleTable, rule, max_bins: int | None = None) -> list:
+    """bin_table's channels, after a warning for each that did not bin."""
+    binned, failed = bin_table(table, rule, max_bins)
+    for name, message in failed.items():
+        print(f"warning: {name}: {message}", file=sys.stderr)
+    return binned
+
+
 def _channel_table(table: SampleTable, rule: str) -> Report:
-    rows = []
-    for name in table.channels:
-        try:
-            ch = bin_channel(table.column(name), rule, name=name)
-        except EntroscopeError as exc:
-            print(f"warning: {name}: {exc}", file=sys.stderr)
-            rows.append([name, None, None, None, None, None])
-            continue
-        prof = profile_joint(joint_direct([ch]))
-        rows.append([name, int(ch.spec.bin_count), *_prof_cells(prof)])
+    cells = {
+        ch.name: [int(ch.spec.bin_count), *_prof_cells(profile_joint(joint_direct([ch])))]
+        for ch in _binned(table, rule)
+    }
     payload = {
         "columns": ["channel", "bins", "h0", "h1", "h2", "hmin"],
-        "rows": rows,
+        "rows": [[name, *cells.get(name, [None] * 5)] for name in table.channels],
     }
     return Report("single_sensor_table", payload, _metadata(table.source, rule))
 
@@ -367,16 +369,7 @@ def _cmd_validate(args) -> Report:
 
 def _cmd_matrix(args) -> Report:
     table = _load_input(args)
-    binned = []
-    if args.kind != "pearson":
-        for name in table.channels:
-            try:
-                binned.append(
-                    bin_channel(table.column(name), args.bins, name=name,
-                                max_bins=MAX_JOINT_BINS)
-                )
-            except EntroscopeError as exc:
-                print(f"warning: {name}: {exc}", file=sys.stderr)
+    binned = [] if args.kind == "pearson" else _binned(table, args.bins, MAX_JOINT_BINS)
     dm = dependence_matrix(table, binned, args.kind)
     rows = [
         [name, *(_none_if_nan(v) for v in dm.values[i])]

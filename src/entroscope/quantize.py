@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateSpreadError
+from .errors import DataError, DegenerateSpreadError, EntroscopeError
 
 # Code assigned to missing (non-finite) source values. Valid codes are >= 0.
 MISSING = -1
@@ -191,6 +191,20 @@ def bin_channel(values, rule, name: str = "channel",
     codes = np.full(raw.shape, MISSING, dtype=code_dtype(spec.bin_count))
     codes[finite] = _bin_codes(spec.edges, v)
     return BinnedChannel(name, spec, codes)
+
+
+def bin_table(table, rule, max_bins: int | None = None):
+    """bin_channel over every channel of a SampleTable: (the channels that
+    bin, in table order, {name: error text} for the rest)."""
+    binned: list[BinnedChannel] = []
+    failed: dict[str, str] = {}
+    for name in table.channels:
+        try:
+            binned.append(bin_channel(table.column(name), rule, name=name,
+                                      max_bins=max_bins))
+        except EntroscopeError as exc:
+            failed[name] = str(exc)
+    return binned, failed
 
 
 def _binning_spec(v: np.ndarray, rule, name: str,

@@ -9,8 +9,8 @@ PairStats: the sweep's own for the subsets that keep no other row, every
 subset of a table without gaps, else a child over the row set, one per
 chunk. A subset with a channel that could not be binned is answered before
 any fit. Chunks run row set by row set, each in canonical order, one chunk
-per row set serially and smaller ones from a fork pool's in-order imap, and
-every outcome goes back to its canonical position, so the output is
+per row set serially and smaller ones from a fork pool's in-order imap.
+Outcomes are kept by subset and read in canonical order, so the output is
 identical no matter how many workers ran or in what order they finished.
 """
 
@@ -30,7 +30,7 @@ from .chowliu import PairStats, build_tree, tree_profile
 from .entropy import EntropyProfile, joint_direct, profile_joint
 from .errors import DataError, EntroscopeError
 from .ingest import SampleTable
-from .quantize import BinnedChannel, _binning_spec, _finite_values, bin_channel
+from .quantize import bin_channel, bin_table
 
 # per-channel cap for joint analyses; width rules past this rebin equal-width
 MAX_JOINT_BINS = 2048
@@ -63,21 +63,15 @@ class SensitivityCurve:
     markers: tuple[float, float]  # mean FD and Scott bin counts over the subset
 
 
-def _size_range(n: int, min_size: int, max_size: int | None) -> range:
-    """The subset sizes min_size..max_size (default n) of n channels."""
-    if max_size is None:
-        max_size = n
-    if not (2 <= min_size <= max_size <= n):
-        raise DataError(
-            f"need 2 <= min_size <= max_size <= {n}, got {min_size}..{max_size}"
-        )
-    return range(min_size, max_size + 1)
-
-
 def enumerate_subsets(channels, min_size: int = 2, max_size: int | None = None):
     """Stream channel-name tuples, size ascending then lexicographic."""
     names = list(channels)
-    for size in _size_range(len(names), min_size, max_size):
+    if max_size is None:
+        max_size = len(names)
+    if not (2 <= min_size <= max_size <= len(names)):
+        raise DataError(f"need 2 <= min_size <= max_size <= {len(names)}, "
+                        f"got {min_size}..{max_size}")
+    for size in range(min_size, max_size + 1):
         yield from itertools.combinations(names, size)
 
 
@@ -111,26 +105,15 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
     """
     if workers < 1:
         raise DataError("workers must be positive")
-    _size_range(len(table.channels), min_size, max_size)  # before any binning
-    binned: list[BinnedChannel] = []
-    unbinned: dict[str, str] = {}
-    for name in table.channels:
-        try:
-            binned.append(bin_channel(
-                table.column(name), rule, name=name, max_bins=MAX_JOINT_BINS
-            ))
-        except EntroscopeError as exc:
-            unbinned[name] = str(exc)
     subsets = list(enumerate_subsets(table.channels, min_size, max_size))
+    binned, unbinned = bin_table(table, rule, MAX_JOINT_BINS)
     total = len(subsets)
     report_every = max(1, total // 10)
-    outcomes: list = [None] * total
-    done = 0
+    outcomes: dict[tuple[str, ...], tuple] = {}
 
-    def finished(i: int, outcome) -> None:
-        nonlocal done
-        outcomes[i] = outcome
-        done += 1
+    def finished(subset: tuple[str, ...], outcome) -> None:
+        outcomes[subset] = outcome
+        done = len(outcomes)
         if done % report_every == 0 or done == total:
             elapsed = time.monotonic() - started
             eta = elapsed / done * (total - done)
@@ -144,18 +127,17 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
         # the subsets that keep the same rows, by row set in order of first
         # appearance, each in canonical order; one with an unbinned channel is
         # answered here
-        groups: dict[tuple[str, ...] | None, list[int]] = {}
-        for i, subset in enumerate(subsets):
+        groups: dict[tuple[str, ...] | None, list[tuple[str, ...]]] = {}
+        for subset in subsets:
             name = next((name for name in subset if name in unbinned), None)
             if name is None:
-                groups.setdefault(_SHARED.row_set(subset), []).append(i)
+                groups.setdefault(_SHARED.row_set(subset), []).append(subset)
             else:
-                finished(i, (None, f"channel {name!r} not binned: {unbinned[name]}"))
-        pool = workers > 1 and total - done > 1
+                finished(subset, (None, f"channel {name!r} not binned: {unbinned[name]}"))
+        pool = workers > 1 and total - len(outcomes) > 1
         size = max(1, total // (workers * 4)) if pool else total
-        chunks = [members[at:at + size] for members in groups.values()
-                  for at in range(0, len(members), size)]
-        tasks = [[subsets[i] for i in members] for members in chunks]
+        tasks = [members[at:at + size] for members in groups.values()
+                 for at in range(0, len(members), size)]
         with contextlib.ExitStack() as stack:
             if pool:
                 ctx = multiprocessing.get_context("fork")
@@ -164,13 +146,14 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
                     ctx.Pool(processes=workers)).imap(_profile_chunk, tasks)
             else:
                 done_in_order = map(_profile_chunk, tasks)
-            for members, chunk in zip(chunks, done_in_order):
-                for i, outcome in zip(members, chunk):
-                    finished(i, outcome)
+            for task, chunk in zip(tasks, done_in_order):
+                for subset, outcome in zip(task, chunk):
+                    finished(subset, outcome)
     finally:
         _SHARED = None
     results: list[SubsetResult] = []
-    for subset, (prof, reason) in zip(subsets, outcomes):
+    for subset in subsets:
+        prof, reason = outcomes[subset]
         if reason is None:
             results.append(SubsetResult(subset, prof))
         elif errors is not None:
@@ -233,14 +216,9 @@ def sensitivity(table: SampleTable, subset, grid=DEFAULT_GRID) -> SensitivityCur
             prof = tree_profile(build_tree(chans))
         points.append((count, prof))
 
-    fd_counts = []
-    scott_counts = []
-    for name in subset:
-        v = _finite_values(table.column(name))
-        fd_counts.append(_binning_spec(v, "fd", name, MAX_JOINT_BINS).bin_count)
-        scott_counts.append(_binning_spec(v, "scott", name, MAX_JOINT_BINS).bin_count)
-    markers = (
-        float(np.mean(fd_counts)),
-        float(np.mean(scott_counts)),
-    )
+    markers = tuple(
+        float(np.mean([bin_channel(table.column(name), rule, name=name,
+                                   max_bins=MAX_JOINT_BINS).spec.bin_count
+                       for name in subset]))
+        for rule in ("fd", "scott"))
     return SensitivityCurve(subset, tuple(points), markers)
