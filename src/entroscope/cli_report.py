@@ -274,8 +274,8 @@ def _cmd_single(args) -> Report:
 
 
 def _sweep_results(args):
-    """Load the input and sweep it: (table, results, errors). The size range
-    is checked first; only its upper bound depends on the table."""
+    """Load the input and sweep it: (table source, results, errors). The size
+    range is checked first; only its upper bound depends on the table."""
     if args.max_size is not None and args.min_size > args.max_size:
         raise UsageError(
             f"--min-size {args.min_size} is above --max-size {args.max_size}")
@@ -291,7 +291,7 @@ def _sweep_results(args):
     )
     for subset, message in errors:
         print(f"warning: {'+'.join(subset)}: {message}", file=sys.stderr)
-    return table, results, errors
+    return table.source, results, errors
 
 
 def _ranking_payload(results, errors) -> dict:
@@ -312,24 +312,24 @@ def _ranking_payload(results, errors) -> dict:
 
 
 def _cmd_sweep(args) -> Report:
-    table, results, errors = _sweep_results(args)
+    source, results, errors = _sweep_results(args)
     return Report(
         "subset_ranking", _ranking_payload(results, errors),
-        _metadata(table.source, args.bins),
+        _metadata(source, args.bins),
     )
 
 
 def _cmd_topk(args) -> Report:
-    table, results, errors = _sweep_results(args)
+    source, results, errors = _sweep_results(args)
     ranked = top_k(results, args.k)
     return Report(
         "subset_ranking", _ranking_payload(ranked, errors),
-        _metadata(table.source, args.bins),
+        _metadata(source, args.bins),
     )
 
 
 def _cmd_means(args) -> Report:
-    table, results, _ = _sweep_results(args)
+    source, results, _ = _sweep_results(args)
     rows = [
         [size, count, *_prof_cells(prof)]
         for size, count, prof in size_means(results)
@@ -339,7 +339,7 @@ def _cmd_means(args) -> Report:
         "rows": rows,
         "statistic": "mean over all subsets of each size",
     }
-    return Report("sweep_means_curve", payload, _metadata(table.source, args.bins))
+    return Report("sweep_means_curve", payload, _metadata(source, args.bins))
 
 
 def _cmd_validate(args) -> Report:

@@ -5,17 +5,19 @@ column to channel mapping), and declares which triaxial channels get a
 synthesized vector-magnitude column. Values stay in raw physical units; the
 loader never converts anything.
 
-Manifests and data files are read as UTF-8; bytes that do not decode are a
-data error naming the file. A data file is read once as bytes. When its body
-has no quote or carriage return, the body is cut into line-aligned blocks of
-about a mebibyte and each ASCII block is parsed in one np.loadtxt pass; a
-block with a non-ASCII byte or a cell that pass rejects, and a file it
-declines, go through a per-cell csv parse with the same rules, the only one
-that names a bad cell's file:line.
+Manifests and data files are read as UTF-8, past a data file's leading
+byte-order mark; bytes that do not decode are a data error naming the file.
+A data file is read once as bytes. When its body has no quote or carriage
+return, the body is cut into line-aligned blocks of about a mebibyte and
+each ASCII block is parsed in one np.loadtxt pass; a block with a non-ASCII
+byte or a cell that pass rejects, and a file it declines, go through a
+per-cell csv parse with the same rules, the only one that names a bad
+cell's file:line.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import re
@@ -188,8 +190,9 @@ def _decode(raw: bytes, fpath: Path, offset: int) -> str:
 
 
 def _read_header(data: bytes, delimiter: str, fpath: Path) -> tuple[list[str] | None, int]:
-    """The file's first csv record, and the offset of the byte after it."""
-    end = 0
+    """The file's first csv record, after any UTF-8 byte-order mark, and the
+    offset of the byte after it."""
+    end = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
 
     def lines():
         nonlocal end
@@ -302,6 +305,8 @@ def _load_file(fs: FileSpec, root: Path, channels: tuple[str, ...]) -> np.ndarra
     for src, channel in fs.columns.items():
         if src not in header:
             raise DataError(f"column {src!r} not found in {fpath}")
+        if header.count(src) > 1:
+            raise DataError(f"column {src!r} appears more than once in {fpath}")
         positions.append((header.index(src), channels.index(channel)))
 
     if (positions and start < len(data) and d.isascii() and not d.isspace()

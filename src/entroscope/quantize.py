@@ -181,7 +181,7 @@ def bin_channel(values, rule, name: str = "channel",
     """
     raw = np.asarray(values, dtype=float).ravel()
     if raw.size == 0:
-        raise DataError("cannot bin an empty channel")
+        raise DataError(f"channel {name!r}: cannot bin an empty channel")
     finite = np.isfinite(raw)
     complete = finite.all()
     v = raw if complete else raw[finite]
@@ -211,7 +211,7 @@ def _binning_spec(v: np.ndarray, rule, name: str,
                   max_bins: int | None = None) -> BinningSpec:
     """The spec bin_channel gives a channel whose finite values are v."""
     if v.size == 0:
-        raise DataError("channel has no non-missing values")
+        raise DataError(f"channel {name!r}: no non-missing values")
     vmin = float(v.min())
     vmax = float(v.max())
     if not math.isfinite(vmax - vmin):
@@ -222,12 +222,16 @@ def _binning_spec(v: np.ndarray, rule, name: str,
     if kind == "fixed_count":
         if vmax == vmin:
             if k != 1:
-                raise DataError("constant channel supports only fixed_count(1)")
+                raise DataError(f"channel {name!r}: constant channel supports "
+                                "only fixed_count(1)")
             edges = np.array([vmin - 0.5, vmin + 0.5])
         else:
             edges = np.linspace(vmin, vmax, k + 1)
         return BinningSpec(k, edges)
-    width = fd_width(v) if kind == "freedman_diaconis" else scott_width(v)
+    try:
+        width = fd_width(v) if kind == "freedman_diaconis" else scott_width(v)
+    except DataError as exc:  # degenerate spread, or too few samples
+        raise type(exc)(f"channel {name!r}: {exc}") from None
     # size check before allocating: a tiny spread against a huge range
     # can imply astronomically many bins
     estimate = (vmax - vmin) / width

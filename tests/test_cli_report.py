@@ -459,6 +459,25 @@ def test_matrix_maps_nan_to_null(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("command, message", [
+    (["validate", "--subset", "A,C"], "channel 'C': degenerate spread; use fixed_count"),
+    (["sensitivity", "--subset", "A,C"],
+     "channel 'C': constant channel supports only fixed_count(1)"),
+])
+def test_binning_errors_name_the_constant_channel(tmp_path, capsys, command, message):
+    rows = [f"{i % 7},{i % 5},5" for i in range(50)]
+    (tmp_path / "d.csv").write_text("a,b,c\n" + "\n".join(rows) + "\n")
+    (tmp_path / "m.yaml").write_text(textwrap.dedent("""\
+        name: flat
+        channels: [A, B, C]
+        files:
+          - path: d.csv
+            columns: {a: A, b: B, c: C}
+    """))
+    assert run([*command, "--manifest", str(tmp_path / "m.yaml")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("kind, binning", [("pearson", "n/a"), ("mi", "7")])
 def test_matrix_records_the_binning_it_used(tmp_path, capsys, kind, binning):
     # a Pearson matrix bins nothing, so --bins does not describe it

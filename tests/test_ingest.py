@@ -403,6 +403,28 @@ def test_plain_blocks_never_take_the_per_cell_path(tmp_path, monkeypatch, block_
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("body", ["1,2\n,3\n4,\n", "1,2\n\"3\",4\n"])
+def test_utf8_byte_order_mark_is_skipped(tmp_path, body, newline):
+    # CRLF and quoted bodies take the per-cell path, the rest the byte path
+    text = "x,y\n" + body
+    plain = load_one(tmp_path, text.replace("\n", newline), *XY)
+    marked = load_one(tmp_path, b"\xef\xbb\xbf" + text.replace("\n", newline).encode(),
+                      *XY)
+    assert marked.tobytes() == plain.tobytes()
+    # a mark anywhere else is part of the text
+    with pytest.raises(DataError, match="column 'x' not found"):
+        load_one(tmp_path, "\ufeff\ufeff" + text, *XY)
+
+
+def test_mapped_column_twice_in_the_header_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match=r"column 'x' appears more than once in .*d\.csv"):
+        load_one(tmp_path, "x,x,y\n1,2,3\n", *XY)
+    # a repeated column that no channel reads is accepted
+    got = load_one(tmp_path, "x,z,y,z\n1,5,2,6\n", *XY)
+    np.testing.assert_array_equal(got, [[1, 2]])
+
+
 def test_csv_that_is_not_utf8_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match=r"d\.csv is not UTF-8 text: .* at byte 8"):
         load_one(tmp_path, b"x,y\n1,2\n\xff,3\n", *XY)

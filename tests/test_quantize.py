@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from entroscope.entropy import joint_direct
 from entroscope.errors import DataError, DegenerateSpreadError
+from entroscope.ingest import SampleTable
 from entroscope.quantize import (
     _MAX_AUTO_BINS,
     MISSING,
@@ -15,6 +16,7 @@ from entroscope.quantize import (
     _bin_codes,
     _canonical_rule,
     bin_channel,
+    bin_table,
     code_dtype,
     fd_width,
     scott_width,
@@ -141,6 +143,57 @@ def test_bin_channel_cap_falls_back_to_fixed():
 def test_bin_channel_unknown_rule():
     with pytest.raises(DataError):
         bin_channel(np.arange(10.0), "sturges")
+
+
+@pytest.mark.parametrize("values, rule, message", [
+    ([], 4, "cannot bin an empty channel"),
+    ([np.nan, np.inf], 4, "no non-missing values"),
+    ([2.5, 2.5, np.nan], 4, "constant channel supports only fixed_count(1)"),
+    ([2.5, 2.5, 2.5], "fd", "degenerate spread; use fixed_count"),
+    ([2.5, 2.5, 2.5], "scott", "degenerate spread; use fixed_count"),
+    ([2.5, np.nan], "fd", "width rules need at least 2 samples"),
+    ([-1e308, 1e308], 4, "range [-1e+308, 1e+308] is wider than float64 can hold"),
+])
+def test_bin_channel_errors_name_the_channel(values, rule, message):
+    with pytest.raises(DataError) as exc:
+        bin_channel(np.array(values, dtype=float), rule, name="baro")
+    assert str(exc.value) == f"channel 'baro': {message}"
+
+
+def test_degenerate_spread_keeps_its_type_when_named():
+    with pytest.raises(DegenerateSpreadError, match="^channel 'c': degenerate"):
+        bin_channel(np.ones(5), "fd", name="c")
+
+
+def test_bin_table_keeps_table_order_and_each_failure_text():
+    rng = np.random.default_rng(8)
+    rows = rng.normal(size=(500, 5))
+    rows[:, 1] = 3.0  # constant: no width rule bins it
+    rows[:, 3] = np.nan  # no value at all
+    table = SampleTable(("e", "flat", "a", "gone", "c"), rows, "unit")
+    binned, failed = bin_table(table, "fd")
+    assert [ch.name for ch in binned] == ["e", "a", "c"]
+    assert list(failed) == ["flat", "gone"]
+    for name in table.channels:
+        try:
+            want = bin_channel(table.column(name), "fd", name=name)
+        except DataError as exc:
+            assert failed[name] == str(exc)
+        else:
+            got = binned[[ch.name for ch in binned].index(name)]
+            assert got.spec.bin_count == want.spec.bin_count
+            assert got.codes.tobytes() == want.codes.tobytes()
+
+
+def test_bin_table_caps_width_rules_but_not_fixed_counts():
+    rng = np.random.default_rng(4)
+    table = SampleTable(("x", "y"), rng.standard_cauchy((10_000, 2)), "unit")
+    uncapped, _ = bin_table(table, "fd")
+    assert all(ch.spec.bin_count > 64 for ch in uncapped)
+    capped, failed = bin_table(table, "fd", max_bins=64)
+    assert not failed and [ch.spec.bin_count for ch in capped] == [64, 64]
+    fixed, _ = bin_table(table, 100, max_bins=64)
+    assert [ch.spec.bin_count for ch in fixed] == [100, 100]
 
 
 @pytest.mark.parametrize("rule", [_MAX_AUTO_BINS + 1, str(_MAX_AUTO_BINS + 1),
