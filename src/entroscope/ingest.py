@@ -321,34 +321,21 @@ def load_table(manifest: DatasetManifest, root) -> SampleTable:
 
     Rows concatenate in manifest file order. Channels a file does not map
     stay missing for that file's rows. Empty cells are missing; non-numeric
-    text is an error.
+    text is an error. A magnitude is the Euclidean norm of its three
+    components, missing whenever any of them is. The table is one
+    column-major array, so each column is contiguous.
     """
     if not manifest.files:
         raise ManifestError("empty manifest")
     root = Path(root)
     blocks = [_load_file(fs, root, manifest.channels) for fs in manifest.files]
-    table = SampleTable(
-        channels=manifest.channels,
-        rows=np.vstack(blocks),
-        source=manifest.name,
-    )
-    for spec in manifest.magnitude_specs:
-        table = add_magnitude(table, spec.x, spec.y, spec.z, spec.name)
-    return table
-
-
-def add_magnitude(table: SampleTable, x: str, y: str, z: str,
-                  name: str) -> SampleTable:
-    """Append the Euclidean norm of three channels as a new channel.
-
-    A row's magnitude is missing whenever any component is missing.
-    """
-    if name in table.channels:
-        raise DataError(f"duplicate channel name {name!r}")
-    vx, vy, vz = table.column(x), table.column(y), table.column(z)
-    mag = np.sqrt(vx ** 2 + vy ** 2 + vz ** 2)
-    return SampleTable(
-        channels=table.channels + (name,),
-        rows=np.column_stack([table.rows, mag]),
-        source=table.source,
-    )
+    width = len(manifest.channels)
+    rows = np.empty((sum(len(b) for b in blocks),
+                     width + len(manifest.magnitude_specs)), order="F")
+    np.concatenate(blocks, out=rows[:, :width])
+    column = dict(zip(manifest.channels, rows.T))
+    for out, spec in zip(rows.T[width:], manifest.magnitude_specs):
+        vx, vy, vz = column[spec.x], column[spec.y], column[spec.z]
+        np.sqrt(vx ** 2 + vy ** 2 + vz ** 2, out=out)
+    names = manifest.channels + tuple(s.name for s in manifest.magnitude_specs)
+    return SampleTable(names, rows, manifest.name)

@@ -13,7 +13,6 @@ from entroscope.ingest import (
     FileSpec,
     MagnitudeSpec,
     SampleTable,
-    add_magnitude,
     load_manifest,
     load_table,
 )
@@ -198,16 +197,73 @@ def test_empty_manifest_rejected(tmp_path):
         load_table(load_manifest(tmp_path / "m.yaml"), tmp_path)
 
 
-def test_add_magnitude_rules():
-    rows = np.array([[3.0, 4.0, 0.0], [1.0, np.nan, 1.0]])
-    table = SampleTable(("X", "Y", "Z"), rows, "t")
-    out = add_magnitude(table, "X", "Y", "Z", "M")
-    assert out.column("M")[0] == 5.0
-    assert math.isnan(out.column("M")[1])
-    with pytest.raises(DataError, match="duplicate"):
-        add_magnitude(out, "X", "Y", "Z", "M")
-    with pytest.raises(DataError, match="unknown channel"):
-        add_magnitude(table, "X", "Y", "Q", "M2")
+def test_loaded_table_is_one_column_major_array(simple_dataset):
+    write(simple_dataset / "a.csv", "ax,ay,az\n3,4,0\n1,,2\n")
+    table = load_table(load_manifest(simple_dataset / "m.yaml"), simple_dataset)
+    assert table.rows.flags.f_contiguous
+    for name in table.channels:
+        col = table.column(name)
+        assert col.flags.c_contiguous
+        assert np.shares_memory(col, table.rows)
+
+
+def test_two_files_and_two_magnitudes_match_the_formula(tmp_path):
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(7, 6)) * 10.0 ** rng.integers(-3, 4, size=(7, 6))
+    values[rng.random(values.shape) < 0.2] = np.nan
+    write(tmp_path / "one.csv", "a,b,c,d,e,f\n" + "".join(
+        ",".join("" if np.isnan(v) else repr(float(v)) for v in row) + "\n"
+        for row in values[:4]))
+    # the second file maps no "d": those rows miss it, and the magnitude of it
+    write(tmp_path / "two.csv", "f,e,c,b,a\n" + "".join(
+        ",".join("" if np.isnan(v) else repr(float(v)) for v in row[[5, 4, 2, 1, 0]])
+        + "\n" for row in values[4:]))
+    write(tmp_path / "m.yaml", """\
+        name: pooled
+        channels: [A, B, C, D, E, F]
+        files:
+          - path: one.csv
+            columns: {a: A, b: B, c: C, d: D, e: E, f: F}
+          - path: two.csv
+            columns: {a: A, b: B, c: C, e: E, f: F}
+        magnitudes:
+          - {x: A, y: B, z: C, name: ABC}
+          - {x: F, y: D, z: E, name: FDE}
+    """)
+    table = load_table(load_manifest(tmp_path / "m.yaml"), tmp_path)
+    values[4:, 3] = np.nan
+    assert table.channels == ("A", "B", "C", "D", "E", "F", "ABC", "FDE")
+    want = np.column_stack([
+        values,
+        np.sqrt(values[:, 0] ** 2 + values[:, 1] ** 2 + values[:, 2] ** 2),
+        np.sqrt(values[:, 5] ** 2 + values[:, 3] ** 2 + values[:, 4] ** 2),
+    ])
+    assert table.rows.tobytes() == want.tobytes()
+    assert np.isnan(table.column("FDE")[4:]).all()
+
+
+def test_header_only_file_gives_zero_rows(simple_dataset):
+    write(simple_dataset / "a.csv", "t,ax,ay,az\n")
+    table = load_table(load_manifest(simple_dataset / "m.yaml"), simple_dataset)
+    assert table.channels == ("Acc.X", "Acc.Y", "Acc.Z", "Acc.Mag")
+    assert table.rows.shape == (0, 4)
+
+
+@pytest.mark.parametrize("name", ["Acc.Y", "Acc.Mag"])
+def test_magnitude_name_already_taken(tmp_path, name):
+    write(tmp_path / "m.yaml", f"""\
+        name: taken
+        channels: [Acc.X, Acc.Y, Acc.Z]
+        files:
+          - path: a.csv
+            columns: {{ax: Acc.X}}
+        magnitudes:
+          - {{x: Acc.X, y: Acc.Y, z: Acc.Z, name: Acc.Mag}}
+          - {{x: Acc.Z, y: Acc.Y, z: Acc.X, name: {name}}}
+    """)
+    with pytest.raises(ManifestError,
+                       match=f"magnitude name {name!r} is already taken"):
+        load_manifest(tmp_path / "m.yaml")
 
 
 def test_sample_table_shape_validation():

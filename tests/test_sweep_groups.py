@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from entroscope import sweep
 from entroscope.chowliu import PairStats, build_tree, tree_profile, validate
 from entroscope.errors import DataError
-from entroscope.ingest import SampleTable, add_magnitude
+from entroscope.ingest import SampleTable
 from entroscope.quantize import bin_channel
 from entroscope.sweep import (
     MAX_JOINT_BINS, enumerate_subsets, run_sweep, sensitivity,
@@ -52,12 +52,11 @@ def _dropout_table(rows=3000, seed=31):
     data[2000:2100, 0:6] = np.nan  # both, as on a file that maps neither
     data[rng.random(rows) < 0.03, 6] = np.nan
     data[rng.random(rows) < 0.01, 1] = np.nan  # the magnitude misses these too
-    names = ("acc.x", "acc.y", "acc.z", "gyr.x", "gyr.y", "gyr.z", "baro")
-    table = SampleTable(names, data, "unit")
-    table = add_magnitude(table, "acc.x", "acc.y", "acc.z", "acc.mag")
-    const = np.full((rows, 1), 2.0)  # FD cannot bin it
-    return SampleTable(table.channels + ("flat",),
-                       np.column_stack([table.rows, const]), "unit")
+    mag = np.sqrt(data[:, 0] ** 2 + data[:, 1] ** 2 + data[:, 2] ** 2)
+    const = np.full(rows, 2.0)  # FD cannot bin it
+    names = ("acc.x", "acc.y", "acc.z", "gyr.x", "gyr.y", "gyr.z", "baro",
+             "acc.mag", "flat")
+    return SampleTable(names, np.column_stack([data, mag, const]), "unit")
 
 
 @pytest.fixture(scope="module")
