@@ -250,10 +250,11 @@ def _load_input(args) -> SampleTable:
 
 
 def _binned(table: SampleTable, rule, max_bins: int | None = None) -> list:
-    """bin_table's channels, after a warning for each that did not bin."""
+    """bin_table's channels, after a warning for each that did not bin;
+    its error names the channel."""
     binned, failed = bin_table(table, rule, max_bins)
-    for name, message in failed.items():
-        print(f"warning: {name}: {message}", file=sys.stderr)
+    for message in failed.values():
+        print(f"warning: {message}", file=sys.stderr)
     return binned
 
 
@@ -294,21 +295,25 @@ def _sweep_results(args):
     return table.source, results, errors
 
 
-def _ranking_payload(results, errors) -> dict:
-    rows = [
-        ["+".join(r.subset), r.size, *_prof_cells(r.profile), float(r.gap)]
-        for r in results
-    ]
-    payload = {
-        "columns": ["modality", "size", "h0", "h1", "h2", "hmin", "gap"],
-        "rows": rows,
-    }
+def _with_errors(payload: dict, errors) -> dict:
+    """The payload, with the sweep's error ledger when it is not empty."""
     if errors:
         payload["errors"] = [
             {"subset": "+".join(subset), "error": message}
             for subset, message in errors
         ]
     return payload
+
+
+def _ranking_payload(results, errors) -> dict:
+    rows = [
+        ["+".join(r.subset), r.size, *_prof_cells(r.profile), float(r.gap)]
+        for r in results
+    ]
+    return _with_errors({
+        "columns": ["modality", "size", "h0", "h1", "h2", "hmin", "gap"],
+        "rows": rows,
+    }, errors)
 
 
 def _cmd_sweep(args) -> Report:
@@ -329,16 +334,16 @@ def _cmd_topk(args) -> Report:
 
 
 def _cmd_means(args) -> Report:
-    source, results, _ = _sweep_results(args)
+    source, results, errors = _sweep_results(args)
     rows = [
         [size, count, *_prof_cells(prof)]
         for size, count, prof in size_means(results)
     ]
-    payload = {
+    payload = _with_errors({
         "columns": ["size", "subsets", "h0", "h1", "h2", "hmin"],
         "rows": rows,
         "statistic": "mean over all subsets of each size",
-    }
+    }, errors)
     return Report("sweep_means_curve", payload, _metadata(source, args.bins))
 
 

@@ -179,9 +179,7 @@ def bin_channel(values, rule, name: str = "channel",
     width rule asks for more than max_bins bins, the channel is rebinned to
     max_bins equal-width bins instead (joint analyses cap blow-up this way).
     """
-    raw = np.asarray(values, dtype=float).ravel()
-    if raw.size == 0:
-        raise DataError(f"channel {name!r}: cannot bin an empty channel")
+    raw = _channel_values(values, name)
     finite = np.isfinite(raw)
     complete = finite.all()
     v = raw if complete else raw[finite]
@@ -193,9 +191,26 @@ def bin_channel(values, rule, name: str = "channel",
     return BinnedChannel(name, spec, codes)
 
 
+def binning_spec(values, rule, name: str = "channel",
+                 max_bins: int | None = None) -> BinningSpec:
+    """The spec bin_channel gives the same arguments, without coding a value."""
+    return _binning_spec(_finite_values(_channel_values(values, name)), rule,
+                         name, max_bins)
+
+
+def _channel_values(values, name: str) -> np.ndarray:
+    """A channel's raw values as one flat float array, which is not empty."""
+    raw = np.asarray(values, dtype=float).ravel()
+    if raw.size == 0:
+        raise DataError(f"channel {name!r}: cannot bin an empty channel")
+    return raw
+
+
 def bin_table(table, rule, max_bins: int | None = None):
     """bin_channel over every channel of a SampleTable: (the channels that
-    bin, in table order, {name: error text} for the rest)."""
+    bin, in table order, {name: error text} for the rest). A rule error is
+    no channel's, so it raises."""
+    _canonical_rule(rule)
     binned: list[BinnedChannel] = []
     failed: dict[str, str] = {}
     for name in table.channels:

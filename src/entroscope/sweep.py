@@ -30,7 +30,7 @@ from .chowliu import PairStats, build_tree, tree_profile
 from .entropy import EntropyProfile, joint_direct, profile_joint
 from .errors import DataError, EntroscopeError
 from .ingest import SampleTable
-from .quantize import bin_channel, bin_table
+from .quantize import bin_channel, bin_table, binning_spec
 
 # per-channel cap for joint analyses; width rules past this rebin equal-width
 MAX_JOINT_BINS = 2048
@@ -133,7 +133,7 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
             if name is None:
                 groups.setdefault(_SHARED.row_set(subset), []).append(subset)
             else:
-                finished(subset, (None, f"channel {name!r} not binned: {unbinned[name]}"))
+                finished(subset, (None, f"not binned: {unbinned[name]}"))
         pool = workers > 1 and total - len(outcomes) > 1
         size = max(1, total // (workers * 4)) if pool else total
         tasks = [members[at:at + size] for members in groups.values()
@@ -217,8 +217,8 @@ def sensitivity(table: SampleTable, subset, grid=DEFAULT_GRID) -> SensitivityCur
         points.append((count, prof))
 
     markers = tuple(
-        float(np.mean([bin_channel(table.column(name), rule, name=name,
-                                   max_bins=MAX_JOINT_BINS).spec.bin_count
+        float(np.mean([binning_spec(table.column(name), rule, name=name,
+                                    max_bins=MAX_JOINT_BINS).bin_count
                        for name in subset]))
         for rule in ("fd", "scott"))
     return SensitivityCurve(subset, tuple(points), markers)

@@ -478,6 +478,50 @@ def test_binning_errors_name_the_constant_channel(tmp_path, capsys, command, mes
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.fixture
+def flat_manifest(tmp_path):
+    """Two channels "fd" bins and a constant one, C, that it cannot."""
+    rows = [f"{i % 7},{i % 5},5" for i in range(50)]
+    (tmp_path / "d.csv").write_text("a,b,c\n" + "\n".join(rows) + "\n")
+    (tmp_path / "m.yaml").write_text(textwrap.dedent("""\
+        name: flat
+        channels: [A, B, C]
+        files:
+          - path: d.csv
+            columns: {a: A, b: B, c: C}
+    """))
+    return str(tmp_path / "m.yaml")
+
+
+@pytest.mark.parametrize("command", [["single"], ["matrix", "--kind", "mi"]])
+def test_unbinned_channel_warning_names_it_once(flat_manifest, capsys, command):
+    assert run([*command, "--manifest", flat_manifest]) == 0
+    out, err = capsys.readouterr()
+    assert err == "warning: channel 'C': degenerate spread; use fixed_count\n"
+    if command == ["single"]:
+        assert "| C |  |  |  |  |  |" in out
+
+
+def test_means_report_carries_the_error_ledger(flat_manifest, tmp_path, capsys):
+    path = tmp_path / "means.json"
+    code = run(["means", "--manifest", flat_manifest, "--format", "structured",
+                "--out", str(path)])
+    assert code == 0
+    capsys.readouterr()
+    payload = parse_report(path.read_bytes()).payload
+    # only A+B fitted: size 3 has no subset left to average
+    assert [row[:2] for row in payload["rows"]] == [[2, 1]]
+    reason = "not binned: channel 'C': degenerate spread; use fixed_count"
+    assert payload["errors"] == [
+        {"subset": subset, "error": reason} for subset in ("A+C", "B+C", "A+B+C")
+    ]
+    # a sweep with no failure has no ledger
+    assert run(["means", "--manifest", flat_manifest, "--format", "structured",
+                "--out", str(path), "--bins", "1"]) == 0
+    capsys.readouterr()
+    assert "errors" not in parse_report(path.read_bytes()).payload
+
+
 @pytest.mark.parametrize("kind, binning", [("pearson", "n/a"), ("mi", "7")])
 def test_matrix_records_the_binning_it_used(tmp_path, capsys, kind, binning):
     # a Pearson matrix bins nothing, so --bins does not describe it

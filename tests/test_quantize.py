@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from entroscope.quantize import (
     _canonical_rule,
     bin_channel,
     bin_table,
+    binning_spec,
     code_dtype,
     fd_width,
     scott_width,
@@ -194,6 +196,40 @@ def test_bin_table_caps_width_rules_but_not_fixed_counts():
     assert not failed and [ch.spec.bin_count for ch in capped] == [64, 64]
     fixed, _ = bin_table(table, 100, max_bins=64)
     assert [ch.spec.bin_count for ch in fixed] == [100, 100]
+
+
+@pytest.mark.parametrize("rule", ["bogus", 0, _MAX_AUTO_BINS + 1])
+def test_bin_table_raises_a_rule_error_once(rule):
+    table = SampleTable(("a", "b"), np.arange(20.0).reshape(10, 2), "unit")
+    with pytest.raises(DataError) as exc:
+        bin_table(table, rule)
+    assert "channel" not in str(exc.value)
+
+
+@pytest.mark.parametrize("max_bins", [None, 64])
+@pytest.mark.parametrize("gaps", [False, True])
+@pytest.mark.parametrize("rule", ["fd", "scott", 100])
+def test_binning_spec_is_bin_channels_spec(rule, gaps, max_bins):
+    values = np.random.default_rng(6).standard_cauchy(5000)
+    if gaps:
+        values[::7] = np.nan
+        values[3] = np.inf
+    spec = binning_spec(values, rule, name="x", max_bins=max_bins)
+    want = bin_channel(values, rule, name="x", max_bins=max_bins).spec
+    assert spec.bin_count == want.bin_count
+    assert spec.edges.tobytes() == want.edges.tobytes()
+    # the cap binds the width rules on these heavy tails, never a fixed count
+    assert (spec.bin_count == 64) == (max_bins == 64 and rule != 100)
+
+
+@pytest.mark.parametrize("values, rule", [
+    ([], "fd"), ([np.nan, np.inf], 4), ([2.0] * 9, "scott"), ([2.0] * 9, 3),
+])
+def test_binning_spec_fails_as_bin_channel_does(values, rule):
+    with pytest.raises(DataError) as want:
+        bin_channel(values, rule, name="x")
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        binning_spec(values, rule, name="x")
 
 
 @pytest.mark.parametrize("rule", [_MAX_AUTO_BINS + 1, str(_MAX_AUTO_BINS + 1),

@@ -84,7 +84,8 @@ def test_grouped_sweep_matches_fresh_fits_in_canonical_order(dropouts, workers):
         want = tree_profile(build_tree([chans[name] for name in r.subset]))
         assert _bits(r.profile) == _bits(want), r.subset
     assert [subset for subset, _ in errors] == [s for s in subsets if "flat" in s]
-    assert all("'flat' not binned" in msg for _, msg in errors)
+    assert all(msg == "not binned: channel 'flat': degenerate spread; "
+               "use fixed_count" for _, msg in errors)
     total = len(subsets)
     progress = [line.split()[1] for line in err.getvalue().splitlines()]
     assert progress == [f"{done}/{total}" for done in range(1, total + 1)
@@ -271,7 +272,8 @@ def test_no_unbinned_subset_reaches_a_worker(dropouts, monkeypatch, tmp_path,
         assert max(len(chunk) for chunk in chunks) <= len(subsets) // 8
     # the subsets with the unbinned channel keep their errors and count
     assert [subset for subset, _ in errors] == [s for s in subsets if "flat" in s]
-    assert all("channel 'flat' not binned" in msg for _, msg in errors)
+    assert all(msg.startswith("not binned: channel 'flat': ")
+               for _, msg in errors)
     total = len(subsets)
     assert err.getvalue().splitlines()[-1].split()[1] == f"{total}/{total}"
 
