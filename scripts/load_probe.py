@@ -4,12 +4,14 @@
 Writes a seeded N x 6 CSV with the csv-pipeline workload's generator and
 writer (bench/workloads.py: synth.sensor_table values, a share of empty
 cells drawn from their own stream, write_csv's shortest round-trip text),
-then loads it with ingest.load_table in a fresh child process per repeat.
-The file is written in a child process of its own: a process inherits its
-parent's peak RSS through fork and exec, so the parent stays small. Prints
-each load's seconds and the loading child's peak RSS, then the median load
-time, the largest peak RSS and the sha256 of the loaded rows, so two
-checkouts that print the same digest loaded the same table bit for bit.
+split by rows into --files files of one manifest, then loads it with
+ingest.load_table in a fresh child process per repeat. The files are
+written in a child process of their own: a process inherits its parent's
+peak RSS through fork and exec, so the parent stays small. Prints each
+load's seconds and the loading child's peak RSS next to the table's size,
+then the median load time, the largest peak RSS and the sha256 of the
+loaded rows, so two checkouts that print the same digest loaded the same
+table bit for bit, however many files hold it.
 With --sweep, each child then runs one serial run_sweep of the loaded table
 ("fd" rule, every subset) and prints the sweep's tracemalloc peak as a
 multiple of the table's bytes, and the sha256 of its ranking (top_k over
@@ -23,6 +25,7 @@ Usage, from the repository root:
     python3 scripts/load_probe.py
     python3 scripts/load_probe.py --rows 200000 --repeat 5
     python3 scripts/load_probe.py --rows 200000 --repeat 1 --sweep
+    python3 scripts/load_probe.py --rows 1000000 --files 2
 """
 
 import argparse
@@ -50,10 +53,18 @@ from entroscope import ingest, sweep, synth  # noqa: E402
 from workloads import CSV_COLUMNS, write_csv  # noqa: E402
 
 
-def write_probe_csv(path: Path, rows: int, empty_share: float, seed: int) -> None:
+def probe_paths(workdir: Path, files: int) -> list[Path]:
+    return [workdir / f"probe{i}.csv" for i in range(files)]
+
+
+def write_probe_csv(workdir: Path, files: int, rows: int, empty_share: float,
+                    seed: int) -> None:
+    """The probe table's rows, in order, split into `files` headed CSVs."""
     raw = synth.sensor_table(seed=seed, rows=rows).rows[:, :len(CSV_COLUMNS)]
     empty = np.random.default_rng([seed, 1]).random(raw.shape) < empty_share
-    write_csv(path, raw, empty)
+    bounds = np.linspace(0, rows, files + 1).astype(int)
+    for path, lo, hi in zip(probe_paths(workdir, files), bounds, bounds[1:]):
+        write_csv(path, raw[lo:hi], empty[lo:hi])
 
 
 def sweep_probe(table) -> dict:
@@ -76,14 +87,15 @@ def sweep_probe(table) -> dict:
             "ranking_sha256": ranking.hexdigest()}
 
 
-def child(csv_path: str, then_sweep: bool) -> None:
-    """Load one CSV and print its load time, peak RSS and rows digest, and
-    with then_sweep the figures of one sweep of it."""
+def child(workdir: Path, files: int, then_sweep: bool) -> None:
+    """Load the probe files as one manifest and print the load time, peak
+    RSS and rows digest, and with then_sweep the figures of one sweep."""
     manifest = ingest.DatasetManifest(
-        "probe", (ingest.FileSpec(Path(csv_path).name, dict(CSV_COLUMNS)),),
+        "probe", tuple(ingest.FileSpec(path.name, dict(CSV_COLUMNS))
+                       for path in probe_paths(workdir, files)),
         tuple(CSV_COLUMNS.values()))
     start = time.perf_counter()
-    table = ingest.load_table(manifest, Path(csv_path).parent)
+    table = ingest.load_table(manifest, workdir)
     seconds = time.perf_counter() - start
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     out = {
@@ -104,6 +116,8 @@ def main(argv=None) -> int:
     parser.add_argument("--empty", type=float, default=0.025,
                         help="share of cells left empty")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--files", type=int, default=1,
+                        help="CSV files the rows are split into")
     parser.add_argument("--repeat", type=int, default=3,
                         help="child processes, one load each")
     parser.add_argument("--sweep", action="store_true",
@@ -112,34 +126,38 @@ def main(argv=None) -> int:
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.write:
-        write_probe_csv(Path(args.write), args.rows, args.empty, args.seed)
+        write_probe_csv(Path(args.write), args.files, args.rows, args.empty,
+                        args.seed)
         return 0
     if args.child:
-        child(args.child, args.sweep)
+        child(Path(args.child), args.files, args.sweep)
         return 0
-    if args.rows < 2 or not 0 <= args.empty < 1 or args.repeat < 1:
-        parser.error("need --rows >= 2, 0 <= --empty < 1 and --repeat >= 1")
+    if (args.rows < 2 or not 0 <= args.empty < 1 or args.repeat < 1
+            or not 1 <= args.files <= args.rows):
+        parser.error("need --rows >= 2, 0 <= --empty < 1, --repeat >= 1 "
+                     "and 1 <= --files <= --rows")
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path = Path(tmp) / "probe.csv"
-        subprocess.run([sys.executable, __file__, "--write", str(csv_path),
+        files = ["--files", str(args.files)]
+        subprocess.run([sys.executable, __file__, "--write", tmp,
                         "--rows", str(args.rows), "--empty", str(args.empty),
-                        "--seed", str(args.seed)], check=True)
-        print(f"{args.rows} x {len(CSV_COLUMNS)} CSV, "
-              f"{csv_path.stat().st_size / 2**20:.1f} MiB", flush=True)
+                        "--seed", str(args.seed)] + files, check=True)
+        size = sum(p.stat().st_size for p in probe_paths(Path(tmp), args.files))
+        print(f"{args.rows} x {len(CSV_COLUMNS)} CSV in {args.files} "
+              f"file{'s' * (args.files > 1)}, {size / 2**20:.1f} MiB", flush=True)
         for _ in range(args.repeat):
             out = subprocess.run(
-                [sys.executable, __file__, "--child", str(csv_path)]
+                [sys.executable, __file__, "--child", tmp] + files
                 + ["--sweep"] * args.sweep,
                 check=True, capture_output=True, text=True).stdout
             run = json.loads(out)
             runs.append(run)
             line = (f"load {run['load_s']:.3f} s, "
-                    f"peak RSS {run['peak_rss_mib']:.1f} MiB")
+                    f"peak RSS {run['peak_rss_mib']:.1f} MiB "
+                    f"for a {run['table_mib']:.1f} MiB table")
             if args.sweep:
                 line += (f"; sweep {run['sweep_s']:.3f} s, tracemalloc peak "
-                         f"{run['sweep_peak_x']:.3f}x the "
-                         f"{run['table_mib']:.1f} MiB table")
+                         f"{run['sweep_peak_x']:.3f}x the table")
             print(line, flush=True)
     digests = {run["sha256"] for run in runs}
     print(f"median load {statistics.median(r['load_s'] for r in runs):.3f} s, "

@@ -43,7 +43,7 @@ from .entropy import (
     profile_joint,
 )
 from .errors import DataError
-from .quantize import BinnedChannel, Pmf
+from .quantize import BinnedChannel, Pmf, code_dtype
 
 # most bytes of messages one cache holds, over all passes; past it the
 # oldest entries go
@@ -149,8 +149,9 @@ def _conditional(joint: JointCounts, flip: bool) -> ConditionalTable:
     counts = joint.counts
     if flip:
         # keys ascend, so a stable sort by the second column groups its rows
-        # with the first column ascending within each
-        order = np.argsort(children, kind="stable")
+        # with the first column ascending within each; numpy radix-sorts
+        # the narrow codes, to the permutation an int64 sort gives
+        order = np.argsort(children.astype(code_dtype(joint.bins[1])), kind="stable")
         parents, children, counts = children[order], parents[order], counts[order]
     starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
     indptr = np.r_[starts, parents.size]

@@ -7,12 +7,16 @@ loader never converts anything.
 
 Manifests and data files are read as UTF-8, past a data file's leading
 byte-order mark; bytes that do not decode are a data error naming the file.
-A data file is read once as bytes. When its body has no quote or carriage
-return, the body is cut into line-aligned blocks of about a mebibyte and
-each ASCII block is parsed in one np.loadtxt pass; a block with a non-ASCII
-byte or a cell that pass rejects, and a file it declines, go through a
-per-cell csv parse with the same rules, the only one that names a bad
-cell's file:line.
+A table is loaded in two passes over its files. The first reads each file in
+line-aligned blocks of about a mebibyte, checks its header and counts its
+rows, parsing no cell; a table of more float64 cells than the process may
+hold (what its address-space limit leaves, else physical memory) is then a
+data error naming its rows, columns and both sizes. The second fills one
+column-major array. When a file's body has no quote or carriage return,
+each ASCII block is parsed in one np.loadtxt pass straight into the file's
+rows; a block with a non-ASCII byte or a cell that pass rejects, and a file
+it declines (read whole), go through a per-cell csv parse with the same
+rules, the only one that names a bad cell's file:line.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import os
 import re
+import resource
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,7 +181,7 @@ class SampleTable:
         return self.rows[:, i]
 
 
-_BLOCK_BYTES = 1 << 20  # the byte path hands np.loadtxt about this much per call
+_BLOCK_BYTES = 1 << 20  # the loader reads and np.loadtxt parses about this much at once
 _EOL = re.compile(rb"\r\n?|\n")  # where a file opened with newline="" ends a line
 _NL = ord("\n")
 _NAN = np.frombuffer(b"nan", np.uint8)
@@ -189,43 +195,128 @@ def _decode(raw: bytes, fpath: Path, offset: int) -> str:
                         f"{offset + exc.start}") from None
 
 
-def _read_header(data: bytes, delimiter: str, fpath: Path) -> tuple[list[str] | None, int]:
+def _changed(fpath: Path) -> DataError:
+    return DataError(f"{fpath} changed while it was loaded")
+
+
+def _blocks(fh):
+    """Line-aligned blocks of about _BLOCK_BYTES from fh's position to its
+    end, each with the file offset of its first byte."""
+    offset = fh.tell()
+    while block := fh.read(_BLOCK_BYTES):
+        if block[-1] != _NL:
+            block += fh.readline()
+        yield offset, block
+        offset += len(block)
+
+
+def _lines(block: bytes) -> int:
+    """Lines in a block of whole lines, the last maybe without its newline
+    (a numpy compare counts them several times faster than bytes.count)."""
+    return np.count_nonzero(np.frombuffer(block, np.uint8) == _NL) + (block[-1] != _NL)
+
+
+def _read_header(fh, delimiter: str, fpath: Path) -> tuple[list[str] | None, int]:
     """The file's first csv record, after any UTF-8 byte-order mark, and the
-    offset of the byte after it."""
+    offset of the byte after it, reading fh a block at a time."""
+    data = fh.read(max(_BLOCK_BYTES, len(codecs.BOM_UTF8)))
     end = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
 
     def lines():
-        nonlocal end
+        nonlocal data, end
         while end < len(data):
             eol = _EOL.search(data, end)
+            # a line ends where its match ends before the bytes read so far
+            # do: a "\r" that ends them may start a "\r\n"
+            while eol is None or eol.end() == len(data):
+                more = fh.read(_BLOCK_BYTES)
+                if not more:
+                    break
+                data += more
+                eol = _EOL.search(data, end)
             start, end = end, eol.end() if eol else len(data)
             yield _decode(data[start:end], fpath, start)
 
     return next(csv.reader(lines(), delimiter=delimiter), None), end
 
 
-def _parse_rows(data: bytes, start: int, end: int, first: int, delimiter: str,
-                positions: list[tuple[int, int]], width: int,
-                fpath: Path) -> np.ndarray:
-    """Per-cell parse of the csv records in data[start:end], whose first is
-    body record `first`, for text the byte path cannot take exactly; it alone
-    names a bad cell's file:line."""
-    text = _decode(data[start:end], fpath, start)
-    rows = list(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter))
-    block = np.full((len(rows), width), np.nan)
+@dataclass(frozen=True)
+class _Body:
+    """A data file's body as the count pass found it: where it starts, its
+    rows (csv records), which source column feeds which channel, and
+    whether the byte path parses it."""
+
+    path: Path
+    delimiter: str
+    positions: list[tuple[int, int]]  # (source index, channel index)
+    start: int
+    rows: int
+    plain: bool
+
+
+def _count_file(fs: FileSpec, root: Path, channels: tuple[str, ...]) -> _Body:
+    """Check a file's header and count its body's rows, parsing no cell."""
+    fpath = root / fs.path
+    if not fpath.is_file():
+        raise DataError(f"missing file {fpath}")
+    d = fs.delimiter
+    with open(fpath, "rb") as fh:
+        header, start = _read_header(fh, d, fpath)
+        if header is None:
+            raise DataError(f"{fpath} has no header row")
+        header = [h.strip() for h in header]
+        positions = []
+        for src, channel in fs.columns.items():
+            if src not in header:
+                raise DataError(f"column {src!r} not found in {fpath}")
+            if header.count(src) > 1:
+                raise DataError(f"column {src!r} appears more than once in {fpath}")
+            positions.append((header.index(src), channels.index(channel)))
+        # without a quote or carriage return each line is one csv record,
+        # which csv splits on the delimiter alone, as np.loadtxt does
+        plain = bool(positions) and d.isascii() and not d.isspace() and d not in '"an'
+        rows = 0
+        fh.seek(start)
+        if plain:
+            for _, block in _blocks(fh):
+                if b'"' in block or b"\r" in block:
+                    plain = False
+                    break
+                rows += _lines(block)
+        if not plain:
+            fh.seek(start)
+            data = fh.read()
+            if b'"' in data:
+                text = _decode(data, fpath, start)
+                rows = sum(1 for _ in csv.reader(io.StringIO(text, newline=""),
+                                                 delimiter=d))
+            else:  # each line is a record; "\r\n", "\r" and "\n" end one
+                rows = (data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+                        + (data[-1:] not in b"\r\n"))  # b"" is in b"\r\n"
+    return _Body(fpath, d, positions, start, rows, plain)
+
+
+def _parse_rows(data: bytes, offset: int, first: int, body: _Body,
+                out: np.ndarray) -> None:
+    """Per-cell parse into out of the csv records in data, which starts at
+    file offset `offset` with body record `first`, for text the byte path
+    cannot take exactly; it alone names a bad cell's file:line."""
+    text = _decode(data, body.path, offset)
+    rows = list(csv.reader(io.StringIO(text, newline=""), delimiter=body.delimiter))
+    if len(rows) != len(out):
+        raise _changed(body.path)
     for r, row in enumerate(rows):
-        for src_i, ch_i in positions:
+        for src_i, ch_i in body.positions:
             if src_i >= len(row):
                 continue
             cell = row[src_i].strip()
             if not cell:
                 continue
             try:
-                block[r, ch_i] = float(cell)
+                out[r, ch_i] = float(cell)
             except ValueError:
-                raise DataError(
-                    f"non-numeric cell {cell!r} at {fpath}:{first + r + 2}") from None
-    return block
+                raise DataError(f"non-numeric cell {cell!r} at "
+                                f"{body.path}:{first + r + 2}") from None
 
 
 def _fill_empty(block: np.ndarray, delimiter: int, rest: np.ndarray) -> np.ndarray:
@@ -246,74 +337,71 @@ def _fill_empty(block: np.ndarray, delimiter: int, rest: np.ndarray) -> np.ndarr
                      np.concatenate([np.tile(_NAN, at.size), np.tile(rest, blank.size)]))
 
 
-def _parse_blocks(data: bytes, start: int, delimiter: str,
-                  positions: list[tuple[int, int]], width: int,
-                  fpath: Path) -> np.ndarray:
-    """Parse the body data[start:] in line-aligned blocks of about
-    _BLOCK_BYTES, each in one np.loadtxt pass where that is exact.
+def _parse_blocks(fh, body: _Body, out: np.ndarray) -> None:
+    """Parse a plain body from fh's position into out, block by block, each
+    in one np.loadtxt pass where that is exact.
 
-    The body has no quote or carriage return, so csv splits each line on the
-    delimiter alone, which is also all np.loadtxt does. Empty cells and blank
-    lines become "nan" (so the delimiter may not be one of its letters).
-    Every cell np.loadtxt then accepts reads to the float that float() gives;
-    it rejects some cells float() takes (1_0), and a block with such a
-    cell, a short row, a whitespace-only cell or a non-ASCII byte goes to the
-    per-cell path instead.
+    Empty cells and blank lines become "nan" (so the delimiter may not be
+    one of its letters). Every cell np.loadtxt then accepts reads to the
+    float that float() gives; it rejects some cells float() takes (1_0), and
+    a block with such a cell, a short row, a whitespace-only cell or a
+    non-ASCII byte goes to the per-cell path instead.
     """
-    d = ord(delimiter)
-    usecols = [src for src, _ in positions]
-    cols = [ch for _, ch in positions]
-    rest = np.frombuffer((delimiter + "nan").encode() * max(usecols), np.uint8)
-    buf = np.frombuffer(data, np.uint8)
-    out = np.full((data.count(b"\n", start) + (data[-1] != _NL), width), np.nan)
+    d = body.delimiter
+    usecols = [src for src, _ in body.positions]
+    cols = [ch for _, ch in body.positions]
+    rest = np.frombuffer((d + "nan").encode() * max(usecols), np.uint8)
     r = 0
-    while start < len(data):
-        end = data.find(b"\n", start + _BLOCK_BYTES - 1) + 1 or len(data)
-        block = buf[start:end]
+    for offset, data in _blocks(fh):
+        n = _lines(data)
+        if r + n > len(out):
+            raise _changed(body.path)
+        block = np.frombuffer(data, np.uint8)
         rows = None
         if block.max() < 0x80:
             if block[-1] != _NL:
                 block = np.append(block, np.uint8(_NL))
-            text = io.BytesIO(_fill_empty(block, d, rest))
+            text = io.BytesIO(_fill_empty(block, ord(d), rest))
             try:
-                rows = np.loadtxt(text, delimiter=delimiter, usecols=usecols,
+                rows = np.loadtxt(text, delimiter=d, usecols=usecols,
                                   comments=None, ndmin=2, dtype=float,
                                   encoding="latin1")
             except ValueError:
                 pass
         if rows is not None:
-            out[r:r + len(rows), cols] = rows
+            out[r:r + n, cols] = rows
         else:
-            rows = _parse_rows(data, start, end, r, delimiter, positions, width, fpath)
-            out[r:r + len(rows)] = rows
-        r += len(rows)
-        start = end
-    return out
+            _parse_rows(data, offset, r, body, out[r:r + n])
+        r += n
+    if r != len(out):
+        raise _changed(body.path)
 
 
-def _load_file(fs: FileSpec, root: Path, channels: tuple[str, ...]) -> np.ndarray:
-    fpath = root / fs.path
-    if not fpath.is_file():
-        raise DataError(f"missing file {fpath}")
-    data = fpath.read_bytes()
-    d = fs.delimiter
-    header, start = _read_header(data, d, fpath)
-    if header is None:
-        raise DataError(f"{fpath} has no header row")
-    header = [h.strip() for h in header]
-    positions: list[tuple[int, int]] = []  # (source index, channel index)
-    for src, channel in fs.columns.items():
-        if src not in header:
-            raise DataError(f"column {src!r} not found in {fpath}")
-        if header.count(src) > 1:
-            raise DataError(f"column {src!r} appears more than once in {fpath}")
-        positions.append((header.index(src), channels.index(channel)))
+def _fill_file(body: _Body, out: np.ndarray) -> None:
+    """Parse a counted file's body into out, its rows of the table's
+    declared channels; channels it does not map stay missing."""
+    out[:] = np.nan
+    with open(body.path, "rb") as fh:
+        fh.seek(body.start)
+        if body.plain:
+            _parse_blocks(fh, body, out)
+        else:
+            _parse_rows(fh.read(), body.start, 0, body, out)
 
-    if (positions and start < len(data) and d.isascii() and not d.isspace()
-            and d not in '"an' and data.find(b'"', start) < 0
-            and data.find(b"\r", start) < 0):
-        return _parse_blocks(data, start, d, positions, len(channels), fpath)
-    return _parse_rows(data, start, len(data), 0, d, positions, len(channels), fpath)
+
+def _memory_budget() -> int:
+    """Bytes this process may still use: what its address-space limit
+    leaves when one is set, else the machine's physical memory."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit == resource.RLIM_INFINITY:
+        return page * os.sysconf("SC_PHYS_PAGES")
+    try:  # the limit bounds the whole address space, interpreter included
+        with open("/proc/self/statm") as fh:
+            used = int(fh.read().split()[0]) * page
+    except OSError:  # no procfs: count the limit whole
+        used = 0
+    return max(limit - used, 0)
 
 
 def load_table(manifest: DatasetManifest, root) -> SampleTable:
@@ -323,16 +411,27 @@ def load_table(manifest: DatasetManifest, root) -> SampleTable:
     stay missing for that file's rows. Empty cells are missing; non-numeric
     text is an error. A magnitude is the Euclidean norm of its three
     components, missing whenever any of them is. The table is one
-    column-major array, so each column is contiguous.
+    column-major array, so each column is contiguous. A first pass counts
+    every file's rows and parses no cell, so a table larger than the
+    process may hold is a DataError before the second pass parses each file
+    into its rows of the table.
     """
     if not manifest.files:
         raise ManifestError("empty manifest")
     root = Path(root)
-    blocks = [_load_file(fs, root, manifest.channels) for fs in manifest.files]
+    bodies = [_count_file(fs, root, manifest.channels) for fs in manifest.files]
     width = len(manifest.channels)
-    rows = np.empty((sum(len(b) for b in blocks),
-                     width + len(manifest.magnitude_specs)), order="F")
-    np.concatenate(blocks, out=rows[:, :width])
+    shape = (sum(body.rows for body in bodies), width + len(manifest.magnitude_specs))
+    need, budget = 8 * shape[0] * shape[1], _memory_budget()
+    if need > budget:
+        raise DataError(f"a table of {shape[0]} rows x {shape[1]} columns needs "
+                        f"{need / 2 ** 20:.1f} MiB, more than the "
+                        f"{budget / 2 ** 20:.1f} MiB this process may use")
+    rows = np.empty(shape, order="F")
+    lo = 0
+    for body in bodies:
+        _fill_file(body, rows[lo:lo + body.rows, :width])
+        lo += body.rows
     column = dict(zip(manifest.channels, rows.T))
     for out, spec in zip(rows.T[width:], manifest.magnitude_specs):
         vx, vy, vz = column[spec.x], column[spec.y], column[spec.z]

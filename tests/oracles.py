@@ -8,7 +8,8 @@ and prebinned wraps sampled codes as channels. chain_rule_shannon and
 exact_chain_rule_shannon are references for tree_shannon on any tree, fitted
 ones included, exact_support_count for tree_support_count, and dump renders a
 fitted tree's structure for comparison.
-percentile_fd_width is the reference for quantize.fd_width's quartiles.
+percentile_fd_width is the reference for quantize.fd_width's quartiles,
+column_stack_sensor_table for synth.sensor_table's in-place build.
 """
 
 from __future__ import annotations
@@ -303,3 +304,29 @@ def ulps(value: float, reference) -> float:
     the reference."""
     ref = float(reference)
     return float(abs(value - reference)) / math.ulp(ref)
+
+
+def column_stack_sensor_table(seed: int, rows: int) -> np.ndarray:
+    """synth.sensor_table's rows as it once built them: each channel a fresh
+    array, stacked row-major by np.column_stack."""
+    rng = np.random.default_rng(seed)
+    motion = rng.standard_normal(rows)
+    acc_group = rng.standard_normal(rows)
+    gyro_group = rng.standard_normal(rows)
+
+    def axis(group, w_motion, w_group, sigma, step):
+        w_noise = math.sqrt(max(0.0, 1.0 - w_motion ** 2 - w_group ** 2))
+        raw = sigma * (w_motion * motion + w_group * group
+                       + w_noise * rng.standard_normal(rows))
+        return np.round(raw / step) * step
+
+    acc_step, gyro_step = 0.004, 0.002
+    ax = axis(acc_group, 0.45, 0.55, 0.040, acc_step)
+    ay = axis(acc_group, 0.40, 0.60, 0.044, acc_step)
+    az = axis(acc_group, 0.35, 0.50, 0.048, acc_step)
+    gx = axis(gyro_group, 0.40, 0.55, 0.024, gyro_step)
+    gy = axis(gyro_group, 0.35, 0.60, 0.026, gyro_step)
+    gz = axis(gyro_group, 0.30, 0.50, 0.028, gyro_step)
+    amag = np.round(np.sqrt(ax ** 2 + ay ** 2 + az ** 2) / acc_step) * acc_step
+    gmag = np.round(np.sqrt(gx ** 2 + gy ** 2 + gz ** 2) / gyro_step) * gyro_step
+    return np.column_stack([ax, ay, az, gx, gy, gz, amag, gmag])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entroscope import chowliu
 from entroscope.chowliu import (
     ChowLiuModel,
     ConditionalTable,
@@ -1033,6 +1034,33 @@ def test_dump_stable():
     assert dump(build_tree(chans)) == dump(build_tree(chans))
     text = dump(build_tree(chans))
     assert "x0" in text and "edge" in text
+
+
+@pytest.mark.parametrize("a_bins, b_bins, rows", [
+    (6, 7, 3000),  # dense count
+    (2048, 2048, 5000),  # sorted count
+    (5, 40_000, 5000),  # int32 child codes
+])
+def test_flipped_conditional_matches_an_int64_sort(a_bins, b_bins, rows):
+    rng = np.random.default_rng(53)
+    ca = rng.integers(0, a_bins, size=rows)
+    # spread over the b codes, and the low ones shared by every a code
+    cb = (ca * 9973 + rng.integers(0, 8, size=rows)) % b_bins
+    cb[::3] = rng.integers(0, 6, size=cb[::3].size)
+    joint = JointCounts([ca, cb], [a_bins, b_bins])
+    got = chowliu._conditional(joint, flip=True)
+    # p(a | b) from a stable argsort of the b codes as int64
+    first, second = np.divmod(joint.keys, b_bins)
+    order = np.argsort(second.astype(np.int64), kind="stable")
+    parents, children, counts = second[order], first[order], joint.counts[order]
+    bins, starts = np.unique(parents, return_index=True)
+    indptr = np.r_[starts, parents.size]
+    totals = np.add.reduceat(counts, starts)
+    for have, want in [(got.parent_bins, bins), (got.indptr, indptr),
+                       (got.child_bins, children),
+                       (got.probs, counts / np.repeat(totals, np.diff(indptr)))]:
+        assert have.dtype == want.dtype
+        assert have.tobytes() == want.tobytes()
 
 
 def test_conditional_table_validation():

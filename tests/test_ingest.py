@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 import math
+import re
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entroscope import ingest
+from entroscope import cli_report, ingest
 from entroscope.errors import DataError, ManifestError
 from entroscope.ingest import (
     DatasetManifest,
@@ -540,3 +543,111 @@ def test_manifest_merge_key_may_be_overridden(tmp_path):
             columns: {ax: X}
     """)
     assert load_manifest(tmp_path / "m.yaml").files[0].delimiter == ","
+
+
+@pytest.mark.parametrize("files", [1, 2])
+def test_byte_path_load_holds_the_table_and_a_few_blocks(tmp_path, monkeypatch, files):
+    # the files' text is more than twice the table, and no file is held whole
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64 << 10)
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(60_000, 4))
+    values[rng.random(values.shape) < 0.05] = np.nan
+    cells = values.astype(str)
+    cells[np.isnan(values)] = ""
+    specs = []
+    for i, part in enumerate(np.array_split(cells, files)):
+        write(tmp_path / f"d{i}.csv", "a,b,c,d\n" + "".join(
+            ",".join(row) + "\n" for row in part.tolist()))
+        specs.append(FileSpec(f"d{i}.csv", {"a": "A", "b": "B", "c": "C", "d": "D"}))
+    manifest = DatasetManifest("blocks", tuple(specs), ("A", "B", "C", "D"))
+    tracemalloc.start()
+    try:
+        table = load_table(manifest, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.rows.tobytes(order="F") == values.tobytes(order="F")
+    assert peak <= table.rows.nbytes + 8 * ingest._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("text, delimiter", [
+    ("x,y\r1,2\r\r3,4", ","),  # "\r" line ends, a blank line, no last one
+    ("x,y\r\n1,2\r\n\r\n3,\r\n", ","),
+    ("x,y\n1,2\r3,\r\n\n,4\r", ","),  # all three line ends
+    ("x\ty\n1\t2\n\n\t4", "\t"),  # a whitespace delimiter
+])
+def test_quote_free_per_cell_rows_are_its_lines(tmp_path, text, delimiter):
+    got = load_one(tmp_path, text, *XY, delimiter=delimiter)
+    want = reference_rows(tmp_path / "d.csv", *XY, delimiter)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def big_dataset(tmp_path):
+    """40,000 rows of three channels and a magnitude: 1.2 MiB of float64,
+    in a file for the byte path and a quoted one for the per-cell path."""
+    write(tmp_path / "plain.csv", "x,y,z\n" + "1,2,3\n" * 30_000)
+    write(tmp_path / "quoted.csv", "x,y,z\n" + '"4",5,6\n' * 10_000)
+    write(tmp_path / "m.yaml", """\
+        name: big
+        channels: [X, Y, Z]
+        files:
+          - {path: plain.csv, columns: {x: X, y: Y, z: Z}}
+          - {path: quoted.csv, columns: {x: X, y: Y, z: Z}}
+        magnitudes:
+          - {x: X, y: Y, z: Z, name: M}
+    """)
+    return tmp_path
+
+
+def test_table_past_the_memory_budget_is_refused_before_any_cell_is_parsed(
+        big_dataset, monkeypatch, capsys):
+    def parse(*args, **kwargs):
+        raise AssertionError("a cell was parsed")
+
+    monkeypatch.setattr(ingest, "_memory_budget", lambda: 1 << 20)
+    monkeypatch.setattr(ingest, "_parse_rows", parse)
+    monkeypatch.setattr(ingest.np, "loadtxt", parse)
+    refusal = ("a table of 40000 rows x 4 columns needs 1.2 MiB, "
+               "more than the 1.0 MiB this process may use")
+    with pytest.raises(DataError, match=f"^{re.escape(refusal)}$"):
+        load_table(load_manifest(big_dataset / "m.yaml"), big_dataset)
+    assert cli_report.run(["single", "--manifest", str(big_dataset / "m.yaml")]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+
+
+def test_table_the_size_of_the_memory_budget_loads(big_dataset, monkeypatch):
+    monkeypatch.setattr(ingest, "_memory_budget", lambda: 40_000 * 4 * 8)
+    table = load_table(load_manifest(big_dataset / "m.yaml"), big_dataset)
+    assert table.rows.shape == (40_000, 4)
+    assert table.rows[-1].tolist() == [4, 5, 6, math.sqrt(77)]
+
+
+def test_memory_budget_is_what_the_address_space_limit_leaves(monkeypatch):
+    resource = ingest.resource
+    page = ingest.os.sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (resource.RLIM_INFINITY,) * 2)
+    assert ingest._memory_budget() == page * ingest.os.sysconf("SC_PHYS_PAGES")
+    with open("/proc/self/statm") as fh:
+        used = int(fh.read().split()[0]) * page
+    limit = used + (1 << 30)
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (limit, resource.RLIM_INFINITY))
+    # the address space moves a little between the two reads
+    assert abs(ingest._memory_budget() - (1 << 30)) < 64 << 20
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (used // 2, used // 2))
+    assert ingest._memory_budget() == 0
+
+
+@pytest.mark.parametrize("path", ["plain.csv", "quoted.csv"])
+@pytest.mark.parametrize("more", [-1, 1])
+def test_file_that_changes_between_the_passes_is_a_data_error(big_dataset, monkeypatch,
+                                                             path, more):
+    count = ingest._count_file
+
+    def miscount(fs, root, channels):
+        body = count(fs, root, channels)
+        return dataclasses.replace(body, rows=body.rows + more * (fs.path == path))
+
+    monkeypatch.setattr(ingest, "_count_file", miscount)
+    with pytest.raises(DataError, match=rf"{path} changed while it was loaded$"):
+        load_table(load_manifest(big_dataset / "m.yaml"), big_dataset)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     TrueModel,
     as_chowliu,
     brute_profile,
+    column_stack_sensor_table,
     prebinned,
     random_tree_model,
     sample,
@@ -203,3 +205,31 @@ def test_sensor_table_matches_fingerprint():
         assert [repr(float(v)) for v in col[:4]] == pin["head"][name]
         assert repr(math.fsum(col.tolist()) / col.size) == pin["mean"][name]
         assert int(np.unique(col).size) == pin["distinct_levels"][name]
+
+
+def test_sensor_table_is_one_column_major_array():
+    table = synth.sensor_table(seed=3, rows=1000)
+    assert table.rows.flags.f_contiguous
+    for name in table.channels:
+        col = table.column(name)
+        assert col.flags.c_contiguous
+        assert np.shares_memory(col, table.rows)
+
+
+@pytest.mark.parametrize("seed, rows", [(0, 2), (3, 1000), (7, 100_000), (11, 12_345)])
+def test_sensor_table_equals_the_column_stack_build(seed, rows):
+    got = synth.sensor_table(seed=seed, rows=rows).rows
+    want = column_stack_sensor_table(seed, rows)
+    assert got.shape == want.shape
+    assert got.tobytes(order="C") == want.tobytes(order="C")
+
+
+def test_sensor_table_peaks_below_twice_its_size():
+    # the table, three latent factors and one scratch column: 1.5x the table
+    tracemalloc.start()
+    try:
+        table = synth.sensor_table(seed=7, rows=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * table.rows.nbytes
