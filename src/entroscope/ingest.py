@@ -7,15 +7,17 @@ loader never converts anything.
 
 Manifests and data files are read as UTF-8, past a data file's leading
 byte-order mark; bytes that do not decode are a data error naming the file.
-A table is loaded in two passes over its files. The first reads each file in
-line-aligned blocks of about a mebibyte, checks its header and counts its
-rows, parsing no cell; a table of more float64 cells than the process may
-hold (what its address-space limit leaves, else physical memory) is then a
-data error naming its rows, columns and both sizes. The second fills one
-column-major array. When a file's body has no quote or carriage return,
-each ASCII block is parsed in one np.loadtxt pass straight into the file's
-rows; a block with a non-ASCII byte or a cell that pass rejects, and a file
-it declines (read whole), go through a per-cell csv parse with the same
+A table is loaded in two passes over its files, each reading a file in
+blocks of about a mebibyte that end at a newline, so only a file whose lines
+end in a lone carriage return is held whole. The first checks each header
+and counts each body's rows, parsing no cell; a table of more float64 cells
+than the process may hold (what its address-space limit leaves, else
+physical memory) is then a data error naming its rows, columns and both
+sizes. The second fills one column-major array. Each ASCII block of a
+quote-free body without a carriage return is parsed in one np.loadtxt pass
+straight into the file's rows. Any other block, a block with a cell that
+pass rejects, and a body holding a quote (one csv reader streams it, as a
+quoted cell may span blocks) go through a per-cell csv parse with the same
 rules, the only one that names a bad cell's file:line.
 """
 
@@ -25,7 +27,6 @@ import codecs
 import csv
 import io
 import os
-import re
 import resource
 from dataclasses import dataclass
 from pathlib import Path
@@ -182,7 +183,6 @@ class SampleTable:
 
 
 _BLOCK_BYTES = 1 << 20  # the loader reads and np.loadtxt parses about this much at once
-_EOL = re.compile(rb"\r\n?|\n")  # where a file opened with newline="" ends a line
 _NL = ord("\n")
 _NAN = np.frombuffer(b"nan", np.uint8)
 
@@ -199,59 +199,72 @@ def _changed(fpath: Path) -> DataError:
     return DataError(f"{fpath} changed while it was loaded")
 
 
-def _blocks(fh):
-    """Line-aligned blocks of about _BLOCK_BYTES from fh's position to its
-    end, each with the file offset of its first byte."""
-    offset = fh.tell()
-    while block := fh.read(_BLOCK_BYTES):
-        if block[-1] != _NL:
-            block += fh.readline()
-        yield offset, block
-        offset += len(block)
+def _blocks(fpath: Path, offset: int):
+    """Line-aligned blocks of about _BLOCK_BYTES of a file from `offset` to
+    its end, each with the file offset of its first byte."""
+    with open(fpath, "rb") as fh:
+        fh.seek(offset)
+        while block := fh.read(_BLOCK_BYTES):
+            if block[-1] != _NL:
+                block += fh.readline()
+            yield offset, block
+            offset += len(block)
 
 
-def _lines(block: bytes) -> int:
-    """Lines in a block of whole lines, the last maybe without its newline
-    (a numpy compare counts them several times faster than bytes.count)."""
-    return np.count_nonzero(np.frombuffer(block, np.uint8) == _NL) + (block[-1] != _NL)
-
-
-def _read_header(fh, delimiter: str, fpath: Path) -> tuple[list[str] | None, int]:
-    """The file's first csv record, after any UTF-8 byte-order mark, and the
-    offset of the byte after it, reading fh a block at a time."""
-    data = fh.read(max(_BLOCK_BYTES, len(codecs.BOM_UTF8)))
-    end = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-
+def _csv(blocks, fpath: Path, delimiter: str):
+    """The csv records of (file offset, bytes) pairs of whole lines, decoded
+    and read as they are iterated; bytes.splitlines ends a line where csv
+    does, at "\r\n", "\r" or "\n"."""
     def lines():
-        nonlocal data, end
-        while end < len(data):
-            eol = _EOL.search(data, end)
-            # a line ends where its match ends before the bytes read so far
-            # do: a "\r" that ends them may start a "\r\n"
-            while eol is None or eol.end() == len(data):
-                more = fh.read(_BLOCK_BYTES)
-                if not more:
-                    break
-                data += more
-                eol = _EOL.search(data, end)
-            start, end = end, eol.end() if eol else len(data)
-            yield _decode(data[start:end], fpath, start)
+        for offset, block in blocks:
+            for line in block.splitlines(keepends=True):
+                yield _decode(line, fpath, offset)
+                offset += len(line)
 
-    return next(csv.reader(lines(), delimiter=delimiter), None), end
+    return csv.reader(lines(), delimiter=delimiter)
+
+
+def _records(block: bytes) -> int:
+    """Records in a quote-free block of whole lines, the last maybe without
+    its line end: "\r\n", "\r" and "\n" each end one (a numpy compare counts
+    newlines several times faster than bytes.count)."""
+    n = (np.count_nonzero(np.frombuffer(block, np.uint8) == _NL)
+         + (block[-1] not in b"\r\n"))
+    if b"\r" in block:
+        n += block.count(b"\r") - block.count(b"\r\n")
+    return n
+
+
+def _read_header(fpath: Path, delimiter: str) -> tuple[list[str] | None, int]:
+    """The file's first csv record, after any UTF-8 byte-order mark, and the
+    offset of the byte after it, reading the file a block at a time."""
+    with open(fpath, "rb") as fh:
+        marked = fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8
+    end = len(codecs.BOM_UTF8) if marked else 0
+
+    def lines():  # a line at a time, not a block: the header is most often one line
+        nonlocal end
+        for _, block in _blocks(fpath, end):
+            for piece in io.BytesIO(block):  # to each "\n"
+                for line in piece.splitlines(keepends=True):
+                    end += len(line)
+                    yield end - len(line), line
+
+    return next(_csv(lines(), fpath, delimiter), None), end
 
 
 @dataclass(frozen=True)
 class _Body:
     """A data file's body as the count pass found it: where it starts, its
     rows (csv records), which source column feeds which channel, and
-    whether the byte path parses it."""
+    whether it holds a quote character."""
 
     path: Path
     delimiter: str
     positions: list[tuple[int, int]]  # (source index, channel index)
     start: int
     rows: int
-    plain: bool
+    quoted: bool
 
 
 def _count_file(fs: FileSpec, root: Path, channels: tuple[str, ...]) -> _Body:
@@ -260,52 +273,38 @@ def _count_file(fs: FileSpec, root: Path, channels: tuple[str, ...]) -> _Body:
     if not fpath.is_file():
         raise DataError(f"missing file {fpath}")
     d = fs.delimiter
-    with open(fpath, "rb") as fh:
-        header, start = _read_header(fh, d, fpath)
-        if header is None:
-            raise DataError(f"{fpath} has no header row")
-        header = [h.strip() for h in header]
-        positions = []
-        for src, channel in fs.columns.items():
-            if src not in header:
-                raise DataError(f"column {src!r} not found in {fpath}")
-            if header.count(src) > 1:
-                raise DataError(f"column {src!r} appears more than once in {fpath}")
-            positions.append((header.index(src), channels.index(channel)))
-        # without a quote or carriage return each line is one csv record,
-        # which csv splits on the delimiter alone, as np.loadtxt does
-        plain = bool(positions) and d.isascii() and not d.isspace() and d not in '"an'
-        rows = 0
-        fh.seek(start)
-        if plain:
-            for _, block in _blocks(fh):
-                if b'"' in block or b"\r" in block:
-                    plain = False
-                    break
-                rows += _lines(block)
-        if not plain:
-            fh.seek(start)
-            data = fh.read()
-            if b'"' in data:
-                text = _decode(data, fpath, start)
-                rows = sum(1 for _ in csv.reader(io.StringIO(text, newline=""),
-                                                 delimiter=d))
-            else:  # each line is a record; "\r\n", "\r" and "\n" end one
-                rows = (data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
-                        + (data[-1:] not in b"\r\n"))  # b"" is in b"\r\n"
-    return _Body(fpath, d, positions, start, rows, plain)
+    header, start = _read_header(fpath, d)
+    if header is None:
+        raise DataError(f"{fpath} has no header row")
+    header = [h.strip() for h in header]
+    positions = []
+    for src, channel in fs.columns.items():
+        if src not in header:
+            raise DataError(f"column {src!r} not found in {fpath}")
+        if header.count(src) > 1:
+            raise DataError(f"column {src!r} appears more than once in {fpath}")
+        positions.append((header.index(src), channels.index(channel)))
+    # without a quote each line is one csv record; with one, a record may
+    # span lines and blocks
+    rows, quoted = 0, False
+    for _, block in _blocks(fpath, start):
+        if b'"' in block:
+            quoted = True
+            break
+        rows += _records(block)
+    if quoted:
+        rows = sum(1 for _ in _csv(_blocks(fpath, start), fpath, d))
+    return _Body(fpath, d, positions, start, rows, quoted)
 
 
-def _parse_rows(data: bytes, offset: int, first: int, body: _Body,
-                out: np.ndarray) -> None:
-    """Per-cell parse into out of the csv records in data, which starts at
-    file offset `offset` with body record `first`, for text the byte path
-    cannot take exactly; it alone names a bad cell's file:line."""
-    text = _decode(data, body.path, offset)
-    rows = list(csv.reader(io.StringIO(text, newline=""), delimiter=body.delimiter))
-    if len(rows) != len(out):
-        raise _changed(body.path)
-    for r, row in enumerate(rows):
+def _parse_rows(records, first: int, body: _Body, out: np.ndarray) -> None:
+    """Per-cell parse into out of csv records, body record `first` on, for
+    text the byte path cannot take exactly; it alone names a bad cell's
+    file:line."""
+    r = 0
+    for row in records:
+        if r == len(out):
+            raise _changed(body.path)
         for src_i, ch_i in body.positions:
             if src_i >= len(row):
                 continue
@@ -317,6 +316,9 @@ def _parse_rows(data: bytes, offset: int, first: int, body: _Body,
             except ValueError:
                 raise DataError(f"non-numeric cell {cell!r} at "
                                 f"{body.path}:{first + r + 2}") from None
+        r += 1
+    if r != len(out):
+        raise _changed(body.path)
 
 
 def _fill_empty(block: np.ndarray, delimiter: int, rest: np.ndarray) -> np.ndarray:
@@ -337,30 +339,36 @@ def _fill_empty(block: np.ndarray, delimiter: int, rest: np.ndarray) -> np.ndarr
                      np.concatenate([np.tile(_NAN, at.size), np.tile(rest, blank.size)]))
 
 
-def _parse_blocks(fh, body: _Body, out: np.ndarray) -> None:
-    """Parse a plain body from fh's position into out, block by block, each
-    in one np.loadtxt pass where that is exact.
+def _fill_file(body: _Body, out: np.ndarray) -> None:
+    """Parse a counted file's body into out, its rows of the table's
+    declared channels; channels it does not map stay missing.
 
-    Empty cells and blank lines become "nan" (so the delimiter may not be
-    one of its letters). Every cell np.loadtxt then accepts reads to the
-    float that float() gives; it rejects some cells float() takes (1_0), and
-    a block with such a cell, a short row, a whitespace-only cell or a
-    non-ASCII byte goes to the per-cell path instead.
+    A quoted body is parsed per cell by one csv reader, as a quoted cell
+    may span blocks. Any other is parsed block by block, each in one
+    np.loadtxt pass where that is exact: on an ASCII block without a
+    carriage return, with a delimiter that is not whitespace, a quote or a
+    letter of "nan". Empty cells and blank lines become "nan", and every
+    cell np.loadtxt then accepts reads to the float that float() gives. It
+    rejects some cells float() takes (1_0), and a block with such a cell, a
+    short row or a whitespace-only cell goes to the per-cell path instead.
     """
+    out[:] = np.nan
     d = body.delimiter
+    if body.quoted:
+        _parse_rows(_csv(_blocks(body.path, body.start), body.path, d), 0, body, out)
+        return
     usecols = [src for src, _ in body.positions]
     cols = [ch for _, ch in body.positions]
-    rest = np.frombuffer((d + "nan").encode() * max(usecols), np.uint8)
+    exact = bool(usecols) and d.isascii() and not d.isspace() and d not in '"an'
+    rest = np.frombuffer((d + "nan").encode() * max(usecols, default=0), np.uint8)
     r = 0
-    for offset, data in _blocks(fh):
-        n = _lines(data)
+    for offset, data in _blocks(body.path, body.start):
+        n = _records(data)
         if r + n > len(out):
             raise _changed(body.path)
-        block = np.frombuffer(data, np.uint8)
         rows = None
-        if block.max() < 0x80:
-            if block[-1] != _NL:
-                block = np.append(block, np.uint8(_NL))
+        if exact and data.isascii() and b"\r" not in data:
+            block = np.frombuffer(data if data[-1] == _NL else data + b"\n", np.uint8)
             text = io.BytesIO(_fill_empty(block, ord(d), rest))
             try:
                 rows = np.loadtxt(text, delimiter=d, usecols=usecols,
@@ -371,22 +379,10 @@ def _parse_blocks(fh, body: _Body, out: np.ndarray) -> None:
         if rows is not None:
             out[r:r + n, cols] = rows
         else:
-            _parse_rows(data, offset, r, body, out[r:r + n])
+            _parse_rows(_csv([(offset, data)], body.path, d), r, body, out[r:r + n])
         r += n
     if r != len(out):
         raise _changed(body.path)
-
-
-def _fill_file(body: _Body, out: np.ndarray) -> None:
-    """Parse a counted file's body into out, its rows of the table's
-    declared channels; channels it does not map stay missing."""
-    out[:] = np.nan
-    with open(body.path, "rb") as fh:
-        fh.seek(body.start)
-        if body.plain:
-            _parse_blocks(fh, body, out)
-        else:
-            _parse_rows(fh.read(), body.start, 0, body, out)
 
 
 def _memory_budget() -> int:

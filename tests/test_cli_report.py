@@ -323,6 +323,23 @@ def test_bytes_that_are_not_utf8_exit_2(tmp_path, capsys):
     assert "m.yaml is not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 45.8 MiB for an array"),
+     "Unable to allocate 45.8 MiB for an array"),
+    (MemoryError(), "out of memory"),
+])
+def test_out_of_memory_exits_2_without_a_traceback(tmp_path, capsys, monkeypatch,
+                                                   exc, message):
+    def load_table(manifest, root):
+        raise exc
+
+    monkeypatch.setattr(cli_report, "load_table", load_table)
+    (tmp_path / "m.yaml").write_text(
+        "name: d\nchannels: [A]\nfiles:\n  - {path: d.csv, columns: {a: A}}\n")
+    assert run(["single", "--manifest", str(tmp_path / "m.yaml")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("fields, named", [
     ({"delimiter": '";;"'}, "delimiter"),
     ({"delimiter": '""'}, "delimiter"),

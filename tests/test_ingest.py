@@ -337,7 +337,7 @@ NUMBERS = st.one_of(
 )
 ODD_CELLS = st.sampled_from([
     " ", "\t", " 3 ", "1_0", "abc", "1 2", "--1", "0x10", "١٢",
-    '"4"', '"5,6"', '""', '"a"', "\r",
+    '"4"', '"5,6"', '""', '"a"', "\r", '"7\n8"', '"9\r\n"',
 ])
 
 
@@ -545,29 +545,64 @@ def test_manifest_merge_key_may_be_overridden(tmp_path):
     assert load_manifest(tmp_path / "m.yaml").files[0].delimiter == ","
 
 
-@pytest.mark.parametrize("files", [1, 2])
-def test_byte_path_load_holds_the_table_and_a_few_blocks(tmp_path, monkeypatch, files):
-    # the files' text is more than twice the table, and no file is held whole
-    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64 << 10)
+def gappy_values():
+    """60,000 x 4 normal values, about 5 % missing, and their cells as text."""
     rng = np.random.default_rng(5)
     values = rng.normal(size=(60_000, 4))
     values[rng.random(values.shape) < 0.05] = np.nan
     cells = values.astype(str)
     cells[np.isnan(values)] = ""
+    return values, cells
+
+
+def load_traced(manifest, root):
+    """The loaded table and the tracemalloc peak of its load."""
+    tracemalloc.start()
+    try:
+        table = load_table(manifest, root)
+        return table, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+ABCD = {"a": "A", "b": "B", "c": "C", "d": "D"}
+
+
+@pytest.mark.parametrize("files", [1, 2])
+def test_byte_path_load_holds_the_table_and_a_few_blocks(tmp_path, monkeypatch, files):
+    # the files' text is more than twice the table, and no file is held whole
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64 << 10)
+    values, cells = gappy_values()
     specs = []
     for i, part in enumerate(np.array_split(cells, files)):
         write(tmp_path / f"d{i}.csv", "a,b,c,d\n" + "".join(
             ",".join(row) + "\n" for row in part.tolist()))
-        specs.append(FileSpec(f"d{i}.csv", {"a": "A", "b": "B", "c": "C", "d": "D"}))
+        specs.append(FileSpec(f"d{i}.csv", ABCD))
     manifest = DatasetManifest("blocks", tuple(specs), ("A", "B", "C", "D"))
-    tracemalloc.start()
-    try:
-        table = load_table(manifest, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    table, peak = load_traced(manifest, tmp_path)
     assert table.rows.tobytes(order="F") == values.tobytes(order="F")
     assert peak <= table.rows.nbytes + 8 * ingest._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("form", ["crlf", "tab", "quoted"])
+def test_per_cell_load_holds_the_table_and_a_few_blocks(tmp_path, monkeypatch, form):
+    # CRLF line ends, a whitespace delimiter and a quote each keep the body
+    # from the np.loadtxt pass; it is still read a block at a time
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64 << 10)
+    values, cells = gappy_values()
+    delimiter, newline = {"crlf": (",", "\r\n"), "tab": ("\t", "\n"),
+                          "quoted": (",", "\n")}[form]
+    rows = [list("abcd"), *cells.tolist()]
+    if form == "quoted":
+        for row in rows:
+            row[0] = f'"{row[0]}"'
+    (tmp_path / "d.csv").write_bytes(
+        "".join(delimiter.join(row) + newline for row in rows).encode())
+    manifest = DatasetManifest("cells", (FileSpec("d.csv", ABCD, delimiter),),
+                               ("A", "B", "C", "D"))
+    table, peak = load_traced(manifest, tmp_path)
+    assert table.rows.tobytes(order="F") == values.tobytes(order="F")
+    assert peak <= table.rows.nbytes + 16 * ingest._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("text, delimiter", [
