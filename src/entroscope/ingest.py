@@ -8,17 +8,17 @@ loader never converts anything.
 Manifests and data files are read as UTF-8, past a data file's leading
 byte-order mark; bytes that do not decode are a data error naming the file.
 A table is loaded in two passes over its files, each reading a file in
-blocks of about a mebibyte that end at a newline, so only a file whose lines
-end in a lone carriage return is held whole. The first checks each header
-and counts each body's rows, parsing no cell; a table of more float64 cells
-than the process may hold (what its address-space limit leaves, else
-physical memory) is then a data error naming its rows, columns and both
-sizes. The second fills one column-major array. Each ASCII block of a
-quote-free body without a carriage return is parsed in one np.loadtxt pass
-straight into the file's rows. Any other block, a block with a cell that
-pass rejects, and a body holding a quote (one csv reader streams it, as a
-quoted cell may span blocks) go through a per-cell csv parse with the same
-rules, the only one that names a bad cell's file:line.
+blocks of about a mebibyte that end at a line end, so no file is held whole.
+The first checks each header and counts each body's rows, parsing no cell; a
+table of more float64 cells than the process may hold (what its
+address-space limit leaves, else physical memory) is then a data error
+naming its rows, columns and both sizes. The second fills one column-major
+array. Each quote-free ASCII block without a carriage return is parsed in
+one np.loadtxt pass straight into the file's rows. Any other quote-free
+block, and a block with a cell that pass rejects, goes through a per-cell
+csv parse with the same rules, the only one that names a bad cell's
+file:line. From a body's first block that holds a quote on, both passes
+stream one csv reader, as a quoted cell may span lines and blocks.
 """
 
 from __future__ import annotations
@@ -201,27 +201,44 @@ def _changed(fpath: Path) -> DataError:
 
 def _blocks(fpath: Path, offset: int):
     """Line-aligned blocks of about _BLOCK_BYTES of a file from `offset` to
-    its end, each with the file offset of its first byte."""
+    its end, each with the file offset of its first byte. A block ends at a
+    "\n", or at a lone "\r" where that comes last in its read."""
     with open(fpath, "rb") as fh:
         fh.seek(offset)
         while block := fh.read(_BLOCK_BYTES):
             if block[-1] != _NL:
-                block += fh.readline()
+                # past the last "\n"; the last byte may start a "\r\n"
+                cr = block.rfind(b"\r", block.rfind(b"\n") + 1, -1)
+                if cr >= 0:
+                    block = block[:cr + 1]
+                    fh.seek(offset + len(block))
+                else:
+                    block += fh.readline()
             yield offset, block
             offset += len(block)
 
 
-def _csv(blocks, fpath: Path, delimiter: str):
+def _csv(blocks, fpath: Path, delimiter: str, end: list[int] | None = None):
     """The csv records of (file offset, bytes) pairs of whole lines, decoded
-    and read as they are iterated; bytes.splitlines ends a line where csv
-    does, at "\r\n", "\r" or "\n"."""
-    def lines():
-        for offset, block in blocks:
-            for line in block.splitlines(keepends=True):
-                yield _decode(line, fpath, offset)
-                offset += len(line)
+    and read as they are iterated; end[0], when given, is kept at the offset
+    after the last line read. A block is split at each "\n" as it is read,
+    or by bytes.splitlines where it holds a "\r": either ends a line where
+    csv does, at "\r\n", "\r" or "\n"."""
+    end = end or [0]
 
-    return csv.reader(lines(), delimiter=delimiter)
+    def lines():
+        nonlocal at
+        for at, block in blocks:
+            for line in block.splitlines(True) if b"\r" in block else io.BytesIO(block):
+                end[0] = at + len(line)
+                yield _decode(line, fpath, at)
+                at = end[0]
+
+    at = 0
+    try:
+        yield from csv.reader(lines(), delimiter=delimiter)
+    except csv.Error as exc:
+        raise DataError(f"{fpath}: {exc} in the line at byte {at}") from None
 
 
 def _records(block: bytes) -> int:
@@ -237,34 +254,23 @@ def _records(block: bytes) -> int:
 
 def _read_header(fpath: Path, delimiter: str) -> tuple[list[str] | None, int]:
     """The file's first csv record, after any UTF-8 byte-order mark, and the
-    offset of the byte after it, reading the file a block at a time."""
+    offset of the byte after it."""
     with open(fpath, "rb") as fh:
         marked = fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8
-    end = len(codecs.BOM_UTF8) if marked else 0
-
-    def lines():  # a line at a time, not a block: the header is most often one line
-        nonlocal end
-        for _, block in _blocks(fpath, end):
-            for piece in io.BytesIO(block):  # to each "\n"
-                for line in piece.splitlines(keepends=True):
-                    end += len(line)
-                    yield end - len(line), line
-
-    return next(_csv(lines(), fpath, delimiter), None), end
+    end = [len(codecs.BOM_UTF8) if marked else 0]
+    return next(_csv(_blocks(fpath, end[0]), fpath, delimiter, end), None), end[0]
 
 
 @dataclass(frozen=True)
 class _Body:
     """A data file's body as the count pass found it: where it starts, its
-    rows (csv records), which source column feeds which channel, and
-    whether it holds a quote character."""
+    rows (csv records) and which source column feeds which channel."""
 
     path: Path
     delimiter: str
     positions: list[tuple[int, int]]  # (source index, channel index)
     start: int
     rows: int
-    quoted: bool
 
 
 def _count_file(fs: FileSpec, root: Path, channels: tuple[str, ...]) -> _Body:
@@ -284,17 +290,15 @@ def _count_file(fs: FileSpec, root: Path, channels: tuple[str, ...]) -> _Body:
         if header.count(src) > 1:
             raise DataError(f"column {src!r} appears more than once in {fpath}")
         positions.append((header.index(src), channels.index(channel)))
-    # without a quote each line is one csv record; with one, a record may
-    # span lines and blocks
-    rows, quoted = 0, False
-    for _, block in _blocks(fpath, start):
+    # without a quote each line is one csv record; from the first block
+    # with one, a record may span lines and blocks
+    rows = 0
+    for offset, block in _blocks(fpath, start):
         if b'"' in block:
-            quoted = True
+            rows += sum(1 for _ in _csv(_blocks(fpath, offset), fpath, d))
             break
         rows += _records(block)
-    if quoted:
-        rows = sum(1 for _ in _csv(_blocks(fpath, start), fpath, d))
-    return _Body(fpath, d, positions, start, rows, quoted)
+    return _Body(fpath, d, positions, start, rows)
 
 
 def _parse_rows(records, first: int, body: _Body, out: np.ndarray) -> None:
@@ -343,37 +347,39 @@ def _fill_file(body: _Body, out: np.ndarray) -> None:
     """Parse a counted file's body into out, its rows of the table's
     declared channels; channels it does not map stay missing.
 
-    A quoted body is parsed per cell by one csv reader, as a quoted cell
-    may span blocks. Any other is parsed block by block, each in one
+    The body is parsed block by block, each quote-free block in one
     np.loadtxt pass where that is exact: on an ASCII block without a
     carriage return, with a delimiter that is not whitespace, a quote or a
     letter of "nan". Empty cells and blank lines become "nan", and every
     cell np.loadtxt then accepts reads to the float that float() gives. It
     rejects some cells float() takes (1_0), and a block with such a cell, a
     short row or a whitespace-only cell goes to the per-cell path instead.
+    From the first block that holds a quote, the rest of the body is parsed
+    per cell by one csv reader, as a quoted cell may span blocks.
     """
     out[:] = np.nan
     d = body.delimiter
-    if body.quoted:
-        _parse_rows(_csv(_blocks(body.path, body.start), body.path, d), 0, body, out)
-        return
     usecols = [src for src, _ in body.positions]
     cols = [ch for _, ch in body.positions]
     exact = bool(usecols) and d.isascii() and not d.isspace() and d not in '"an'
     rest = np.frombuffer((d + "nan").encode() * max(usecols, default=0), np.uint8)
-    r = 0
-    for offset, data in _blocks(body.path, body.start):
+    r, blocks = 0, _blocks(body.path, body.start)
+    for offset, data in blocks:
+        if b'"' in data:
+            blocks.close()
+            data = block = rows = None  # csv's block alone beside the table
+            _parse_rows(_csv(_blocks(body.path, offset), body.path, d), r, body, out[r:])
+            return
         n = _records(data)
         if r + n > len(out):
             raise _changed(body.path)
         rows = None
         if exact and data.isascii() and b"\r" not in data:
             block = np.frombuffer(data if data[-1] == _NL else data + b"\n", np.uint8)
-            text = io.BytesIO(_fill_empty(block, ord(d), rest))
             try:
-                rows = np.loadtxt(text, delimiter=d, usecols=usecols,
-                                  comments=None, ndmin=2, dtype=float,
-                                  encoding="latin1")
+                rows = np.loadtxt(io.BytesIO(_fill_empty(block, ord(d), rest)),
+                                  delimiter=d, usecols=usecols, comments=None,
+                                  ndmin=2, dtype=float, encoding="latin1")
             except ValueError:
                 pass
         if rows is not None:

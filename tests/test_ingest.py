@@ -349,7 +349,7 @@ def csv_files(draw):
     cells = st.one_of(NUMBERS, ODD_CELLS) if draw(st.booleans()) else NUMBERS
     rows = draw(st.lists(
         st.lists(cells, min_size=0, max_size=width + 2), max_size=8))
-    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
     lines = [delimiter.join(f"c{i}" for i in range(width))]
     lines += [delimiter.join(row) for row in rows]
     text = newline.join(lines) + (newline if draw(st.booleans()) else "")
@@ -494,6 +494,26 @@ def test_csv_that_is_not_utf8_is_a_data_error(tmp_path):
         load_one(tmp_path, b"x,y,z\n1,2,\xff\n", *XY)
 
 
+@pytest.mark.parametrize("text, at", [
+    ('x\n"' + "9" * 200_000 + '"\n', 2),  # in the count pass
+    ('"' + "x" * 200_000 + '"\n1\n', 0),  # in the header
+], ids=["body", "header"])
+def test_cell_past_the_csv_field_limit_is_a_data_error(tmp_path, capsys, text, at):
+    write(tmp_path / "d.csv", text)
+    write(tmp_path / "m.yaml", """\
+        name: d
+        channels: [X]
+        files:
+          - {path: d.csv, columns: {x: X}}
+    """)
+    message = (f"{tmp_path / 'd.csv'}: field larger than field limit (131072) "
+               f"in the line at byte {at}")
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_table(load_manifest(tmp_path / "m.yaml"), tmp_path)
+    assert cli_report.run(["single", "--manifest", str(tmp_path / "m.yaml")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_manifest_that_is_not_utf8_is_a_manifest_error(tmp_path):
     (tmp_path / "m.yaml").write_bytes(
         b"name: d\xff\nchannels: [V]\nfiles:\n  - {path: a.csv, columns: {v: V}}\n")
@@ -584,14 +604,14 @@ def test_byte_path_load_holds_the_table_and_a_few_blocks(tmp_path, monkeypatch, 
     assert peak <= table.rows.nbytes + 8 * ingest._BLOCK_BYTES
 
 
-@pytest.mark.parametrize("form", ["crlf", "tab", "quoted"])
+@pytest.mark.parametrize("form", ["crlf", "cr", "tab", "quoted"])
 def test_per_cell_load_holds_the_table_and_a_few_blocks(tmp_path, monkeypatch, form):
-    # CRLF line ends, a whitespace delimiter and a quote each keep the body
-    # from the np.loadtxt pass; it is still read a block at a time
+    # carriage returns, a whitespace delimiter and a quote each keep the
+    # body from the np.loadtxt pass; it is still read a block at a time
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64 << 10)
     values, cells = gappy_values()
-    delimiter, newline = {"crlf": (",", "\r\n"), "tab": ("\t", "\n"),
-                          "quoted": (",", "\n")}[form]
+    delimiter, newline = {"crlf": (",", "\r\n"), "cr": (",", "\r"),
+                          "tab": ("\t", "\n"), "quoted": (",", "\n")}[form]
     rows = [list("abcd"), *cells.tolist()]
     if form == "quoted":
         for row in rows:
@@ -603,6 +623,24 @@ def test_per_cell_load_holds_the_table_and_a_few_blocks(tmp_path, monkeypatch, f
     table, peak = load_traced(manifest, tmp_path)
     assert table.rows.tobytes(order="F") == values.tobytes(order="F")
     assert peak <= table.rows.nbytes + 16 * ingest._BLOCK_BYTES
+
+
+def test_blocks_before_the_first_quote_take_the_byte_path(tmp_path, monkeypatch):
+    loadtxt, parsed = np.loadtxt, []
+
+    def spy(*args, **kwargs):
+        rows = loadtxt(*args, **kwargs)
+        parsed.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4 << 10)
+    monkeypatch.setattr(ingest.np, "loadtxt", spy)
+    text = "x,y\n" + "".join(f"{i},{i / 8}\n" for i in range(5000)) + '"7",8\n'
+    got = load_one(tmp_path, text, *XY)
+    assert got.tobytes() == reference_rows(tmp_path / "d.csv", *XY, ",").tobytes()
+    blocks = [block for _, block in ingest._blocks(tmp_path / "d.csv", len("x,y\n"))]
+    assert len(blocks) > 2 and [b'"' in block for block in blocks][-2:] == [False, True]
+    assert parsed == [ingest._records(block) for block in blocks[:-1]]
 
 
 @pytest.mark.parametrize("text, delimiter", [
