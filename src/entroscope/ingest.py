@@ -15,10 +15,11 @@ address-space limit leaves, else physical memory) is then a data error
 naming its rows, columns and both sizes. The second fills one column-major
 array. Each quote-free ASCII block without a carriage return is parsed in
 one np.loadtxt pass straight into the file's rows. Any other quote-free
-block, and a block with a cell that pass rejects, goes through a per-cell
-csv parse with the same rules, the only one that names a bad cell's
-file:line. From a body's first block that holds a quote on, both passes
-stream one csv reader, as a quoted cell may span lines and blocks.
+block, a block with a line longer than csv's field limit and a block with a
+cell that pass rejects go through a per-cell csv parse with the same rules,
+the only one that names a bad cell's file:line. From a body's first block
+that holds a quote on, both passes stream one csv reader, as a quoted cell
+may span lines and blocks.
 """
 
 from __future__ import annotations
@@ -325,6 +326,13 @@ def _parse_rows(records, first: int, body: _Body, out: np.ndarray) -> None:
         raise _changed(body.path)
 
 
+def _longest_line(block: bytes) -> int:
+    """Characters in the longest line of a quote-free block without a
+    carriage return, its line end left out."""
+    ends = np.flatnonzero(np.frombuffer(block, np.uint8) == _NL)
+    return int(np.diff(ends, prepend=-1, append=len(block)).max()) - 1
+
+
 def _fill_empty(block: np.ndarray, delimiter: int, rest: np.ndarray) -> np.ndarray:
     """Write "nan" into each empty cell of a block of whole lines, and a
     full row of them into each blank line: "nan", then `rest`, which is the
@@ -353,7 +361,9 @@ def _fill_file(body: _Body, out: np.ndarray) -> None:
     letter of "nan". Empty cells and blank lines become "nan", and every
     cell np.loadtxt then accepts reads to the float that float() gives. It
     rejects some cells float() takes (1_0), and a block with such a cell, a
-    short row or a whitespace-only cell goes to the per-cell path instead.
+    short row or a whitespace-only cell goes to the per-cell path instead,
+    as does a block with a line longer than csv's field limit, so a cell
+    past that limit is an error on every path.
     From the first block that holds a quote, the rest of the body is parsed
     per cell by one csv reader, as a quoted cell may span blocks.
     """
@@ -374,7 +384,8 @@ def _fill_file(body: _Body, out: np.ndarray) -> None:
         if r + n > len(out):
             raise _changed(body.path)
         rows = None
-        if exact and data.isascii() and b"\r" not in data:
+        if (exact and data.isascii() and b"\r" not in data
+                and _longest_line(data) <= csv.field_size_limit()):
             block = np.frombuffer(data if data[-1] == _NL else data + b"\n", np.uint8)
             try:
                 rows = np.loadtxt(io.BytesIO(_fill_empty(block, ord(d), rest)),

@@ -8,20 +8,29 @@ same row set (PairStats.row_set), so PairStats.over gives them one
 PairStats: the sweep's own for the subsets that keep no other row, every
 subset of a table without gaps, else a child over the row set, one per
 chunk. A subset with a channel that could not be binned is answered before
-any fit. Chunks run row set by row set, each in canonical order, one chunk
-per row set serially and smaller ones from a fork pool's in-order imap.
-Outcomes are kept by subset and read in canonical order, so the output is
-identical no matter how many workers ran or in what order they finished.
+any fit. The rest are grouped by row set in order of first appearance, each
+group in canonical order, and serially each group is one chunk. With
+workers, that grouped order is cut into one contiguous range per worker, of
+about equal channel totals, so each process keeps its own message-cache
+hits, and each range into chunks where its row set changes. The calling
+process fits the first range; one forked child per other range fits it on
+the PairStats it inherits and pickles its outcomes back over a pipe. Every
+child is reaped before the sweep returns or raises, and one that exits
+non-zero or dies by a signal fails the sweep. Outcomes are kept by subset
+and read in canonical order, so the output is identical no matter how many
+workers ran.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
-import multiprocessing
+import os
+import pickle
+import signal
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,24 +84,67 @@ def enumerate_subsets(channels, min_size: int = 2, max_size: int | None = None):
         yield from itertools.combinations(names, size)
 
 
-# shared state for forked workers: the sweep's binned channels with their pair
-# counts on the rows complete in all of them; set immediately before the pool
-# starts and cleared when the sweep returns
-_SHARED: PairStats | None = None
-
-
-def _profile_chunk(subsets):
+def _profile_chunk(stats: PairStats, subsets):
     """(profile, None) for each of the subsets, which share one row set, or
-    (None, reason) when it fails, all fitted on _SHARED.over(the first)."""
-    stats = _SHARED.over(subsets[0])
+    (None, reason) when it fails, all fitted on stats.over(the first)."""
+    over = stats.over(subsets[0])
     outcomes = []
     for subset in subsets:
         try:
-            model = build_tree([_SHARED.channels[name] for name in subset], stats)
+            model = build_tree([stats.channels[name] for name in subset], over)
             outcomes.append((tree_profile(model), None))
         except EntroscopeError as exc:
             outcomes.append((None, str(exc)))
     return outcomes
+
+
+def _ranges(groups, workers: int):
+    """The grouped order cut into `workers` contiguous ranges of about equal
+    channel totals, each a list of chunks that share a row set: a subset
+    goes to the range in which the midpoint of its channels falls."""
+    total = sum(len(subset) for members in groups for subset in members)
+    ranges = [[] for _ in range(workers)]
+    seen = 0
+    for members in groups:
+        last = None
+        for subset in members:
+            k = (2 * seen + len(subset)) * workers // (2 * total)
+            seen += len(subset)
+            if k != last:
+                ranges[k].append([])
+                last = k
+            ranges[k][-1].append(subset)
+    return ranges
+
+
+def _fork_range(stats: PairStats, chunks) -> tuple[int, int]:
+    """Fork a child that profiles the chunks on the stats it inherits and
+    writes their outcomes, pickled, to a pipe; returns its pid and the
+    pipe's read end. The child leaves by os._exit, non-zero with its
+    traceback on stderr if anything raises."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        outcomes = [outcome for chunk in chunks
+                    for outcome in _profile_chunk(stats, chunk)]
+        with open(write, "wb") as pipe:
+            pickle.dump(outcomes, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except BaseException:
+        # straight to the descriptor: sys.stderr may be the parent's capture
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
 
 
 def run_sweep(table: SampleTable, rule, min_size: int = 2,
@@ -102,6 +154,8 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
 
     Per-subset failures never abort the sweep; they are appended to the
     errors list (if given) as (subset, message) and skipped in the output.
+    workers counts the calling process; a forked worker that fails or dies
+    fails the sweep with an EntroscopeError, and none outlives the call.
     """
     if workers < 1:
         raise DataError("workers must be positive")
@@ -111,46 +165,61 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
     report_every = max(1, total // 10)
     outcomes: dict[tuple[str, ...], tuple] = {}
 
-    def finished(subset: tuple[str, ...], outcome) -> None:
-        outcomes[subset] = outcome
-        done = len(outcomes)
-        if done % report_every == 0 or done == total:
-            elapsed = time.monotonic() - started
-            eta = elapsed / done * (total - done)
-            print(f"sweep: {done}/{total} subsets, {elapsed:.1f}s elapsed, "
-                  f"~{eta:.0f}s left", file=sys.stderr)
+    def finished(chunk, chunk_outcomes) -> None:
+        for subset, outcome in zip(chunk, chunk_outcomes):
+            outcomes[subset] = outcome
+            done = len(outcomes)
+            if done % report_every == 0 or done == total:
+                elapsed = time.monotonic() - started
+                eta = elapsed / done * (total - done)
+                print(f"sweep: {done}/{total} subsets, {elapsed:.1f}s elapsed, "
+                      f"~{eta:.0f}s left", file=sys.stderr)
 
-    global _SHARED
-    _SHARED = PairStats(binned)
-    try:
-        started = time.monotonic()
-        # the subsets that keep the same rows, by row set in order of first
-        # appearance, each in canonical order; one with an unbinned channel is
-        # answered here
-        groups: dict[tuple[str, ...] | None, list[tuple[str, ...]]] = {}
-        for subset in subsets:
-            name = next((name for name in subset if name in unbinned), None)
-            if name is None:
-                groups.setdefault(_SHARED.row_set(subset), []).append(subset)
-            else:
-                finished(subset, (None, f"not binned: {unbinned[name]}"))
-        pool = workers > 1 and total - len(outcomes) > 1
-        size = max(1, total // (workers * 4)) if pool else total
-        tasks = [members[at:at + size] for members in groups.values()
-                 for at in range(0, len(members), size)]
-        with contextlib.ExitStack() as stack:
-            if pool:
-                ctx = multiprocessing.get_context("fork")
-                # imap yields in input order, whatever order workers finish in
-                done_in_order = stack.enter_context(
-                    ctx.Pool(processes=workers)).imap(_profile_chunk, tasks)
-            else:
-                done_in_order = map(_profile_chunk, tasks)
-            for task, chunk in zip(tasks, done_in_order):
-                for subset, outcome in zip(task, chunk):
-                    finished(subset, outcome)
-    finally:
-        _SHARED = None
+    stats = PairStats(binned)
+    started = time.monotonic()
+    # the subsets that keep the same rows, by row set in order of first
+    # appearance, each in canonical order; one with an unbinned channel is
+    # answered here
+    groups: dict[tuple[str, ...] | None, list[tuple[str, ...]]] = {}
+    for subset in subsets:
+        name = next((name for name in subset if name in unbinned), None)
+        if name is None:
+            groups.setdefault(stats.row_set(subset), []).append(subset)
+        else:
+            finished([subset], [(None, f"not binned: {unbinned[name]}")])
+    workers = min(workers, total - len(outcomes))
+    if workers <= 1:
+        for members in groups.values():
+            finished(members, _profile_chunk(stats, members))
+    else:
+        own, *others = _ranges(list(groups.values()), workers)
+        children = []  # (worker, pid, read end, chunks) of those not reaped
+        try:
+            for worker, chunks in enumerate(others, 2):
+                if chunks:
+                    children.append((worker, *_fork_range(stats, chunks), chunks))
+            for chunk in own:
+                finished(chunk, _profile_chunk(stats, chunk))
+            while children:
+                worker, pid, read, chunks = children[0]
+                with open(read, "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                os.close(read)
+                del children[0]
+                if status:
+                    code = os.waitstatus_to_exitcode(status)
+                    how = (f"was killed by signal {-code} "
+                           f"({signal.strsignal(-code)})" if code < 0
+                           else f"exited with status {code}")
+                    raise EntroscopeError(f"sweep worker {worker} (pid {pid}) {how}")
+                finished([subset for chunk in chunks for subset in chunk],
+                         pickle.loads(data))
+        finally:
+            for _, pid, read, _ in children:
+                os.close(read)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     results: list[SubsetResult] = []
     for subset in subsets:
         prof, reason = outcomes[subset]

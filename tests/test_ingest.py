@@ -497,7 +497,10 @@ def test_csv_that_is_not_utf8_is_a_data_error(tmp_path):
 @pytest.mark.parametrize("text, at", [
     ('x\n"' + "9" * 200_000 + '"\n', 2),  # in the count pass
     ('"' + "x" * 200_000 + '"\n1\n', 0),  # in the header
-], ids=["body", "header"])
+    # in a column no channel reads, whichever line ends the file has
+    ("x,y\n1," + "9" * 200_000 + "\n2,3\n", 4),
+    ("x,y\r\n1," + "9" * 200_000 + "\r\n2,3\r\n", 5),
+], ids=["body", "header", "unmapped-lf", "unmapped-crlf"])
 def test_cell_past_the_csv_field_limit_is_a_data_error(tmp_path, capsys, text, at):
     write(tmp_path / "d.csv", text)
     write(tmp_path / "m.yaml", """\

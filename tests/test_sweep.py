@@ -1,13 +1,16 @@
 import contextlib
 import io
 import math
+import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from entroscope import sweep, synth
-from entroscope.chowliu import build_tree, tree_profile
+from entroscope.chowliu import PairStats, build_tree, tree_profile
+from entroscope.cli_report import run
 from entroscope.errors import DataError, EntroscopeError
 from entroscope.ingest import SampleTable
 from entroscope.quantize import bin_channel
@@ -130,7 +133,8 @@ def test_run_sweep_matches_fresh_trees_with_missing_values(workers):
     for r in results:
         want = tree_profile(build_tree([chans[n] for n in r.subset]))
         assert r.profile == want, r.subset
-    assert sweep._SHARED is None  # the sweep's state does not outlive it
+    # the sweep's state does not outlive it
+    assert not any(isinstance(v, PairStats) for v in vars(sweep).values())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -148,7 +152,7 @@ def test_run_sweep_error_ledger(workers):
     assert len(errors) == 3  # every subset touching the constant channel
     assert all("bad" in subset for subset, _ in errors)
     assert all("not binned" in msg for _, msg in errors)
-    assert sweep._SHARED is None
+    assert not any(isinstance(v, PairStats) for v in vars(sweep).values())
 
 
 def test_run_sweep_refuses_an_unknown_rule_before_any_subset():
@@ -175,6 +179,87 @@ def test_progress_counts_every_subset_alike_serial_and_pooled(capsys):
         ])
     assert counts[0] == counts[1]
     assert counts[0][-1] == "11/11"
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test, rather than hang it, if it runs past 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)  # forked children do not inherit it
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _in_workers(monkeypatch, end):
+    """Make every forked worker call end() in place of its first chunk."""
+    caller = os.getpid()
+    profile = sweep._profile_chunk
+
+    def chunk(stats, subsets):
+        if os.getpid() != caller:
+            end()
+        return profile(stats, subsets)
+
+    monkeypatch.setattr(sweep, "_profile_chunk", chunk)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("end, how", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    (lambda: os._exit(3), "exited with status 3"),
+], ids=["sigkill", "exit-3"])
+def test_a_dead_worker_fails_the_sweep(monkeypatch, capsys, deadline, end, how):
+    _in_workers(monkeypatch, end)
+    with pytest.raises(EntroscopeError,
+                       match=rf"^sweep worker 2 \(pid \d+\) {how}"):
+        run_sweep(small_table(rows=500), 8, workers=2)
+    _no_child_left()
+    # a processing error: the CLI exits 2 and names the worker
+    capsys.readouterr()
+    assert run(["sweep", "--synthetic", "--rows", "300", "--max-size", "2",
+                "--workers", "2"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error: sweep worker 2 (pid ")
+    _no_child_left()
+
+
+def test_a_raising_worker_prints_its_traceback(monkeypatch, capfd, deadline):
+    def fail():
+        raise RuntimeError("no fit in this worker")
+
+    _in_workers(monkeypatch, fail)
+    # the first worker reaped fails the sweep; the caller kills the other
+    with pytest.raises(EntroscopeError, match=r"worker 2 \(pid \d+\) exited "
+                                              r"with status 1$"):
+        run_sweep(small_table(rows=500), 8, workers=3)
+    err = capfd.readouterr().err
+    assert "Traceback (most recent call last):" in err
+    assert "RuntimeError: no fit in this worker" in err
+    _no_child_left()
+
+
+def test_a_failing_caller_reaps_every_worker(monkeypatch, deadline):
+    # the caller's own range raises while its workers still run or wait
+    caller = os.getpid()
+    fit = sweep.build_tree
+
+    def build_tree_in_workers(chans, shared=None):
+        if os.getpid() == caller:
+            raise RuntimeError("the caller's range failed")
+        return fit(chans, shared)
+
+    monkeypatch.setattr(sweep, "build_tree", build_tree_in_workers)
+    with pytest.raises(RuntimeError, match="the caller's range failed"):
+        run_sweep(small_table(rows=500), 8, workers=3)
+    _no_child_left()
 
 
 def test_run_sweep_monotone_h0():

@@ -13,6 +13,7 @@ import importlib.util
 import io
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -90,7 +91,7 @@ def test_grouped_sweep_matches_fresh_fits_in_canonical_order(dropouts, workers):
     progress = [line.split()[1] for line in err.getvalue().splitlines()]
     assert progress == [f"{done}/{total}" for done in range(1, total + 1)
                         if done % (total // 10) == 0 or done == total]
-    assert sweep._SHARED is None
+    assert not any(isinstance(v, PairStats) for v in vars(sweep).values())
 
 
 def test_dropout_subsets_share_children(dropouts):
@@ -233,12 +234,12 @@ _profile_chunk = sweep._profile_chunk
 _chunk_log = None  # the file _logged_chunk appends to
 
 
-def _logged_chunk(chunk):
-    """sweep._profile_chunk that first appends its chunk to _chunk_log, one
-    JSON line per call, from whichever process runs it."""
+def _logged_chunk(stats, chunk):
+    """sweep._profile_chunk that first appends its process id and chunk to
+    _chunk_log, one JSON line per call, from whichever process runs it."""
     with open(_chunk_log, "a") as fh:
-        fh.write(json.dumps(chunk) + "\n")
-    return _profile_chunk(chunk)
+        fh.write(json.dumps([os.getpid(), chunk]) + "\n")
+    return _profile_chunk(stats, chunk)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -247,15 +248,15 @@ def test_no_unbinned_subset_reaches_a_worker(dropouts, monkeypatch, tmp_path,
     table, chans, subsets = dropouts
     log = tmp_path / "chunks.jsonl"
     monkeypatch.setattr(sys.modules[__name__], "_chunk_log", log)
-    # a module-level function, so the pool pickles it by name
     monkeypatch.setattr(sweep, "_profile_chunk", _logged_chunk)
     errors = []
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         results = run_sweep(table, "fd", max_size=4, workers=workers,
                             errors=errors)
-    # in dispatch order when serial, in completion order from the pool
-    chunks = [json.loads(line) for line in log.read_text().splitlines()]
+    # in dispatch order within each process
+    logged = [json.loads(line) for line in log.read_text().splitlines()]
+    chunks = [chunk for _, chunk in logged]
     sent = [tuple(s) for chunk in chunks for s in chunk]
     fitted = [s for s in subsets if "flat" not in s]
     assert sorted(sent) == sorted(fitted)
@@ -269,7 +270,20 @@ def test_no_unbinned_subset_reaches_a_worker(dropouts, monkeypatch, tmp_path,
         assert len(row_sets) == len(set(row_sets))
         assert row_sets == list(dict.fromkeys(root.row_set(s) for s in fitted))
     else:
-        assert max(len(chunk) for chunk in chunks) <= len(subsets) // 8
+        # each process fits one contiguous run of the grouped order, the
+        # caller the first, and their channel totals differ by at most the
+        # size of one subset
+        grouped = [s for want in dict.fromkeys(root.row_set(s) for s in fitted)
+                   for s in fitted if root.row_set(s) == want]
+        runs = {}
+        for pid, chunk in logged:
+            runs.setdefault(pid, []).extend(tuple(s) for s in chunk)
+        own = runs.pop(os.getpid())
+        others = sorted(runs.values(), key=lambda run: grouped.index(run[0]))
+        assert len(others) == workers - 1
+        assert own + [s for run in others for s in run] == grouped
+        totals = [sum(map(len, run)) for run in (own, *others)]
+        assert max(totals) - min(totals) <= max(map(len, fitted))
     # the subsets with the unbinned channel keep their errors and count
     assert [subset for subset, _ in errors] == [s for s in subsets if "flat" in s]
     assert all(msg.startswith("not binned: channel 'flat': ")
