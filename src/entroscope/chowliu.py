@@ -3,12 +3,12 @@
 The tree is the maximum-weight spanning tree under pairwise mutual
 information, grown by Prim from the first channel, with plug-in tables. All
 four entropy orders come out of message passes over the tree, never from
-expanding the joint state space. The four passes are one upward walk
-(_upward), each in its own semiring: sum-product over the support indicator
+expanding the joint state space. The four passes read one upward walk
+(_upward) in four semirings at once: sum-product over the support indicator
 for the support count (in float64: exact below 2**53, its log2 within 1 ulp
 beyond, refused past float64's range), the expectation semiring for Shannon
 entropy, sum-product in log2 domain for the power sums, max-product for the
-modal probability.
+modal probability; the model keeps the walk's root terms.
 The counts a tree needs, of each channel and each pair, are JointCounts,
 the package's one count primitive, which merges rows into an empty table or
 into shared counts; conditional tables and MI are worked out from them here.
@@ -19,12 +19,12 @@ merges in the root's leftover rows complete across the set. Channel sets
 that keep the same leftover rows share a row set (row_set) and so one
 child. Sweeps and the MI matrix read all their statistics through over.
 
-Each message a pass sends is cached on the PairStats the tree was fitted on
-(see _upward), so in a sweep a message is computed once for all the trees
-fitted on the root that send it, and once for all the trees fitted on one
-child that send it; a child's cache dies with it. Each cache holds at most
-_CACHE_BYTES of messages, dropping the oldest first, so memory stays bounded
-however many subsets a sweep visits.
+Each node's four messages are cached, as one entry, on the PairStats the
+tree was fitted on (see _upward), so in a sweep they are computed once for
+all the trees fitted on the root that send them, and once for all the trees
+fitted on one child that send them; a child's cache dies with it. Each cache
+holds at most _CACHE_BYTES of messages, dropping the oldest first, so memory
+stays bounded however many subsets a sweep visits.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .entropy import (
 from .errors import DataError
 from .quantize import BinnedChannel, Pmf, code_dtype
 
-# most bytes of messages one cache holds, over all passes; past it the
-# oldest entries go
+# most bytes of messages one cache holds, all four of each entry counted;
+# past it the oldest entries go
 _CACHE_BYTES = 64 * 2 ** 20
 
 
@@ -76,17 +76,17 @@ class ConditionalTable:
 
 
 class MessageCache(dict):
-    """Messages by key (see _upward), at most _CACHE_BYTES of them; past
-    that the oldest go first."""
+    """A subtree's four messages by key (see _upward), at most _CACHE_BYTES
+    of them; past that the oldest entries go first."""
 
     nbytes = 0
 
-    def remember(self, key, msg: np.ndarray) -> np.ndarray:
-        self[key] = msg
-        self.nbytes += msg.nbytes
+    def remember(self, key, msgs: tuple[np.ndarray, ...]) -> tuple:
+        self[key] = msgs
+        self.nbytes += sum(msg.nbytes for msg in msgs)
         while self.nbytes > _CACHE_BYTES:
-            self.nbytes -= self.pop(next(iter(self))).nbytes
-        return msg
+            self.nbytes -= sum(m.nbytes for m in self.pop(next(iter(self))))
+        return msgs
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +98,10 @@ class ChowLiuModel:
     conditionals: dict[str, ConditionalTable]  # keyed by child
     edge_weights: dict[tuple[str, str], float]  # sorted name pair -> MI bits
     bin_counts: dict[str, int]
-    # messages of the passes over the models fitted on one PairStats
+    # messages of the walks over the models fitted on one PairStats
     cache: MessageCache = field(default_factory=MessageCache, repr=False)
+    # the root terms of its walks, by alpha (see _root_terms)
+    walks: dict = field(default_factory=dict, init=False, repr=False)
     # derived from parent: each node's children in nodes order, and every
     # node in a top-down order (root first, each parent before its children)
     children: dict[str, tuple[str, ...]] = field(init=False, repr=False)
@@ -367,110 +369,113 @@ def build_tree(channels: list[BinnedChannel],
     )
 
 
-def _upward(model: ChowLiuModel, tag, weights, combine, reduce, zero):
-    """One upward pass over the tree in the semiring the arguments define.
+def _terms(p, log_p, alpha, bins, below):
+    """A node's count, Shannon, power-sum and max-product terms: 1, log2 p,
+    alpha log2 p and log2 p, each child's messages read at bins folded in by
+    product (from the first child's), sum, sum and sum."""
+    count, mean, power, top = None, log_p, alpha * log_p, log_p
+    for c, s, w, m in below:
+        count = c[bins] if count is None else count * c[bins]
+        mean, power, top = mean + s[bins], power + w[bins], top + m[bins]
+    return np.ones_like(p) if count is None else count, mean, power, top
 
-    Children come before their parents. A node's terms start as
-    weights(probs) of its table; each child's message, read at the table's
-    child bins, is folded in with combine, in child order; reduce(table,
-    terms) collapses each parent row to one value; the message to the parent
-    holds those values at the row's parent bins and zero elsewhere.
 
-    A message depends only on the semiring (tag) and the node's subtree,
-    whose shape is (parent name, node name, *its children's shapes). Within
-    one PairStats a pair of names fixes the table and the parent's bin count,
-    so the model's cache keeps each message under (tag, shape), and a tree
-    fitted on the PairStats of earlier trees computes only the messages it
-    is first to need. Returns the root's terms (weights of the root marginal,
-    children folded in); the root's own reduction is left to the caller.
+def _upward(model: ChowLiuModel, alpha: float):
+    """One upward walk over the tree in four semirings, alpha the power sums'
+    order; returns the root's terms. For each parent bin v a node sends its
+    subtree's number of code tuples with positive probability given v; t(v) =
+    sum over x of p(x|v) (log2 p(x|v) + its children's t at x), the expected
+    log2-probability given v; log2 of the sum over x of p(x|v)**alpha times
+    its children's power sums at x; the largest log2-probability given v;
+    and each semiring's zero at a parent bin without a row.
+
+    They depend only on alpha and the node's subtree, whose shape is (parent
+    name, node name, *its children's shapes): within one PairStats a pair of
+    names fixes the table and the parent's bin count. So the model's cache
+    keeps the four as one entry under (shape, alpha), and a tree computes
+    only those no earlier tree fitted on its PairStats sent.
     """
-    sent: dict[str, np.ndarray] = {}
-    shapes: dict[str, tuple] = {}
+    sent, shapes = {}, {}
     for node in reversed(model.order[1:]):
         cond = model.conditionals[node]
         kids = model.children[node]
         shape = shapes[node] = (model.parent[node], node,
                                 *(shapes[child] for child in kids))
-        msg = model.cache.get((tag, shape))
-        if msg is None:
-            size = model.bin_counts[model.parent[node]]
-            terms = weights(cond.probs)
-            for child in kids:
-                terms = combine(terms, sent[child][cond.child_bins])
-            rows = reduce(cond, terms)
-            msg = np.full(size, zero)
-            msg[cond.parent_bins] = rows
-            msg = model.cache.remember((tag, shape), msg)
-        sent[node] = msg
-    terms = weights(model.root_marginal.p)
-    for child in model.children[model.root]:
-        terms = combine(terms, sent[child][model.root_marginal.bins])
+        msgs = model.cache.get((shape, alpha))
+        if msgs is None:
+            starts = cond.indptr[:-1]
+            count, mean, power, top = _terms(
+                cond.probs, np.log2(cond.probs), alpha, cond.child_bins,
+                [sent[child] for child in kids])
+            peak = np.maximum.reduceat(power, starts)
+            spread = np.exp2(power - np.repeat(peak, np.diff(cond.indptr)))
+            msgs = np.full((4, model.bin_counts[model.parent[node]]), -np.inf)
+            msgs[:2] = 0.0  # the count's and Shannon's zero; the others' is -inf
+            msgs[:, cond.parent_bins] = (
+                np.add.reduceat(count, starts),
+                np.add.reduceat(cond.probs * mean, starts),
+                peak + np.log2(np.add.reduceat(spread, starts)),
+                np.maximum.reduceat(top, starts))
+            msgs = model.cache.remember((shape, alpha), tuple(msgs))
+        sent[node] = msgs
+    root = model.root_marginal
+    return _terms(root.p, np.log2(root.p), alpha, root.bins,
+                  [sent[child] for child in model.children[model.root]])
+
+
+def _root_terms(model: ChowLiuModel, alpha: float = 2.0):
+    """The root terms of the model's walk in alpha, kept on the model, the
+    count's summed. Only the power sums depend on alpha; the other passes
+    read the walk in 2. The count may overflow, and the power sums for a
+    huge alpha: numpy's warnings are off and the passes refuse non-finite."""
+    terms = model.walks.get(alpha)
+    if terms is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            count, *rest = _upward(model, alpha)
+            terms = model.walks[alpha] = (count.sum(), *rest)
     return terms
 
 
 def tree_shannon(model: ChowLiuModel) -> float:
-    """Shannon entropy of the tree distribution, in bits.
-
-    Upward sum-product in the expectation semiring: a node sends, for each
-    parent bin v, t(v) = sum over x of p(x|v) (log2 p(x|v) + its children's
-    t at x), the expected log2-probability of its subtree given v. H1 is
-    minus the same expectation at the root.
-    """
-    terms = _upward(
-        model, "shannon", np.log2, np.add,
-        lambda cond, t: np.add.reduceat(cond.probs * t, cond.indptr[:-1]), 0.0)
-    return -math.fsum((model.root_marginal.p * terms).tolist())
+    """Shannon entropy of the tree distribution, in bits (see _upward)."""
+    return -math.fsum((model.root_marginal.p * _root_terms(model)[1]).tolist())
 
 
 def tree_power_sum(model: ChowLiuModel, alpha: float) -> float:
-    """log2 of the power sum over the tree distribution, for alpha > 0.
-
-    Upward sum-product pass carried entirely in log2 domain; H2 is
-    -tree_power_sum(model, 2).
-    """
+    """log2 of the power sum over the tree distribution, for finite alpha > 0
+    away from 1, in log2 domain throughout; H2 is -tree_power_sum(model, 2).
+    A log2 past float64's range (a huge alpha) is refused with DataError."""
     alpha = float(alpha)
-    if alpha <= 0 or abs(alpha - 1.0) < 1e-6:
-        raise DataError("power sums need alpha > 0 and away from 1")
-
-    def log_sum_rows(cond: ConditionalTable, terms: np.ndarray):
-        starts = cond.indptr[:-1]
-        peak = np.maximum.reduceat(terms, starts)
-        spread = np.exp2(terms - np.repeat(peak, np.diff(cond.indptr)))
-        return peak + np.log2(np.add.reduceat(spread, starts))
-
-    terms = _upward(model, ("pow", alpha), lambda p: alpha * np.log2(p),
-                    np.add, log_sum_rows, -np.inf)
+    if not (0 < alpha < math.inf) or abs(alpha - 1.0) < 1e-6:
+        raise DataError("power sums need a finite alpha > 0 and away from 1")
+    terms = _root_terms(model, alpha)[2]
     peak = float(terms.max())
+    if not math.isfinite(peak):
+        raise DataError(f"log2 of the power sum in alpha = {alpha!r} is "
+                        "beyond float64's range; use a smaller alpha")
     return peak + math.log2(float(np.sum(np.exp2(terms - peak))))
 
 
 def tree_max_prob(model: ChowLiuModel) -> float:
     """log2 of the modal probability of the tree distribution (H-infinity is
-    minus it), by upward max-product in log2 domain: a node sends, for each
-    parent bin v, the largest log2-probability of its subtree given v."""
-    terms = _upward(
-        model, "max", np.log2, np.add,
-        lambda cond, t: np.maximum.reduceat(t, cond.indptr[:-1]), -np.inf)
-    return float(terms.max())
+    minus it), by max-product in log2 domain (see _upward)."""
+    return float(_root_terms(model)[3].max())
 
 
 def tree_support_count(model: ChowLiuModel) -> float:
     """Number of code tuples with positive tree probability, as a float.
 
-    Upward sum-product over the support indicator, in float64. Its values
-    are nonnegative integers, every intermediate that reaches the total is
-    at most the total (the rest are multiplied by zero) and rounding is
-    monotone, so a total below 2**53 is exact. Beyond, a relative error of k
-    ulps in the total moves its log2 (53 or more) by at most k/44 of an ulp
+    Sum-product over the support indicator, in float64 (see _upward): its
+    values are nonnegative integers, every intermediate that reaches the
+    total is at most the total (the rest are multiplied by zero) and rounding
+    is monotone, so a total below 2**53 is exact. Beyond, a relative error of
+    k ulps in the total moves its log2 (53 or more) by at most k/44 of an ulp
     of that log2, so log2 of the total is within 1 ulp of log2 of the exact
-    count unless the rounding of the pass piles up past about 20 ulps. Past
+    count unless the rounding of the walk piles up past about 20 ulps. Past
     float64's range (about 2**1024) the total is inf, or NaN where an
     overflowed message met a zero: the count is refused with DataError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = _upward(
-            model, "count", np.ones_like, np.multiply,
-            lambda cond, w: np.add.reduceat(w, cond.indptr[:-1]), 0.0).sum()
+    total = _root_terms(model)[0]
     if not math.isfinite(total):
         raise DataError("support count exceeds float64's range (about "
                         "2**1024 code tuples); use fewer channels")
@@ -478,7 +483,7 @@ def tree_support_count(model: ChowLiuModel) -> float:
 
 
 def tree_profile(model: ChowLiuModel) -> EntropyProfile:
-    """All four orders of the tree distribution, via the message passes."""
+    """All four orders of the tree distribution, from one walk."""
     return EntropyProfile(
         h0=math.log2(tree_support_count(model)),
         h1=tree_shannon(model),

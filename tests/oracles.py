@@ -7,7 +7,9 @@ with the tree routines. as_chowliu hands the same tables to those routines,
 and prebinned wraps sampled codes as channels. chain_rule_shannon and
 exact_chain_rule_shannon are references for tree_shannon on any tree, fitted
 ones included, exact_support_count for tree_support_count, and dump renders a
-fitted tree's structure for comparison.
+fitted tree's structure for comparison. The reference_* passes are the four
+passes as four separate upward walks, one semiring each and no cache, which
+the one walk that serves all four must match bit for bit.
 percentile_fd_width is the reference for quantize.fd_width's quartiles,
 column_stack_sensor_table for synth.sensor_table's in-place build.
 """
@@ -330,3 +332,67 @@ def column_stack_sensor_table(seed: int, rows: int) -> np.ndarray:
     amag = np.round(np.sqrt(ax ** 2 + ay ** 2 + az ** 2) / acc_step) * acc_step
     gmag = np.round(np.sqrt(gx ** 2 + gy ** 2 + gz ** 2) / gyro_step) * gyro_step
     return np.column_stack([ax, ay, az, gx, gy, gz, amag, gmag])
+
+
+def reference_upward(model: ChowLiuModel, weights, combine, reduce, zero):
+    """One upward pass over the tree in the semiring the arguments define,
+    with no cache.
+
+    Children come before their parents. A node's terms start as
+    weights(probs) of its table; each child's message, read at the table's
+    child bins, is folded in with combine, in child order; reduce(table,
+    terms) collapses each parent row to one value; the message to the parent
+    holds those values at the row's parent bins and zero elsewhere. Returns
+    the root's terms (weights of the root marginal, children folded in).
+    """
+    sent: dict[str, np.ndarray] = {}
+    for node in reversed(model.order[1:]):
+        cond = model.conditionals[node]
+        terms = weights(cond.probs)
+        for child in model.children[node]:
+            terms = combine(terms, sent[child][cond.child_bins])
+        msg = np.full(model.bin_counts[model.parent[node]], zero)
+        msg[cond.parent_bins] = reduce(cond, terms)
+        sent[node] = msg
+    terms = weights(model.root_marginal.p)
+    for child in model.children[model.root]:
+        terms = combine(terms, sent[child][model.root_marginal.bins])
+    return terms
+
+
+def reference_shannon(model: ChowLiuModel) -> float:
+    """tree_shannon by its own walk in the expectation semiring."""
+    terms = reference_upward(
+        model, np.log2, np.add,
+        lambda cond, t: np.add.reduceat(cond.probs * t, cond.indptr[:-1]), 0.0)
+    return -math.fsum((model.root_marginal.p * terms).tolist())
+
+
+def reference_power_sum(model: ChowLiuModel, alpha: float) -> float:
+    """tree_power_sum by its own walk, sum-product in log2 domain."""
+    def log_sum_rows(cond: ConditionalTable, terms: np.ndarray):
+        starts = cond.indptr[:-1]
+        peak = np.maximum.reduceat(terms, starts)
+        spread = np.exp2(terms - np.repeat(peak, np.diff(cond.indptr)))
+        return peak + np.log2(np.add.reduceat(spread, starts))
+
+    terms = reference_upward(model, lambda p: alpha * np.log2(p), np.add,
+                             log_sum_rows, -np.inf)
+    peak = float(terms.max())
+    return peak + math.log2(float(np.sum(np.exp2(terms - peak))))
+
+
+def reference_max_prob(model: ChowLiuModel) -> float:
+    """tree_max_prob by its own walk, max-product in log2 domain."""
+    terms = reference_upward(
+        model, np.log2, np.add,
+        lambda cond, t: np.maximum.reduceat(t, cond.indptr[:-1]), -np.inf)
+    return float(terms.max())
+
+
+def reference_support_count(model: ChowLiuModel) -> float:
+    """tree_support_count by its own walk, sum-product over the support
+    indicator in float64, for a count within float64's range."""
+    return float(reference_upward(
+        model, np.ones_like, np.multiply,
+        lambda cond, w: np.add.reduceat(w, cond.indptr[:-1]), 0.0).sum())

@@ -6,6 +6,7 @@ marginal or cache is shared with any other tree. The Shannon pass is also
 held to the top-down chain rule, on the same fits.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -26,7 +27,16 @@ from entroscope.chowliu import (
 from entroscope.ingest import SampleTable
 from entroscope.quantize import Pmf, bin_channel
 from entroscope.sweep import MAX_JOINT_BINS, enumerate_subsets, run_sweep
-from oracles import chain_rule_shannon, exact_chain_rule_shannon, prebinned, ulps
+from oracles import (
+    chain_rule_shannon,
+    exact_chain_rule_shannon,
+    prebinned,
+    reference_max_prob,
+    reference_power_sum,
+    reference_shannon,
+    reference_support_count,
+    ulps,
+)
 
 
 def _profile_bits(prof):
@@ -120,9 +130,14 @@ def test_cache_counts_exactly_the_bytes_it_holds_under_eviction(monkeypatch):
         tree_profile(model)
         tree_power_sum(model, 0.5)
         cache = model.cache
-        assert all(isinstance(v, np.ndarray) and v.ndim == 1
-                   for v in cache.values()), subset
-        assert cache.nbytes == sum(v.nbytes for v in cache.values()), subset
+        # one entry per subtree: its count, Shannon, power-sum and
+        # max-product messages
+        assert all(len(msgs) == 4 and all(
+                       isinstance(m, np.ndarray) and m.ndim == 1
+                       and m.dtype == np.float64 for m in msgs)
+                   for msgs in cache.values()), subset
+        assert cache.nbytes == sum(m.nbytes for msgs in cache.values()
+                                   for m in msgs), subset
 
     _fits_within(monkeypatch, 2048, table, chans, want)
 
@@ -204,7 +219,9 @@ def _copy(model):
     )
 
 
-def test_one_table_in_models_with_different_bin_counts():
+def _hand_built_models():
+    """Models that share one table under different bin counts, each with
+    its own cache."""
     # child | root over root bins 0..3 and child bins 0..2
     shared = ConditionalTable(
         np.arange(4), np.array([0, 2, 3, 5, 6]), np.array([0, 2, 1, 0, 1, 2]),
@@ -228,7 +245,7 @@ def test_one_table_in_models_with_different_bin_counts():
             bin_counts=bin_counts,
         )
 
-    models = [
+    return [
         model(small_root, {"r": 4, "c": 3}, False),
         # more root bins: the child's messages to the root are longer
         model(wide_root, {"r": 6, "c": 3}, False),
@@ -236,6 +253,10 @@ def test_one_table_in_models_with_different_bin_counts():
         model(small_root, {"r": 4, "c": 5, "g": 2}, True),
         model(small_root, {"r": 4, "c": 3}, False),
     ]
+
+
+def test_one_table_in_models_with_different_bin_counts():
+    models = _hand_built_models()
     for m in models + models[::-1]:
         assert _passes(m) == _passes(_copy(m))
 
@@ -265,3 +286,56 @@ def test_sweeps_over_interleaved_pair_stats():
     for (stats, chans), subset in itertools.product(sides, subsets):
         sub = [chans[n] for n in subset]
         assert _passes(build_tree(sub, stats)) == _passes(build_tree(sub)), subset
+
+
+def _reference(model, alpha):
+    """Each pass by its own walk (oracles), floats as hex."""
+    return (reference_support_count(model).hex(),
+            reference_shannon(model).hex(),
+            reference_power_sum(model, alpha).hex(),
+            reference_max_prob(model).hex())
+
+
+def _public(model, alpha):
+    return (tree_support_count(model).hex(), tree_shannon(model).hex(),
+            tree_power_sum(model, alpha).hex(), tree_max_prob(model).hex())
+
+
+@pytest.mark.parametrize("alpha", [2.0, 0.5, 3.0])
+def test_one_walk_equals_a_walk_per_pass_bit_for_bit(alpha):
+    # root fits and gappy children alike (see the gappy sweep test above)
+    table = _latent_table(2500, 6, seed=23, holes=(0.0, 0.05, 0.0, 0.1))
+    chans = _binned(table, "fd")
+    stats = PairStats(list(chans.values()))
+    subsets = list(enumerate_subsets(table.channels))
+    for warm in (False, True):
+        for subset in subsets:
+            model = build_tree([chans[n] for n in subset], stats)
+            assert _public(model, alpha) == _reference(model, alpha), (
+                subset, warm)
+    for model in _hand_built_models():
+        # the same tables on the model's cache once it is warm
+        for m in (model, dataclasses.replace(model)):
+            assert _public(m, alpha) == _reference(m, alpha)
+
+
+def test_a_profile_walks_its_tree_once_and_caches_no_root(monkeypatch):
+    table = _latent_table(1500, 6, seed=22, holes=(0.0, 0.05, 0.0, 0.1))
+    chans = _binned(table, "fd")
+    walks = []
+    upward = chowliu._upward
+
+    def counted(model, alpha):
+        walks.append(model)
+        return upward(model, alpha)
+
+    monkeypatch.setattr(chowliu, "_upward", counted)
+    for subset in enumerate_subsets(table.channels):
+        # a cold cache of its own, so it holds this tree's entries alone
+        model = build_tree([chans[n] for n in subset])
+        walks.clear()
+        tree_profile(model)
+        assert walks == [model], subset
+        # one entry per non-root node, none sent by the root
+        assert len(model.cache) == len(model.nodes) - 1, subset
+        assert all(shape[1] != model.root for shape, _ in model.cache), subset
