@@ -7,8 +7,9 @@ expanding the joint state space. The four passes read one upward walk
 (_upward) in four semirings at once: sum-product over the support indicator
 for the support count (in float64: exact below 2**53, its log2 within 1 ulp
 beyond, refused past float64's range), the expectation semiring for Shannon
-entropy, sum-product in log2 domain for the power sums, max-product for the
-modal probability; the model keeps the walk's root terms.
+entropy, sum-product in log2 domain for the sum of squared probabilities,
+max-product for the modal probability; the model keeps the walk's root
+terms.
 The counts a tree needs, of each channel and each pair, are JointCounts,
 the package's one count primitive, which merges rows into an empty table or
 into shared counts; conditional tables and MI are worked out from them here.
@@ -100,8 +101,6 @@ class ChowLiuModel:
     bin_counts: dict[str, int]
     # messages of the walks over the models fitted on one PairStats
     cache: MessageCache = field(default_factory=MessageCache, repr=False)
-    # the root terms of its walks, by alpha (see _root_terms)
-    walks: dict = field(default_factory=dict, init=False, repr=False)
     # derived from parent: each node's children in nodes order, and every
     # node in a top-down order (root first, each parent before its children)
     children: dict[str, tuple[str, ...]] = field(init=False, repr=False)
@@ -128,6 +127,15 @@ class ChowLiuModel:
         object.__setattr__(self, "children",
                            {name: tuple(c) for name, c in kids.items()})
         object.__setattr__(self, "order", tuple(order))
+
+    @functools.cached_property
+    def _root_terms(self):
+        """The root terms of the model's walk (see _upward), the count's
+        summed, worked out on first use. The count may overflow: numpy's
+        warnings are off, and tree_support_count refuses a non-finite total."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            count, *rest = _upward(self)
+        return (count.sum(), *rest)
 
 
 @dataclass(frozen=True)
@@ -369,31 +377,31 @@ def build_tree(channels: list[BinnedChannel],
     )
 
 
-def _terms(p, log_p, alpha, bins, below):
+def _terms(p, log_p, bins, below):
     """A node's count, Shannon, power-sum and max-product terms: 1, log2 p,
-    alpha log2 p and log2 p, each child's messages read at bins folded in by
+    2 log2 p and log2 p, each child's messages read at bins folded in by
     product (from the first child's), sum, sum and sum."""
-    count, mean, power, top = None, log_p, alpha * log_p, log_p
+    count, mean, power, top = None, log_p, 2.0 * log_p, log_p
     for c, s, w, m in below:
         count = c[bins] if count is None else count * c[bins]
         mean, power, top = mean + s[bins], power + w[bins], top + m[bins]
     return np.ones_like(p) if count is None else count, mean, power, top
 
 
-def _upward(model: ChowLiuModel, alpha: float):
-    """One upward walk over the tree in four semirings, alpha the power sums'
-    order; returns the root's terms. For each parent bin v a node sends its
-    subtree's number of code tuples with positive probability given v; t(v) =
-    sum over x of p(x|v) (log2 p(x|v) + its children's t at x), the expected
-    log2-probability given v; log2 of the sum over x of p(x|v)**alpha times
-    its children's power sums at x; the largest log2-probability given v;
-    and each semiring's zero at a parent bin without a row.
+def _upward(model: ChowLiuModel):
+    """One upward walk over the tree in four semirings; returns the root's
+    terms. For each parent bin v a node sends its subtree's number of code
+    tuples with positive probability given v; t(v) = sum over x of p(x|v)
+    (log2 p(x|v) + its children's t at x), the expected log2-probability
+    given v; log2 of the sum over x of p(x|v)**2 times its children's power
+    sums at x; the largest log2-probability given v; and each semiring's zero
+    at a parent bin without a row.
 
-    They depend only on alpha and the node's subtree, whose shape is (parent
-    name, node name, *its children's shapes): within one PairStats a pair of
-    names fixes the table and the parent's bin count. So the model's cache
-    keeps the four as one entry under (shape, alpha), and a tree computes
-    only those no earlier tree fitted on its PairStats sent.
+    They depend only on the node's subtree, whose shape is (parent name,
+    node name, *its children's shapes): within one PairStats a pair of names
+    fixes the table and the parent's bin count. So the model's cache keeps
+    the four as one entry under the shape, and a tree computes only those no
+    earlier tree fitted on its PairStats sent.
     """
     sent, shapes = {}, {}
     for node in reversed(model.order[1:]):
@@ -401,11 +409,11 @@ def _upward(model: ChowLiuModel, alpha: float):
         kids = model.children[node]
         shape = shapes[node] = (model.parent[node], node,
                                 *(shapes[child] for child in kids))
-        msgs = model.cache.get((shape, alpha))
+        msgs = model.cache.get(shape)
         if msgs is None:
             starts = cond.indptr[:-1]
             count, mean, power, top = _terms(
-                cond.probs, np.log2(cond.probs), alpha, cond.child_bins,
+                cond.probs, np.log2(cond.probs), cond.child_bins,
                 [sent[child] for child in kids])
             peak = np.maximum.reduceat(power, starts)
             spread = np.exp2(power - np.repeat(peak, np.diff(cond.indptr)))
@@ -416,50 +424,30 @@ def _upward(model: ChowLiuModel, alpha: float):
                 np.add.reduceat(cond.probs * mean, starts),
                 peak + np.log2(np.add.reduceat(spread, starts)),
                 np.maximum.reduceat(top, starts))
-            msgs = model.cache.remember((shape, alpha), tuple(msgs))
+            msgs = model.cache.remember(shape, tuple(msgs))
         sent[node] = msgs
     root = model.root_marginal
-    return _terms(root.p, np.log2(root.p), alpha, root.bins,
+    return _terms(root.p, np.log2(root.p), root.bins,
                   [sent[child] for child in model.children[model.root]])
-
-
-def _root_terms(model: ChowLiuModel, alpha: float = 2.0):
-    """The root terms of the model's walk in alpha, kept on the model, the
-    count's summed. Only the power sums depend on alpha; the other passes
-    read the walk in 2. The count may overflow, and the power sums for a
-    huge alpha: numpy's warnings are off and the passes refuse non-finite."""
-    terms = model.walks.get(alpha)
-    if terms is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            count, *rest = _upward(model, alpha)
-            terms = model.walks[alpha] = (count.sum(), *rest)
-    return terms
 
 
 def tree_shannon(model: ChowLiuModel) -> float:
     """Shannon entropy of the tree distribution, in bits (see _upward)."""
-    return -math.fsum((model.root_marginal.p * _root_terms(model)[1]).tolist())
+    return -math.fsum((model.root_marginal.p * model._root_terms[1]).tolist())
 
 
-def tree_power_sum(model: ChowLiuModel, alpha: float) -> float:
-    """log2 of the power sum over the tree distribution, for finite alpha > 0
-    away from 1, in log2 domain throughout; H2 is -tree_power_sum(model, 2).
-    A log2 past float64's range (a huge alpha) is refused with DataError."""
-    alpha = float(alpha)
-    if not (0 < alpha < math.inf) or abs(alpha - 1.0) < 1e-6:
-        raise DataError("power sums need a finite alpha > 0 and away from 1")
-    terms = _root_terms(model, alpha)[2]
+def tree_power_sum(model: ChowLiuModel) -> float:
+    """log2 of the sum of squared probabilities of the tree distribution, in
+    log2 domain throughout (see _upward); H2 is minus it."""
+    terms = model._root_terms[2]
     peak = float(terms.max())
-    if not math.isfinite(peak):
-        raise DataError(f"log2 of the power sum in alpha = {alpha!r} is "
-                        "beyond float64's range; use a smaller alpha")
     return peak + math.log2(float(np.sum(np.exp2(terms - peak))))
 
 
 def tree_max_prob(model: ChowLiuModel) -> float:
     """log2 of the modal probability of the tree distribution (H-infinity is
     minus it), by max-product in log2 domain (see _upward)."""
-    return float(_root_terms(model)[3].max())
+    return float(model._root_terms[3].max())
 
 
 def tree_support_count(model: ChowLiuModel) -> float:
@@ -475,7 +463,7 @@ def tree_support_count(model: ChowLiuModel) -> float:
     float64's range (about 2**1024) the total is inf, or NaN where an
     overflowed message met a zero: the count is refused with DataError.
     """
-    total = _root_terms(model)[0]
+    total = model._root_terms[0]
     if not math.isfinite(total):
         raise DataError("support count exceeds float64's range (about "
                         "2**1024 code tuples); use fewer channels")
@@ -487,7 +475,7 @@ def tree_profile(model: ChowLiuModel) -> EntropyProfile:
     return EntropyProfile(
         h0=math.log2(tree_support_count(model)),
         h1=tree_shannon(model),
-        h2=-tree_power_sum(model, 2.0),
+        h2=-tree_power_sum(model),
         hmin=-tree_max_prob(model),
     )
 

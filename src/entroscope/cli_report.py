@@ -402,8 +402,8 @@ def _cmd_sensitivity(args) -> Report:
         "columns": ["bin_count", "h0", "h1", "h2", "hmin"],
         "rows": rows,
         "subset": "+".join(curve.subset),
-        "fd_marker": float(curve.markers[0]),
-        "scott_marker": float(curve.markers[1]),
+        "fd_marker": _none_if_nan(curve.markers[0]),
+        "scott_marker": _none_if_nan(curve.markers[1]),
     }
     return Report("sensitivity_curve", payload, _metadata(table.source, "fixed_count grid"))
 

@@ -22,6 +22,8 @@ from .quantize import BinnedChannel
 
 KIND_PEARSON = "pearson"
 KIND_MI = "mutual_information_bits"
+# a matrix's kind by the name the CLI's --kind gives it
+_KINDS = {"pearson": KIND_PEARSON, "mi": KIND_MI}
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,22 +55,15 @@ def pearson(a, b) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def _canonical_kind(kind: str) -> str:
-    key = kind.strip().lower()
-    if key == KIND_PEARSON:
-        return KIND_PEARSON
-    if key in ("mi", "mutual_information", KIND_MI):
-        return KIND_MI
-    raise DataError(f"unknown dependence kind {kind!r}")
-
-
 def matrix(table, binned: list[BinnedChannel], kind: str) -> DependenceMatrix:
     """Full symmetric dependence matrix in table channel order.
 
     table is a SampleTable; raw columns feed Pearson cells, binned codes feed
     MI cells. A failing pair is recorded in missing and left NaN.
     """
-    kind = _canonical_kind(kind)
+    if kind not in _KINDS:
+        raise DataError(f"unknown dependence kind {kind!r}")
+    kind = _KINDS[kind]
     names = list(table.channels)
     if len(names) < 2:
         raise DataError("matrix needs at least 2 channels")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DataError
-from .quantize import BinnedChannel, Pmf
+from .quantize import BinnedChannel
 
 _ORDER_TOL = 1e-9
 # alpha this close to 1 is routed to the Shannon limit
@@ -110,11 +110,6 @@ def _renyi_of_probs(p: np.ndarray, alpha: float) -> float:
     if abs(alpha - 1.0) < _SHANNON_WINDOW:
         return _shannon_bits(p)
     return _power_sum_log2(p, alpha) / (1.0 - alpha)
-
-
-def renyi(pmf: Pmf, alpha) -> float:
-    """Renyi entropy of the given order, in bits."""
-    return _renyi_of_probs(pmf.p, float(alpha))
 
 
 def complete_row_mask(channels: list[BinnedChannel]) -> np.ndarray:

@@ -9,10 +9,10 @@ PairStats: the sweep's own for the subsets that keep no other row, every
 subset of a table without gaps, else a child over the row set, one per
 chunk. A subset with a channel that could not be binned is answered before
 any fit. The rest are grouped by row set in order of first appearance, each
-group in canonical order, and serially each group is one chunk. With
-workers, that grouped order is cut into one contiguous range per worker, of
-about equal channel totals, so each process keeps its own message-cache
-hits, and each range into chunks where its row set changes. The calling
+group in canonical order, and that grouped order is cut into one contiguous
+range per worker, of about equal channel totals, so each process keeps its
+own message-cache hits, and each range into chunks where its row set
+changes: serially, each group is one chunk. The calling
 process fits the first range; one forked child per other range fits it on
 the PairStats it inherits and pickles its outcomes back over a pipe. Every
 child is reaped before the sweep returns or raises, and one that exits
@@ -37,7 +37,7 @@ import numpy as np
 
 from .chowliu import PairStats, build_tree, tree_profile
 from .entropy import EntropyProfile, joint_direct, profile_joint
-from .errors import DataError, EntroscopeError
+from .errors import DataError, DegenerateSpreadError, EntroscopeError
 from .ingest import SampleTable
 from .quantize import bin_channel, bin_table, binning_spec
 
@@ -69,7 +69,8 @@ class SubsetResult:
 class SensitivityCurve:
     subset: tuple[str, ...]
     points: tuple[tuple[int, EntropyProfile], ...]
-    markers: tuple[float, float]  # mean FD and Scott bin counts over the subset
+    # mean FD and Scott bin counts over the subset, NaN where a rule fails
+    markers: tuple[float, float]
 
 
 def enumerate_subsets(channels, min_size: int = 2, max_size: int | None = None):
@@ -187,39 +188,36 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
             groups.setdefault(stats.row_set(subset), []).append(subset)
         else:
             finished([subset], [(None, f"not binned: {unbinned[name]}")])
-    workers = min(workers, total - len(outcomes))
-    if workers <= 1:
-        for members in groups.values():
-            finished(members, _profile_chunk(stats, members))
-    else:
-        own, *others = _ranges(list(groups.values()), workers)
-        children = []  # (worker, pid, read end, chunks) of those not reaped
-        try:
-            for worker, chunks in enumerate(others, 2):
-                if chunks:
-                    children.append((worker, *_fork_range(stats, chunks), chunks))
-            for chunk in own:
-                finished(chunk, _profile_chunk(stats, chunk))
-            while children:
-                worker, pid, read, chunks = children[0]
-                with open(read, "rb", closefd=False) as pipe:
-                    data = pipe.read()
-                status = os.waitpid(pid, 0)[1]
-                os.close(read)
-                del children[0]
-                if status:
-                    code = os.waitstatus_to_exitcode(status)
-                    how = (f"was killed by signal {-code} "
-                           f"({signal.strsignal(-code)})" if code < 0
-                           else f"exited with status {code}")
-                    raise EntroscopeError(f"sweep worker {worker} (pid {pid}) {how}")
-                finished([subset for chunk in chunks for subset in chunk],
-                         pickle.loads(data))
-        finally:
-            for _, pid, read, _ in children:
-                os.close(read)
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    # at least one: every subset may have been answered before any fit
+    workers = max(1, min(workers, total - len(outcomes)))
+    own, *others = _ranges(list(groups.values()), workers)
+    children = []  # (worker, pid, read end, chunks) of those not reaped
+    try:
+        for worker, chunks in enumerate(others, 2):
+            if chunks:
+                children.append((worker, *_fork_range(stats, chunks), chunks))
+        for chunk in own:
+            finished(chunk, _profile_chunk(stats, chunk))
+        while children:
+            worker, pid, read, chunks = children[0]
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(read)
+            del children[0]
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                how = (f"was killed by signal {-code} "
+                       f"({signal.strsignal(-code)})" if code < 0
+                       else f"exited with status {code}")
+                raise EntroscopeError(f"sweep worker {worker} (pid {pid}) {how}")
+            finished([subset for chunk in chunks for subset in chunk],
+                     pickle.loads(data))
+    finally:
+        for _, pid, read, _ in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     results: list[SubsetResult] = []
     for subset in subsets:
         prof, reason = outcomes[subset]
@@ -265,7 +263,9 @@ def sensitivity(table: SampleTable, subset, grid=DEFAULT_GRID) -> SensitivityCur
 
     Markers are the FD- and Scott-selected bin counts averaged over the
     subset channels, for placing the rule choices on the curve; each count
-    is capped at MAX_JOINT_BINS, as in every sweep.
+    is capped at MAX_JOINT_BINS, as in every sweep. A rule's marker is NaN
+    when the rule finds a channel's spread degenerate; the curve, binned at
+    fixed counts, is still drawn.
     """
     subset = tuple(subset)
     if not subset:
@@ -285,9 +285,13 @@ def sensitivity(table: SampleTable, subset, grid=DEFAULT_GRID) -> SensitivityCur
             prof = tree_profile(build_tree(chans))
         points.append((count, prof))
 
-    markers = tuple(
-        float(np.mean([binning_spec(table.column(name), rule, name=name,
-                                    max_bins=MAX_JOINT_BINS).bin_count
-                       for name in subset]))
-        for rule in ("fd", "scott"))
-    return SensitivityCurve(subset, tuple(points), markers)
+    markers = []
+    for rule in ("fd", "scott"):
+        try:
+            markers.append(float(np.mean([
+                binning_spec(table.column(name), rule, name=name,
+                             max_bins=MAX_JOINT_BINS).bin_count
+                for name in subset])))
+        except DegenerateSpreadError:  # the rule cannot bin a channel
+            markers.append(math.nan)
+    return SensitivityCurve(subset, tuple(points), tuple(markers))

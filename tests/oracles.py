@@ -11,7 +11,9 @@ fitted tree's structure for comparison. The reference_* passes are the four
 passes as four separate upward walks, one semiring each and no cache, which
 the one walk that serves all four must match bit for bit.
 percentile_fd_width is the reference for quantize.fd_width's quartiles,
-column_stack_sensor_table for synth.sensor_table's in-place build.
+column_stack_sensor_table for synth.sensor_table's in-place build. renyi
+gives the package's general-order entropy of a pmf, which the package itself
+only reads at the four reported orders.
 """
 
 from __future__ import annotations
@@ -22,12 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from entroscope.chowliu import ChowLiuModel, ConditionalTable
-from entroscope.entropy import EntropyProfile, _shannon_bits
+from entroscope.entropy import EntropyProfile, _renyi_of_probs, _shannon_bits
 from entroscope.errors import DataError, DegenerateSpreadError
 from entroscope.quantize import BinnedChannel, BinningSpec, Pmf
 
 # joints above this many states are not expandable
 MAX_EXPANSION = 1_000_000
+
+
+def renyi(pmf: Pmf, alpha) -> float:
+    """Renyi entropy of the given order, in bits."""
+    return _renyi_of_probs(pmf.p, float(alpha))
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from entroscope.chowliu import PairStats, build_tree, tree_profile, validate
-from entroscope.entropy import joint_direct, profile_joint, renyi
+from entroscope.entropy import joint_direct, profile_joint
 from entroscope.guesswork import guesswork_table
 from entroscope.ingest import load_manifest, load_table
 from entroscope.quantize import Pmf, bin_channel
 from entroscope.sweep import enumerate_subsets, run_sweep
 from entroscope.synth import sensor_table
-from oracles import as_chowliu, brute_profile, prebinned, random_tree_model
+from oracles import as_chowliu, brute_profile, prebinned, random_tree_model, renyi
 
 UCI_HAR_ENV = "ENTROSCOPE_UCI_HAR_DIR"
 MANIFEST_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "manifests")

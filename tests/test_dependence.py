@@ -223,5 +223,8 @@ def test_matrix_needs_two_channels():
 
 def test_matrix_unknown_kind():
     rng = np.random.default_rng(23)
-    with pytest.raises(DataError):
-        matrix(_table(rng, ["a", "b"]), [], "kendall")
+    table = _table(rng, ["a", "b"])
+    # only the CLI's two names: no other spelling, nor the report's kind
+    for kind in ("kendall", " mi", "MI", "mutual_information", KIND_MI):
+        with pytest.raises(DataError, match="unknown dependence kind"):
+            matrix(table, [], kind)

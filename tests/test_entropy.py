@@ -13,12 +13,11 @@ from entroscope.entropy import (
     _shannon_bits_of_counts,
     joint_direct,
     profile_joint,
-    renyi,
 )
 from entroscope.errors import BudgetError, DataError
 from entroscope.quantize import MISSING
 from helpers import codes_profile, from_probs
-from oracles import prebinned
+from oracles import prebinned, renyi
 
 ALPHAS = (0.0, 0.5, 1.0, 2.0, 5.0, math.inf)
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import os
 import signal
@@ -153,6 +154,11 @@ def test_run_sweep_error_ledger(workers):
     assert all("bad" in subset for subset, _ in errors)
     assert all("not binned" in msg for _, msg in errors)
     assert not any(isinstance(v, PairStats) for v in vars(sweep).values())
+    # every subset holds the constant channel: none is left to fit
+    errors = []
+    table = SampleTable(("a", "bad"), data[:, :2], "unit")
+    assert run_sweep(table, "fd", workers=workers, errors=errors) == []
+    assert [subset for subset, _ in errors] == [("a", "bad")]
 
 
 def test_run_sweep_refuses_an_unknown_rule_before_any_subset():
@@ -359,6 +365,49 @@ def test_sensitivity_markers_and_defaults():
     }
     assert curve.markers == (float(np.mean(counts["fd"])),
                              float(np.mean(counts["scott"])))
+
+
+def _mostly_zero_table():
+    """a ~ N(0, 1); b is zero on 1,700 of 2,000 rows, so its quartiles meet
+    and FD cannot bin it, while Scott can."""
+    rng = np.random.default_rng(12)
+    b = np.zeros(2000)
+    b[rng.permutation(2000)[:300]] = rng.normal(size=300)
+    return SampleTable(("a", "b"), np.column_stack([rng.normal(size=2000), b]),
+                       "unit")
+
+
+def test_sensitivity_marks_a_rule_that_cannot_bin_a_channel_nan():
+    table = _mostly_zero_table()
+    curve = sensitivity(table, ["a", "b"], [4, 8])
+    fd, scott = curve.markers
+    assert math.isnan(fd)
+    scotts = [bin_channel(table.column(n), "scott", name=n).spec.bin_count
+              for n in ("a", "b")]
+    assert scott == float(np.mean(scotts))
+    # the curve bins at fixed counts, so it is drawn all the same
+    for count, prof in curve.points:
+        assert prof == tree_profile(build_tree(
+            [bin_channel(table.column(n), count, name=n) for n in ("a", "b")]))
+    assert [count for count, _ in curve.points] == [4, 8]
+
+
+def test_sensitivity_report_gives_a_failed_rule_a_null_marker(tmp_path):
+    table = _mostly_zero_table()
+    (tmp_path / "d.csv").write_text("a,b\n" + "".join(
+        f"{a!r},{b!r}\n" for a, b in table.rows.tolist()))
+    (tmp_path / "m.yaml").write_text(
+        "name: d\nchannels: [A, B]\n"
+        "files:\n  - {path: d.csv, columns: {a: A, b: B}}\n")
+    path = tmp_path / "sens.json"
+    code = run(["sensitivity", "--manifest", str(tmp_path / "m.yaml"),
+                "--subset", "A,B", "--grid", "4,8",
+                "--format", "structured", "--out", str(path)])
+    assert code == 0
+    payload = json.loads(path.read_bytes())["payload"]
+    assert payload["fd_marker"] is None
+    assert payload["scott_marker"] > 0
+    assert [row[0] for row in payload["rows"]] == [4, 8]
 
 
 def test_sensitivity_markers_stop_at_the_sweep_cap():
