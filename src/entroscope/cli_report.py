@@ -235,8 +235,12 @@ _grid = _list_of(int, "increasing bin counts of at least 2",
 
 
 def _load_input(args) -> SampleTable:
-    """The table the options name; an option of the other source is a usage
-    error rather than silently ignored."""
+    """The table the options name; an option of the other source, or --bins
+    where nothing is binned, is a usage error rather than silently ignored.
+    Sets args.bins to "fd" when it was not given."""
+    if args.bins is not None and getattr(args, "kind", None) == "pearson":
+        raise UsageError("--bins does not apply to --kind pearson")
+    args.bins = args.bins or "fd"
     given = {key: value for key, value in (("seed", args.seed), ("rows", args.rows))
              if value is not None}
     if args.synthetic:
@@ -271,7 +275,8 @@ def _channel_table(table: SampleTable, rule: str) -> Report:
 
 
 def _cmd_single(args) -> Report:
-    return _channel_table(_load_input(args), args.bins)
+    table = _load_input(args)
+    return _channel_table(table, args.bins)
 
 
 def _sweep_results(args):
@@ -489,8 +494,8 @@ def build_parser() -> _Parser:
                       help="seed for synthetic data (default 7)")
     data.add_argument("--rows", type=_int_at_least(2, "at least 2 rows"),
                       help="rows of synthetic data (default 100000)")
-    data.add_argument("--bins", type=_parse_rule, default="fd",
-                      help="binning rule: fd, scott, or a fixed count")
+    data.add_argument("--bins", type=_parse_rule,
+                      help="binning rule: fd, scott, or a fixed count (default fd)")
 
     sweepish = _Parser(add_help=False)
     sweepish.add_argument("--min-size", type=_subset_size, default=2)

@@ -23,8 +23,6 @@ from .errors import BudgetError, DataError
 from .quantize import BinnedChannel
 
 _ORDER_TOL = 1e-9
-# alpha this close to 1 is routed to the Shannon limit
-_SHANNON_WINDOW = 1e-6
 # cap on occupied joint states for direct enumeration
 DEFAULT_JOINT_BUDGET = 5e7
 
@@ -91,25 +89,6 @@ def _shannon_bits_of_counts(counts: np.ndarray, n: int) -> float:
         return _shannon_bits_grouped(values, mult[values], n)
     # joint counts hold no zeros, and are not copied to drop them
     return _shannon_bits((counts if counts.all() else counts[counts > 0]) / n)
-
-
-def _power_sum_log2(p: np.ndarray, alpha: float) -> float:
-    # scale by the max so p**alpha cannot underflow to a zero sum
-    pmax = float(p.max())
-    s = float(np.sum((p / pmax) ** alpha))
-    return alpha * math.log2(pmax) + math.log2(s)
-
-
-def _renyi_of_probs(p: np.ndarray, alpha: float) -> float:
-    if math.isnan(alpha) or alpha < 0:
-        raise DataError("alpha must be nonnegative")
-    if alpha == 0:
-        return math.log2(p.size)
-    if math.isinf(alpha):
-        return -math.log2(float(p.max()))
-    if abs(alpha - 1.0) < _SHANNON_WINDOW:
-        return _shannon_bits(p)
-    return _power_sum_log2(p, alpha) / (1.0 - alpha)
 
 
 def complete_row_mask(channels: list[BinnedChannel]) -> np.ndarray:
@@ -204,12 +183,18 @@ def joint_direct(channels: list[BinnedChannel]) -> np.ndarray:
 
 
 def profile_joint(counts: np.ndarray) -> EntropyProfile:
-    """Entropy profile of the joint whose occupied states have these counts,
-    treated as one flat distribution: of one channel or of several."""
-    p = counts / int(counts.sum())
+    """Entropy profile of the flat distribution p = counts / their total: of
+    one channel's occupied states or of several channels' joint. H2 sums the
+    squares of p scaled by its largest value, so they cannot underflow to
+    zero. Raises DataError unless there are counts, each finite and positive."""
+    total = counts.sum()
+    if not (counts.size and counts.min() > 0 and total < math.inf):
+        raise DataError("a joint needs counts, each finite and positive")
+    p = counts / total
+    pmax = float(p.max())
     return EntropyProfile(
-        h0=_renyi_of_probs(p, 0.0),
+        h0=math.log2(p.size),
         h1=_shannon_bits(p),
-        h2=_renyi_of_probs(p, 2.0),
-        hmin=-math.log2(float(p.max())),
+        h2=-(2.0 * math.log2(pmax) + math.log2(float(np.sum((p / pmax) ** 2.0)))),
+        hmin=-math.log2(pmax),
     )

@@ -12,8 +12,8 @@ passes as four separate upward walks, one semiring each and no cache, which
 the one walk that serves all four must match bit for bit.
 percentile_fd_width is the reference for quantize.fd_width's quartiles,
 column_stack_sensor_table for synth.sensor_table's in-place build. renyi
-gives the package's general-order entropy of a pmf, which the package itself
-only reads at the four reported orders.
+is the general-order entropy of a pmf; the package computes only the four
+reported orders, which renyi must give bit for bit.
 """
 
 from __future__ import annotations
@@ -24,17 +24,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from entroscope.chowliu import ChowLiuModel, ConditionalTable
-from entroscope.entropy import EntropyProfile, _renyi_of_probs, _shannon_bits
+from entroscope.entropy import EntropyProfile, _shannon_bits
 from entroscope.errors import DataError, DegenerateSpreadError
 from entroscope.quantize import BinnedChannel, BinningSpec, Pmf
 
 # joints above this many states are not expandable
 MAX_EXPANSION = 1_000_000
+# alpha this close to 1 is routed to the Shannon limit
+SHANNON_WINDOW = 1e-6
 
 
 def renyi(pmf: Pmf, alpha) -> float:
-    """Renyi entropy of the given order, in bits."""
-    return _renyi_of_probs(pmf.p, float(alpha))
+    """Renyi entropy of the given order, in bits. Refuses a NaN or negative
+    order; alpha = inf is the min-entropy."""
+    p, alpha = pmf.p, float(alpha)
+    if math.isnan(alpha) or alpha < 0:
+        raise DataError("alpha must be nonnegative")
+    if alpha == 0:
+        return math.log2(p.size)
+    if math.isinf(alpha):
+        return -math.log2(float(p.max()))
+    if abs(alpha - 1.0) < SHANNON_WINDOW:
+        return _shannon_bits(p)
+    # scale by the max so p**alpha cannot underflow to a zero sum
+    pmax = float(p.max())
+    power = float(np.sum((p / pmax) ** alpha))
+    return (alpha * math.log2(pmax) + math.log2(power)) / (1.0 - alpha)
 
 
 @dataclass(frozen=True, eq=False)

@@ -539,17 +539,32 @@ def test_means_report_carries_the_error_ledger(flat_manifest, tmp_path, capsys):
     assert "errors" not in parse_report(path.read_bytes()).payload
 
 
-@pytest.mark.parametrize("kind, binning", [("pearson", "n/a"), ("mi", "7")])
-def test_matrix_records_the_binning_it_used(tmp_path, capsys, kind, binning):
-    # a Pearson matrix bins nothing, so --bins does not describe it
+@pytest.mark.parametrize("kind, bins, binning", [
+    ("pearson", [], "n/a"), ("mi", ["--bins", "7"], "7"), ("mi", [], "fd"),
+], ids=["pearson-n/a", "mi-7", "mi-fd"])
+def test_matrix_records_the_binning_it_used(tmp_path, capsys, kind, bins, binning):
+    # a Pearson matrix bins nothing, so no rule describes it
     path = tmp_path / "matrix.json"
     code = run([
-        "matrix", "--synthetic", "--rows", "2000", "--kind", kind,
-        "--bins", "7", "--format", "structured", "--out", str(path),
+        "matrix", "--synthetic", "--rows", "2000", "--kind", kind, *bins,
+        "--format", "structured", "--out", str(path),
     ])
     assert code == 0
     capsys.readouterr()
     assert parse_report(path.read_bytes()).metadata["binning"] == binning
+
+
+@pytest.mark.parametrize("rule", ["fd", "scott", "7"])
+def test_pearson_matrix_refuses_bins(tmp_path, capsys, rule):
+    # --bins would change nothing in a Pearson matrix, so it is refused
+    path = tmp_path / "matrix.json"
+    code = run(["matrix", "--synthetic", "--rows", "2000", "--kind", "pearson",
+                "--bins", rule, "--format", "structured", "--out", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--bins does not apply to --kind pearson" in err
+    assert "usage: entroscope matrix" in err
+    assert not path.exists()
 
 
 def test_topk_ranks_by_hmin(tmp_path, capsys):

@@ -15,7 +15,7 @@ from entroscope.entropy import (
     profile_joint,
 )
 from entroscope.errors import BudgetError, DataError
-from entroscope.quantize import MISSING
+from entroscope.quantize import MISSING, Pmf
 from helpers import codes_profile, from_probs
 from oracles import prebinned, renyi
 
@@ -63,6 +63,39 @@ def test_profile_two_point():
     assert prof.h1 == pytest.approx(0.8112781244591328, abs=1e-12)
     assert prof.h2 == pytest.approx(-math.log2(0.625), abs=1e-12)
     assert prof.hmin == pytest.approx(-math.log2(0.75), abs=1e-12)
+
+
+def test_renyi_at_the_four_orders_is_profile_joint_bitwise():
+    # the general-order reference reaches the package's code at the four
+    # orders it reports
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        size = int(rng.integers(1, 3000))
+        counts = rng.integers(1, int(rng.choice([2, 50, 10**6])), size=size)
+        pmf = Pmf(np.arange(size), counts / counts.sum())
+        prof = profile_joint(counts)
+        want = (prof.h0, prof.h1, prof.h2, prof.hmin)
+        got = [renyi(pmf, alpha) + 0.0 for alpha in (0, 1, 2, math.inf)]
+        assert [h.hex() for h in got] == [h.hex() for h in want]
+
+
+@pytest.mark.parametrize("counts", [[0.2, 0.7], [1.2, 2.5]])
+def test_profile_joint_of_fractional_counts_divides_by_their_sum(counts):
+    # the total is not truncated to an integer
+    prof = profile_joint(np.array(counts))
+    p = np.array(counts) / sum(counts)
+    assert prof.h0 == 1.0
+    assert prof.h1 == pytest.approx(-float(np.sum(p * np.log2(p))), abs=1e-12)
+    assert prof.h2 == pytest.approx(-math.log2(float(np.sum(p * p))), abs=1e-12)
+    assert prof.hmin == -math.log2(float(p.max()))
+
+
+@pytest.mark.parametrize("counts", [
+    [], [0, 3], [-1, 3], [1.0, math.nan], [1.0, math.inf], [-math.inf, 2.0],
+])
+def test_profile_joint_refuses_counts_not_finite_and_positive(counts):
+    with pytest.raises(DataError):
+        profile_joint(np.array(counts, dtype=float))
 
 
 def test_ordering_enforced_on_construction():

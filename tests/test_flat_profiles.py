@@ -6,7 +6,13 @@ channel that must be, bit for bit, the flat profile of the channel's
 np.bincount (helpers.codes_profile): on a gap-free and a gappy table, at
 both width rules, a small fixed count and a fixed count above the row count,
 whose cells JointCounts counts by a sort instead of a dense table.
+
+The direct joint of 2 and 3 channels, validate's route, must likewise be the
+flat profile of each complete row's code tuple, ranked in lexicographic
+order, through each of joint_direct's counting routes.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -78,3 +84,28 @@ def test_one_channel_sensitivity_is_the_bincount_profile_bitwise(which):
         for count, prof in curve.points:
             ch = bin_channel(table.column(name), count, name=name)
             assert _hex(prof) == [h.hex() for h in codes_profile(ch.codes)], (name, count)
+
+
+# (rule, channels, counting route): JointCounts' dense table and its sort,
+# and np.unique past 2**62 states
+JOINT_CASES = [
+    ("7", 2, "dense"), ("7", 3, "dense"), ("fd", 2, "dense"), ("fd", 3, "sort"),
+    ("100", 2, "sort"), ("100", 3, "sort"), ("2000000", 3, "unique"),
+]
+
+
+@pytest.mark.parametrize("rule, size, route", JOINT_CASES)
+@pytest.mark.parametrize("which", sorted(TABLES))
+def test_direct_joint_profile_is_the_tuple_rank_profile_bitwise(which, rule, size, route):
+    table = TABLES[which]
+    chans = [bin_channel(table.column(name), rule, name=name)
+             for name in table.channels[:size]]
+    codes = np.stack([ch.codes for ch in chans], axis=1)
+    complete = codes[(codes >= 0).all(axis=1)]
+    states = math.prod(ch.spec.bin_count for ch in chans)
+    taken = ("dense" if states <= complete.shape[0]
+             else "sort" if states <= 2 ** 62 else "unique")
+    assert taken == route
+    ranks = np.unique(complete, axis=0, return_inverse=True)[1]
+    want = [h.hex() for h in codes_profile(ranks)]
+    assert _hex(profile_joint(joint_direct(chans))) == want

@@ -5,7 +5,9 @@ a leading underscore. It counts as used when code under src/, scripts/ or
 bench/ loads it by name, imports it, or reads it as an attribute of a name
 spelled like one of the package's modules (chowliu.build_tree); its own
 definition does not count. An attribute of anything else, such as json.dump
-or model.root, says nothing about the package's names.
+or model.root, says nothing about the package's names. A private top-level
+name (one leading underscore) must be loaded in src/ outside the statement
+that defines it, so none survives for the tests alone.
 
 The README's library quickstart is run as written, so it cannot keep a
 name the package no longer has.
@@ -13,6 +15,7 @@ name the package no longer has.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +63,24 @@ def test_every_public_name_has_a_caller_outside_tests():
     assert not unused, f"public names only tests use: {sorted(unused)}"
     # the allowlist holds nothing that has gained a caller
     assert not ALLOWED & used
+
+
+def test_every_private_name_has_a_caller_in_the_package():
+    # each top-level statement: its module, the names it defines, those it loads
+    statements = [
+        (path.stem, set(_defined(ast.Module([node], []))), set(_used(node)))
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(), str(path)).body
+    ]
+    loads = Counter(name for _, _, used in statements for name in used)
+    private = {
+        (f"{module}.{name}", loads[name] - (name in used))
+        for module, defined, used in statements
+        for name in defined if re.match(r"_[^_]", name)
+    }
+    assert private
+    unused = sorted(name for name, callers in private if not callers)
+    assert not unused, f"private names the package never loads: {unused}"
 
 
 def test_readme_library_quickstart_runs(capsys):
