@@ -155,7 +155,10 @@ def _edge_key(a: str, b: str) -> tuple[str, str]:
 def _conditional(joint: JointCounts, flip: bool) -> ConditionalTable:
     """p(second column | first) of a pair's counts, or p(first | second)
     if flip."""
-    parents, children = np.divmod(joint.keys, joint.bins[1])
+    # // and - split the nonnegative keys as np.divmod does, several times
+    # faster
+    parents = joint.keys // joint.bins[1]
+    children = joint.keys - parents * joint.bins[1]
     counts = joint.counts
     if flip:
         # keys ascend, so a stable sort by the second column groups its rows
@@ -163,8 +166,10 @@ def _conditional(joint: JointCounts, flip: bool) -> ConditionalTable:
         # the narrow codes, to the permutation an int64 sort gives
         order = np.argsort(children.astype(code_dtype(joint.bins[1])), kind="stable")
         parents, children, counts = children[order], parents[order], counts[order]
-    starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
-    indptr = np.r_[starts, parents.size]
+    fresh = np.ones(parents.size, bool)  # each row's first entry
+    np.not_equal(parents[1:], parents[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    indptr = np.append(starts, parents.size)
     totals = np.add.reduceat(counts, starts)
     probs = counts / np.repeat(totals, np.diff(indptr))
     return ConditionalTable(parents[starts], indptr, children, probs)
@@ -201,14 +206,18 @@ class PairStats:
         rows = complete_row_mask(source) if source else np.ones(0, bool)
         own = int(np.count_nonzero(rows))
         self.n = own + (0 if parent is None else parent.n)
-        # each channel's codes on the rows counted here; no copy if all are
-        self._cols = {ch.name: ch.codes if own == rows.size else ch.codes[rows]
+        # each channel's codes on the rows counted here; no copy if all are,
+        # else gathered by one index, faster than the mask once per column
+        at = None if own == rows.size else np.flatnonzero(rows)
+        self._cols = {ch.name: ch.codes if at is None else ch.codes[at]
                       for ch in source}
         self.cache = MessageCache()
         self._joints: dict[tuple[str, ...], JointCounts] = {}
         self._tables: dict[tuple[str, str], ConditionalTable] = {}
         self._marginals: dict[str, Pmf] = {}
         self._mis: dict[tuple[str, str], float] = {}  # keyed as _joints
+        self._ranks: dict[str, dict[str, int]] = {}  # see _rank_table
+        self._ranked = 0  # how many pairs _ranks ranks
         if parent is None:  # a child lends to no one, so keeps no leftovers
             leftover = np.flatnonzero(~rows)
             self._leftover = {ch.name: BinnedChannel(ch.name, ch.spec,
@@ -296,6 +305,25 @@ class PairStats:
                                         - self._joint(names).shannon)
         return mi
 
+    def _rank_table(self, names) -> dict[str, dict[str, int]]:
+        """Each pair's place, table[a][b] = table[b][a], in the strict order
+        (-MI, then _edge_key) over the pairs whose MI is worked out here,
+        which takes in every pair of the named channels. A root works out
+        every pair when it is built, so it ranks once; a child works out
+        only the pairs it is asked for, and ranks again when a fit brings
+        new ones."""
+        if self._parent is not None:
+            for i, a in enumerate(names):
+                for b in names[i + 1:]:
+                    self.mi(a, b)
+        if self._ranked != len(self._mis):
+            self._ranked = len(self._mis)
+            self._ranks = {name: {} for name in self.channels}
+            order = sorted(self._mis, key=lambda e: (-self._mis[e], e))
+            for rank, (a, b) in enumerate(order):
+                self._ranks[a][b] = self._ranks[b][a] = rank
+        return self._ranks
+
     def conditional(self, parent: str, child: str) -> ConditionalTable:
         """p(child | parent) on these rows, built once."""
         table = self._tables.get((parent, child))
@@ -344,22 +372,25 @@ def build_tree(channels: list[BinnedChannel],
     # Prim from the root: each step adopts the cheapest edge from the tree to
     # a node outside it under the strict key (-MI, name pair). A strict total
     # order has one minimum spanning tree, so these are the edges Kruskal
-    # takes, and the edge that adopts a node names its parent. Each pair's MI
-    # is read once, when the first of its two nodes joins the tree.
-    def key(a: str, b: str) -> tuple[float, tuple[str, str]]:
-        return -stats.mi(a, b), _edge_key(a, b)
-
+    # takes, and the edge that adopts a node names its parent. The key is
+    # read as each pair's integer rank in that order, so a step compares
+    # ints: each node outside the tree keeps its best rank to the tree and
+    # the tree node it comes from.
+    ranks = stats._rank_table(names)
     root = names[0]
     parent: dict[str, str] = {}
     tree_weights: dict[tuple[str, str], float] = {}
-    best = {name: key(root, name) for name in names[1:]}
-    while best:
-        node = min(best, key=best.__getitem__)
-        neg_mi, edge = best.pop(node)
-        parent[node] = edge[0] if edge[1] == node else edge[1]
-        tree_weights[edge] = -neg_mi
-        for other in best:
-            best[other] = min(best[other], key(node, other))
+    near = {name: ranks[root][name] for name in names[1:]}
+    via = dict.fromkeys(near, root)
+    while near:
+        node = min(near, key=near.__getitem__)
+        del near[node]
+        par = parent[node] = via[node]
+        tree_weights[_edge_key(node, par)] = stats.mi(node, par)
+        row = ranks[node]
+        for other, rank in near.items():
+            if row[other] < rank:
+                near[other], via[other] = row[other], node
 
     conditionals = {
         child: stats.conditional(par, child)

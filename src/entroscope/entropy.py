@@ -134,7 +134,8 @@ class JointCounts:
             joint = np.bincount(keys, minlength=cells)
             if base is not None:
                 joint[base.keys] += base.counts
-            self.keys = np.flatnonzero(joint)
+            # a bool mask finds the occupied cells faster than int64 values
+            self.keys = np.flatnonzero(joint != 0)
             self.counts = joint[self.keys]
         else:
             # a dense table would outgrow the rows; sort the new rows instead
@@ -164,7 +165,8 @@ def joint_direct(channels: list[BinnedChannel]) -> np.ndarray:
     counts) exceeds DEFAULT_JOINT_BUDGET.
     """
     mask = complete_row_mask(channels)
-    n = int(mask.sum())
+    rows = np.flatnonzero(mask)  # one index gathers faster than a mask per column
+    n = rows.size
     if n == 0:
         raise DataError("no complete rows")
 
@@ -176,7 +178,7 @@ def joint_direct(channels: list[BinnedChannel]) -> np.ndarray:
             f"the budget of {DEFAULT_JOINT_BUDGET:.0f}; use the Chow-Liu tree path"
         )
 
-    cols = [ch.codes[mask] for ch in channels]
+    cols = [ch.codes if n == mask.size else ch.codes[rows] for ch in channels]
     if states > 2 ** 62:  # too many for one int64 key
         return np.unique(np.stack(cols, axis=1), axis=0, return_counts=True)[1]
     return JointCounts(cols, bin_counts).counts

@@ -30,7 +30,11 @@ def time_to_success(hmin: float, rate: float) -> float:
     """Expected seconds to hit the secret at `rate` guesses per second."""
     if not (math.isfinite(rate) and rate > 0):
         raise DataError("guess rate must be finite and positive")
-    return expected_guesses(hmin) / rate
+    seconds = expected_guesses(hmin) / rate
+    if math.isinf(seconds):
+        raise DataError(f"time to success at hmin {hmin} and {rate} guesses "
+                        "per second overflows float64")
+    return seconds
 
 
 def _sig3(v: float) -> str:
@@ -50,8 +54,19 @@ def _sig3(v: float) -> str:
     return f"{r:.{decimals}f}"
 
 
+def _sci(v: float) -> str:
+    """3 significant figures in mantissa/exponent form, like 8.39e6."""
+    exp = math.floor(math.log10(v))
+    mant = round(v / 10.0 ** exp, 2)
+    if mant >= 10.0:
+        mant /= 10.0
+        exp += 1
+    return f"{mant:.2f}e{exp}"
+
+
 def format_duration(seconds: float) -> str:
-    """Seconds to a 3-significant-figure string in a single sensible unit."""
+    """Seconds to a 3-significant-figure string in a single sensible unit;
+    from a million days up, in mantissa/exponent form (7.34e24 d)."""
     if not math.isfinite(seconds) or seconds < 0:
         raise DataError("duration must be finite and non-negative")
     if seconds < _MS_BELOW:
@@ -62,7 +77,8 @@ def format_duration(seconds: float) -> str:
         return f"{_sig3(seconds / 60.0)} min"
     if seconds < _H_BELOW:
         return f"{_sig3(seconds / 3600.0)} h"
-    return f"{_sig3(seconds / 86400.0)} d"
+    days = seconds / 86400.0
+    return f"{_sig3(days) if days < 1e6 else _sci(days)} d"
 
 
 def format_guess_count(count: float) -> str:
@@ -71,12 +87,7 @@ def format_guess_count(count: float) -> str:
         raise DataError("guess count must be finite and non-negative")
     if count < 1e6:
         return f"{round(count):,}"
-    exp = math.floor(math.log10(count))
-    mant = round(count / 10.0 ** exp, 2)
-    if mant >= 10.0:
-        mant /= 10.0
-        exp += 1
-    return f"{mant:.2f}e{exp}"
+    return _sci(count)
 
 
 @dataclass(frozen=True)

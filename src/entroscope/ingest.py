@@ -326,11 +326,21 @@ def _parse_rows(records, first: int, body: _Body, out: np.ndarray) -> None:
         raise _changed(body.path)
 
 
-def _longest_line(block: bytes) -> int:
-    """Characters in the longest line of a quote-free block without a
-    carriage return, its line end left out."""
+def _has_long_line(block: bytes, limit: int) -> bool:
+    """Whether a quote-free ASCII block without a carriage return has a line
+    of more than `limit` characters, its line end left out.
+
+    Such a line spans limit + 1 bytes without a "\n", and so holds a whole
+    window of w = limit // 2 + 1 bytes aligned at a multiple of w, as
+    limit + 1 >= 2w - 1. bytes.find probes those windows; only a block
+    with one free of "\n" has its lines measured, by a numpy scan several
+    times dearer."""
+    w = limit // 2 + 1
+    if all(block.find(b"\n", at, at + w) >= 0
+           for at in range(0, len(block) - w + 1, w)):
+        return False
     ends = np.flatnonzero(np.frombuffer(block, np.uint8) == _NL)
-    return int(np.diff(ends, prepend=-1, append=len(block)).max()) - 1
+    return int(np.diff(ends, prepend=-1, append=len(block)).max()) - 1 > limit
 
 
 def _fill_empty(block: np.ndarray, delimiter: int, rest: np.ndarray) -> np.ndarray:
@@ -385,7 +395,7 @@ def _fill_file(body: _Body, out: np.ndarray) -> None:
             raise _changed(body.path)
         rows = None
         if (exact and data.isascii() and b"\r" not in data
-                and _longest_line(data) <= csv.field_size_limit()):
+                and not _has_long_line(data, csv.field_size_limit())):
             block = np.frombuffer(data if data[-1] == _NL else data + b"\n", np.uint8)
             try:
                 rows = np.loadtxt(io.BytesIO(_fill_empty(block, ord(d), rest)),

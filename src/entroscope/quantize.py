@@ -181,13 +181,14 @@ def bin_channel(values, rule, name: str = "channel",
     """
     raw = _channel_values(values, name)
     finite = np.isfinite(raw)
-    complete = finite.all()
-    v = raw if complete else raw[finite]
+    # the finite rows as one index, which gathers faster than the mask twice
+    at = None if finite.all() else np.flatnonzero(finite)
+    v = raw if at is None else raw[at]
     spec = _binning_spec(v, rule, name, max_bins)
-    if complete:
+    if at is None:
         return BinnedChannel(name, spec, _bin_codes(spec.edges, v))
     codes = np.full(raw.shape, MISSING, dtype=code_dtype(spec.bin_count))
-    codes[finite] = _bin_codes(spec.edges, v)
+    codes[at] = _bin_codes(spec.edges, v)
     return BinnedChannel(name, spec, codes)
 
 
@@ -271,7 +272,9 @@ def _bin_codes(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
     lies below its bin's lower edge and up while v reaches its upper edge,
     comparing against the real edges, so the codes are exact. The outer
     edges are open (-inf and inf) to clip. Few values need a step. The
-    guess is worked out in one float array, cast once to code_dtype(nb).
+    guess is worked out in one float array; the codes stay intp while they
+    are stepped, as numpy gathers by intp indexes on its fast path and by
+    narrower ones buffered, and are cast once to code_dtype(nb) on return.
     """
     nb = edges.size - 1
     guess = np.subtract(v, edges[0])
@@ -279,7 +282,7 @@ def _bin_codes(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
     np.floor(guess, out=guess)
     np.fmax(guess, 0, out=guess)
     np.fmin(guess, nb - 1, out=guess)
-    codes = guess.astype(code_dtype(nb))
+    codes = guess.astype(np.intp)
     del guess  # freed before the steps' temporaries are made
     lower = np.concatenate(([-np.inf], edges[1:-1]))
     upper = np.concatenate((edges[1:-1], [np.inf]))
@@ -291,5 +294,5 @@ def _bin_codes(edges: np.ndarray, v: np.ndarray) -> np.ndarray:
     while at.size:
         codes[at] += 1
         at = at[v[at] >= upper[codes[at]]]
-    return codes
+    return codes.astype(code_dtype(nb))
 

@@ -13,7 +13,9 @@ the one walk that serves all four must match bit for bit.
 percentile_fd_width is the reference for quantize.fd_width's quartiles,
 column_stack_sensor_table for synth.sensor_table's in-place build. renyi
 is the general-order entropy of a pmf; the package computes only the four
-reported orders, which renyi must give bit for bit.
+reported orders, which renyi must give bit for bit. tuple_key_prim is the
+tree fit's Prim loop on (-MI, name pair) tuples, the reference for the fit
+over integer pair ranks.
 """
 
 from __future__ import annotations
@@ -418,3 +420,23 @@ def reference_support_count(model: ChowLiuModel) -> float:
     return float(reference_upward(
         model, np.ones_like, np.multiply,
         lambda cond, w: np.add.reduceat(w, cond.indptr[:-1]), 0.0).sum())
+
+
+def tuple_key_prim(names, mi):
+    """Prim from names[0] under the strict key (-MI, sorted name pair), a
+    tuple rebuilt for every pair it reads, with mi(a, b) the pair's MI; the
+    parent map and the adopted edges' weights by sorted name pair, in
+    adoption order."""
+    def key(a, b):
+        return -mi(a, b), (a, b) if a <= b else (b, a)
+
+    parent, weights = {}, {}
+    best = {name: key(names[0], name) for name in names[1:]}
+    while best:
+        node = min(best, key=best.__getitem__)
+        neg_mi, edge = best.pop(node)
+        parent[node] = edge[0] if edge[1] == node else edge[1]
+        weights[edge] = -neg_mi
+        for other in best:
+            best[other] = min(best[other], key(node, other))
+    return parent, weights

@@ -36,6 +36,7 @@ from oracles import (
     prebinned,
     random_tree_model,
     sample,
+    tuple_key_prim,
     ulps,
 )
 
@@ -173,6 +174,41 @@ def test_build_tree_matches_kruskal_on_tied_weights():
         assert model.parent == parent
         assert model.edge_weights == {
             tuple(sorted(e)): weights[tuple(sorted(e))] for e in parent.items()}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ranked_prim_keeps_the_tuple_key_under_ties(seed):
+    # duplicated channels tie their MIs with every other channel exactly,
+    # few rows and bins tie many more (often at 0), and holes give most
+    # subsets a child PairStats; the duplicates' names sort on either side
+    # of their originals, so channel order and name order break ties apart
+    rng = np.random.default_rng([seed, 39])
+    rows = int(rng.integers(12, 60))
+    bins = [int(rng.integers(2, 4)) for _ in range(4)]
+    codes = np.stack([rng.integers(0, b, size=rows) for b in bins], axis=1)
+    codes[rng.random(codes.shape) < 0.12] = -1
+    chans = chans_from(codes, bins)
+    chans += [prebinned("a" + chans[0].name, chans[0].codes, bins[0]),
+              prebinned("z" + chans[2].name, chans[2].codes, bins[2])]
+    chans = [chans[i] for i in rng.permutation(len(chans))]
+    root = PairStats(chans)
+    children, ties = {}, 0
+    for size in range(2, len(chans) + 1):
+        for subset in itertools.combinations(chans, size):
+            names = [ch.name for ch in subset]
+            # fitted on the root, which makes a child when rows are left
+            # over, and on one child per row set, shared as a sweep shares it
+            shared = children.setdefault(root.row_set(names), root.over(names))
+            models = (build_tree(list(subset), root),
+                      build_tree(list(subset), shared))
+            stats = shared.over(names)
+            mis = [stats.mi(a, b) for a, b in itertools.combinations(names, 2)]
+            ties += len(mis) - len(set(mis))
+            parent, weights = tuple_key_prim(names, stats.mi)
+            for model in models:
+                assert model.parent == parent, names
+                assert list(model.edge_weights.items()) == list(weights.items())
+    assert ties and any(child is not root for child in children.values())
 
 
 def test_build_tree_errors():

@@ -630,6 +630,16 @@ def test_guesswork_manual_values(capsys):
         assert capsys.readouterr().err.startswith("error: "), args
 
 
+def test_guesswork_overflow_is_named(capsys):
+    # hmin and rate are each accepted; their time past float64 is the error
+    assert run(["guesswork", "--hmin", "1024", "--rates", "0.5"]) == 2
+    assert capsys.readouterr().err == ("error: time to success at hmin 1024.0 "
+                                       "and 0.5 guesses per second overflows "
+                                       "float64\n")
+    assert run(["guesswork", "--hmin", "100", "--rates", "1"]) == 0
+    assert "7.34e24 d" in capsys.readouterr().out
+
+
 def test_guesswork_from_report(tmp_path, capsys):
     source = tmp_path / "ranking.json"
     source.write_bytes(emit(RANKING, "structured"))

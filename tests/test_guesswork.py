@@ -106,3 +106,26 @@ def test_guesswork_table_degenerate():
     for rate in (math.inf, math.nan, 0.0):
         with pytest.raises(DataError, match="finite and positive"):
             guesswork_table([10], [rate])
+
+
+def test_format_duration_from_a_million_days_is_mantissa_exponent():
+    day = 86400.0
+    assert format_duration(999_000 * day) == "999000 d"
+    assert format_duration(1e6 * day) == "1.00e6 d"
+    assert format_duration(1234.5e3 * day) == "1.23e6 d"
+    # mantissa rounding can promote the exponent
+    assert format_duration(9.999e9 * day) == "1.00e10 d"
+    # 2 ** 99 s at one guess a second: 25 digits of float noise before
+    assert format_duration(time_to_success(100, 1.0)) == "7.34e24 d"
+    # the largest finite duration keeps 3 significant figures too
+    assert format_duration(time_to_success(1024, 1.0)) == "1.04e303 d"
+
+
+@pytest.mark.parametrize("hmin, rate", [(1024, 0.5), (1020, 1e-2), (1000, 1e-300)])
+def test_time_to_success_past_float64_is_an_overflow_error(hmin, rate):
+    with pytest.raises(DataError, match="overflows float64"):
+        time_to_success(hmin, rate)
+    # both values are accepted alone, so the table names the overflow too
+    expected_guesses(hmin)
+    with pytest.raises(DataError, match="overflows float64"):
+        guesswork_table([hmin], [rate])

@@ -727,3 +727,61 @@ def test_file_that_changes_between_the_passes_is_a_data_error(big_dataset, monke
     monkeypatch.setattr(ingest, "_count_file", miscount)
     with pytest.raises(DataError, match=rf"{path} changed while it was loaded$"):
         load_table(load_manifest(big_dataset / "m.yaml"), big_dataset)
+
+
+def _line_scan(block: bytes) -> int:
+    """The longest line of a block, its line end left out, by splitting."""
+    return max(len(line) for line in block.split(b"\n"))
+
+
+@pytest.mark.parametrize("limit", [1, 8, 9, 40])
+def test_long_line_probe_agrees_with_a_line_scan(limit):
+    # a line of exactly the limit and one of a character more, starting at
+    # every offset through three probe windows, so each crosses window
+    # boundaries, and each as a block's unterminated last line too
+    w = limit // 2 + 1
+    for length in (limit, limit + 1):
+        for start in range(3 * w + 1):
+            head = b"\n" * start
+            line = b"7" * length
+            for block in (head + line + b"\n" + b"2,3\n" * 5, head + line):
+                assert block[start:start + length] == line
+                assert ingest._has_long_line(block, limit) == (
+                    _line_scan(block) > limit), (length, start, block)
+
+
+def test_lines_past_the_field_limit_take_the_per_cell_path(tmp_path, monkeypatch):
+    # blocks whose lines are all within the limit take np.loadtxt; a block
+    # with a longer line is parsed per cell, to the same values
+    limit = 16
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 24)
+    old = csv.field_size_limit(limit)
+    try:
+        lines = ["1,2", "3," + "0" * (limit - 3) + "4", "5,6",
+                 "7," + "0" * (limit - 2) + "8", "9,1", "2,3", "4,5",
+                 "6," + "0" * (limit - 2) + "7"]  # the last has no line end
+        text = "x,y\n" + "\n".join(lines)
+        loadtxt, routes = np.loadtxt, []
+
+        def spy(*args, **kwargs):
+            routes.append("loadtxt")
+            return loadtxt(*args, **kwargs)
+
+        parse_rows = ingest._parse_rows
+
+        def per_cell(*args):
+            routes.append("cells")
+            return parse_rows(*args)
+
+        monkeypatch.setattr(ingest.np, "loadtxt", spy)
+        monkeypatch.setattr(ingest, "_parse_rows", per_cell)
+        got = load_one(tmp_path, text, *XY)
+        want = reference_rows(tmp_path / "d.csv", *XY, ",")
+        blocks = [block for _, block in ingest._blocks(tmp_path / "d.csv", len("x,y\n"))]
+    finally:
+        csv.field_size_limit(old)
+    assert got.tobytes() == want.tobytes()
+    assert routes == ["cells" if _line_scan(block) > limit else "loadtxt"
+                      for block in blocks]
+    assert routes.count("cells") == 2 and "loadtxt" in routes
+    assert not blocks[-1].endswith(b"\n") and _line_scan(blocks[-1]) == limit + 1
