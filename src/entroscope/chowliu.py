@@ -246,8 +246,6 @@ class PairStats:
         each: every pattern's bit, and for each channel the bits of those it
         is present on."""
         names = list(self.channels)
-        if not names:
-            return 0, {}
         missing = np.array([self._leftover[name].codes < 0 for name in names])
         # sorted, each column that differs from the one before is a new
         # pattern (np.unique by axis would load numpy.ma for this)

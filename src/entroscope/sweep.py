@@ -6,19 +6,19 @@ sweep's PairStats counts every pair once, on the rows complete in every
 channel, before any fit. The subsets that keep the same other rows have the
 same row set (PairStats.row_set), so PairStats.over gives them one
 PairStats: the sweep's own for the subsets that keep no other row, every
-subset of a table without gaps, else a child over the row set, one per
-chunk. A subset with a channel that could not be binned is answered before
-any fit. The rest are grouped by row set in order of first appearance, each
-group in canonical order, and that grouped order is cut into one contiguous
-range per worker, of about equal channel totals, so each process keeps its
-own message-cache hits, and each range into chunks where its row set
-changes: serially, each group is one chunk. The calling
-process fits the first range; one forked child per other range fits it on
-the PairStats it inherits and pickles its outcomes back over a pipe. Every
-child is reaped before the sweep returns or raises, and one that exits
-non-zero or dies by a signal fails the sweep. Outcomes are kept by subset
-and read in canonical order, so the output is identical no matter how many
-workers ran.
+subset of a table without gaps, else a child over the row set. A subset
+with a channel that could not be binned is answered before any fit. The
+rest are grouped by row set in order of first appearance, each group in
+canonical order, and that grouped order is cut into one contiguous range
+per worker, of about equal channel totals, so each process keeps its own
+message-cache hits. A range is a flat list of subsets, fitted in order by
+_profile, which moves to over(subset) of the PairStats it holds: each run
+of one row set shares one child. The calling process fits the first
+range; one forked child per other range fits it on the PairStats it
+inherits and pickles its outcomes back over a pipe. Every child is reaped
+before the sweep returns or raises, and one that exits non-zero or dies by
+a signal fails the sweep. Outcomes are kept by subset and read in
+canonical order, so the output is identical no matter how many workers ran.
 """
 
 from __future__ import annotations
@@ -85,41 +85,36 @@ def enumerate_subsets(channels, min_size: int = 2, max_size: int | None = None):
         yield from itertools.combinations(names, size)
 
 
-def _profile_chunk(stats: PairStats, subsets):
-    """(profile, None) for each of the subsets, which share one row set, or
-    (None, reason) when it fails, all fitted on stats.over(the first)."""
-    over = stats.over(subsets[0])
-    outcomes = []
+def _profile(stats: PairStats, subsets):
+    """Yield (profile, None) for each of the subsets, in order, or
+    (None, reason) when it fails, each fitted on over(it) of the PairStats
+    the one before was fitted on, so a run of one row set shares a child."""
+    over = stats
     for subset in subsets:
+        over = over.over(subset)
         try:
             model = build_tree([stats.channels[name] for name in subset], over)
-            outcomes.append((tree_profile(model), None))
+            outcome = tree_profile(model), None
         except EntroscopeError as exc:
-            outcomes.append((None, str(exc)))
-    return outcomes
+            outcome = None, str(exc)
+        yield outcome
 
 
-def _ranges(groups, workers: int):
+def _ranges(grouped, workers: int):
     """The grouped order cut into `workers` contiguous ranges of about equal
-    channel totals, each a list of chunks that share a row set: a subset
-    goes to the range in which the midpoint of its channels falls."""
-    total = sum(len(subset) for members in groups for subset in members)
+    channel totals: a subset goes to the range in which the midpoint of its
+    channels falls."""
+    total = sum(map(len, grouped))
     ranges = [[] for _ in range(workers)]
     seen = 0
-    for members in groups:
-        last = None
-        for subset in members:
-            k = (2 * seen + len(subset)) * workers // (2 * total)
-            seen += len(subset)
-            if k != last:
-                ranges[k].append([])
-                last = k
-            ranges[k][-1].append(subset)
+    for subset in grouped:
+        ranges[(2 * seen + len(subset)) * workers // (2 * total)].append(subset)
+        seen += len(subset)
     return ranges
 
 
-def _fork_range(stats: PairStats, chunks) -> tuple[int, int]:
-    """Fork a child that profiles the chunks on the stats it inherits and
+def _fork_range(stats: PairStats, subsets) -> tuple[int, int]:
+    """Fork a child that profiles the subsets on the stats it inherits and
     writes their outcomes, pickled, to a pipe; returns its pid and the
     pipe's read end. The child leaves by os._exit, non-zero with its
     traceback on stderr if anything raises."""
@@ -136,8 +131,7 @@ def _fork_range(stats: PairStats, chunks) -> tuple[int, int]:
     code = 1
     try:
         os.close(read)
-        outcomes = [outcome for chunk in chunks
-                    for outcome in _profile_chunk(stats, chunk)]
+        outcomes = list(_profile(stats, subsets))
         with open(write, "wb") as pipe:
             pickle.dump(outcomes, pipe, pickle.HIGHEST_PROTOCOL)
         code = 0
@@ -166,8 +160,8 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
     report_every = max(1, total // 10)
     outcomes: dict[tuple[str, ...], tuple] = {}
 
-    def finished(chunk, chunk_outcomes) -> None:
-        for subset, outcome in zip(chunk, chunk_outcomes):
+    def finished(done_subsets, done_outcomes) -> None:
+        for subset, outcome in zip(done_subsets, done_outcomes):
             outcomes[subset] = outcome
             done = len(outcomes)
             if done % report_every == 0 or done == total:
@@ -190,16 +184,16 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
             finished([subset], [(None, f"not binned: {unbinned[name]}")])
     # at least one: every subset may have been answered before any fit
     workers = max(1, min(workers, total - len(outcomes)))
-    own, *others = _ranges(list(groups.values()), workers)
-    children = []  # (worker, pid, read end, chunks) of those not reaped
+    own, *others = _ranges([subset for members in groups.values()
+                            for subset in members], workers)
+    children = []  # (worker, pid, read end, range) of those not reaped
     try:
-        for worker, chunks in enumerate(others, 2):
-            if chunks:
-                children.append((worker, *_fork_range(stats, chunks), chunks))
-        for chunk in own:
-            finished(chunk, _profile_chunk(stats, chunk))
+        for worker, part in enumerate(others, 2):
+            if part:
+                children.append((worker, *_fork_range(stats, part), part))
+        finished(own, _profile(stats, own))
         while children:
-            worker, pid, read, chunks = children[0]
+            worker, pid, read, part = children[0]
             with open(read, "rb", closefd=False) as pipe:
                 data = pipe.read()
             status = os.waitpid(pid, 0)[1]
@@ -211,8 +205,7 @@ def run_sweep(table: SampleTable, rule, min_size: int = 2,
                        f"({signal.strsignal(-code)})" if code < 0
                        else f"exited with status {code}")
                 raise EntroscopeError(f"sweep worker {worker} (pid {pid}) {how}")
-            finished([subset for chunk in chunks for subset in chunk],
-                     pickle.loads(data))
+            finished(part, pickle.loads(data))
     finally:
         for _, pid, read, _ in children:
             os.close(read)

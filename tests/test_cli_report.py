@@ -450,6 +450,34 @@ def test_validate_two_channels_is_exact(tmp_path, capsys):
     assert report.payload["n"] == 2  # arity of the validated subset
 
 
+def test_validate_of_zero_entropies_has_no_relative_error(capsys):
+    # one bin per channel: every order is 0 bits on both sides, so no
+    # relative error is defined, and structured output writes it as null
+    argv = ["validate", "--synthetic", "--rows", "500", "--bins", "1",
+            "--subset", "Acc.X,Gyro.X", "--format"]
+    assert run([*argv, "structured"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["payload"] == {
+        "columns": ["order", "direct", "chowliu", "abs_error"],
+        "mae": 0.0,
+        "n": 2,
+        "rel_error_pct": None,
+        "rows": [[order, 0.0, 0.0, 0.0] for order in ("H0", "H1", "H2", "Hmin")],
+        "subset": "Acc.X+Gyro.X",
+    }
+    assert run([*argv, "markdown"]) == 0
+    assert capsys.readouterr().out == textwrap.dedent(f"""\
+        | Order | Direct | Chow-Liu | |Error| |
+        | --- | --- | --- | --- |
+        | H0 | 0.000 | 0.000 | 0.000 |
+        | H1 | 0.000 | 0.000 | 0.000 |
+        | H2 | 0.000 | 0.000 | 0.000 |
+        | Hmin | 0.000 | 0.000 | 0.000 |
+
+        *dataset: synthetic-7, bins: 1, entroscope {__version__}*
+        """)
+
+
 def test_matrix_maps_nan_to_null(tmp_path, capsys):
     (tmp_path / "d.csv").write_text("v,c\n1,5\n2,5\n3,5\n4,5\n")
     (tmp_path / "m.yaml").write_text(textwrap.dedent("""\

@@ -201,16 +201,16 @@ def deadline():
 
 
 def _in_workers(monkeypatch, end):
-    """Make every forked worker call end() in place of its first chunk."""
+    """Make every forked worker call end() in place of fitting its range."""
     caller = os.getpid()
-    profile = sweep._profile_chunk
+    profile = sweep._profile
 
-    def chunk(stats, subsets):
+    def fit_range(stats, subsets):
         if os.getpid() != caller:
             end()
         return profile(stats, subsets)
 
-    monkeypatch.setattr(sweep, "_profile_chunk", chunk)
+    monkeypatch.setattr(sweep, "_profile", fit_range)
 
 
 def _no_child_left():

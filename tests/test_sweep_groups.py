@@ -2,7 +2,7 @@
 
 A sweep groups its subsets by the leftover rows each keeps (the rows past
 the ones complete in every channel), named by their row set: the channels
-present on all of those rows. It fits each chunk of a group on one child
+present on all of those rows. It fits each run of a group on one child
 over the row set, answers the subsets with an unbinned channel without a
 fit, and still returns every profile, error and progress count in canonical
 order, bit for bit what a fresh fit of each subset gives.
@@ -230,55 +230,50 @@ def test_one_child_per_leftover_row_set(monkeypatch, tmp_path):
         _mask(chans, table.channels).tobytes() in masks)
 
 
-_profile_chunk = sweep._profile_chunk
-_chunk_log = None  # the file _logged_chunk appends to
+_profile = sweep._profile
+_range_log = None  # the file _logged_range appends to
 
 
-def _logged_chunk(stats, chunk):
-    """sweep._profile_chunk that first appends its process id and chunk to
-    _chunk_log, one JSON line per call, from whichever process runs it."""
-    with open(_chunk_log, "a") as fh:
-        fh.write(json.dumps([os.getpid(), chunk]) + "\n")
-    return _profile_chunk(stats, chunk)
+def _logged_range(stats, subsets):
+    """sweep._profile that first appends its process id and range to
+    _range_log, one JSON line per call, from whichever process runs it."""
+    with open(_range_log, "a") as fh:
+        fh.write(json.dumps([os.getpid(), subsets]) + "\n")
+    return _profile(stats, subsets)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_no_unbinned_subset_reaches_a_worker(dropouts, monkeypatch, tmp_path,
                                              workers):
     table, chans, subsets = dropouts
-    log = tmp_path / "chunks.jsonl"
-    monkeypatch.setattr(sys.modules[__name__], "_chunk_log", log)
-    monkeypatch.setattr(sweep, "_profile_chunk", _logged_chunk)
+    log = tmp_path / "ranges.jsonl"
+    monkeypatch.setattr(sys.modules[__name__], "_range_log", log)
+    monkeypatch.setattr(sweep, "_profile", _logged_range)
     errors = []
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         results = run_sweep(table, "fd", max_size=4, workers=workers,
                             errors=errors)
-    # in dispatch order within each process
+    # one range per process
     logged = [json.loads(line) for line in log.read_text().splitlines()]
-    chunks = [chunk for _, chunk in logged]
-    sent = [tuple(s) for chunk in chunks for s in chunk]
+    runs = {pid: [tuple(s) for s in part] for pid, part in logged}
+    assert len(runs) == len(logged) == workers
+    sent = [s for run in runs.values() for s in run]
     fitted = [s for s in subsets if "flat" not in s]
     assert sorted(sent) == sorted(fitted)
     assert [r.subset for r in results] == fitted
+    # the grouped order: by row set in order of first appearance, each
+    # group in canonical order
     root = PairStats(list(chans.values()))
-    row_sets = [root.row_set(chunk[0]) for chunk in chunks]
-    for want, chunk in zip(row_sets, chunks):
-        assert all(root.row_set(s) == want for s in chunk)
-        assert chunk == sorted(chunk, key=lambda s: subsets.index(tuple(s)))
-    if workers == 1:  # one chunk per row set, in order of first appearance
-        assert len(row_sets) == len(set(row_sets))
-        assert row_sets == list(dict.fromkeys(root.row_set(s) for s in fitted))
+    grouped = [s for want in dict.fromkeys(root.row_set(s) for s in fitted)
+               for s in fitted if root.row_set(s) == want]
+    own = runs.pop(os.getpid())
+    if workers == 1:
+        assert own == grouped
     else:
         # each process fits one contiguous run of the grouped order, the
         # caller the first, and their channel totals differ by at most the
         # size of one subset
-        grouped = [s for want in dict.fromkeys(root.row_set(s) for s in fitted)
-                   for s in fitted if root.row_set(s) == want]
-        runs = {}
-        for pid, chunk in logged:
-            runs.setdefault(pid, []).extend(tuple(s) for s in chunk)
-        own = runs.pop(os.getpid())
         others = sorted(runs.values(), key=lambda run: grouped.index(run[0]))
         assert len(others) == workers - 1
         assert own + [s for run in others for s in run] == grouped
